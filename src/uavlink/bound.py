@@ -13,6 +13,7 @@ maximum usable station-to-UAV distance d_max.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -196,8 +197,12 @@ class BoundContext:
         return cls(q=q, g_inv_q=g_inverse(q), d_max_m=d_max(consts, cfg))
 
 
+@lru_cache(maxsize=1)
 def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
     """Closed-form mean of 1/SNR over the airspace position distribution.
+
+    Independent of the blocklength and error probability, so the latest
+    value is cached: a sweep evaluates the four Ei terms once.
 
     Separates into the distance moment u = (r_max^5 - r_min^5)/5 and an
     elevation integral v expressed through Ei via the antiderivative

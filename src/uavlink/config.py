@@ -10,6 +10,7 @@ is idempotent.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .channel import LinkBudget, Scenario
@@ -104,6 +105,16 @@ def _strict_section(data: dict, section: str) -> dict:
     return got
 
 
+def _integer(section: dict, name: str, key: str) -> int:
+    """section[key] as an int; a non-integral number is an error, not truncated."""
+    value = section[key]
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Build a validated RunConfig from a config dict; strict about keys."""
     known_sections = set(_SECTION_KEYS)
@@ -150,12 +161,13 @@ def config_from_dict(data: dict) -> RunConfig:
             r_min_m=float(ai["r_min_m"]), r_max_m=float(ai["r_max_m"]),
             theta_min_deg=float(ai["theta_min_deg"]),
         ),
-        fbl=FblConfig(blocklength=int(fb["blocklength"]), epsilon=float(fb["epsilon"])),
-        n_theta=int(es["n_theta"]),
-        n_dist=int(es["n_dist"]),
-        n_samples=int(es["n_samples"]),
-        seed=int(es["seed"]),
-        shards=int(es["shards"]),
+        fbl=FblConfig(blocklength=_integer(fb, "fbl", "blocklength"),
+                      epsilon=float(fb["epsilon"])),
+        n_theta=_integer(es, "estimators", "n_theta"),
+        n_dist=_integer(es, "estimators", "n_dist"),
+        n_samples=_integer(es, "estimators", "n_samples"),
+        seed=_integer(es, "estimators", "seed"),
+        shards=_integer(es, "estimators", "shards"),
         output_dir=out_dir,
     )
 

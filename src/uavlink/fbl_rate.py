@@ -103,6 +103,19 @@ def dispersion(gamma):
     return float(out) if out.ndim == 0 else out
 
 
+def q_free_terms(gamma):
+    """Arrays (S, W) = (log2(1 + gamma), sqrt(V(gamma))) for gamma > 0.
+
+    The rate is R = S - (q / ln 2) W: only q = Qinv(eps)/sqrt(M) depends on
+    the blocklength and error probability, so averages of S and W serve
+    every (M, eps) pair.
+    """
+    g = np.asarray(gamma, dtype=float)
+    if np.any(g <= 0.0):
+        raise ValueError("SNR must be positive")
+    return np.log1p(g) / _LN2, np.sqrt(dispersion(g))
+
+
 def achievable_rate(gamma, cfg: FblConfig):
     """Finite-blocklength rate in bits per channel use; may be negative.
 
@@ -110,11 +123,8 @@ def achievable_rate(gamma, cfg: FblConfig):
     min_snr_for_valid_rate to locate the region where the rate is
     nonnegative and increasing.
     """
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g <= 0.0):
-        raise ValueError("SNR must be positive")
-    penalty = (cfg.q / _LN2) * np.sqrt(dispersion(g))
-    out = np.log1p(g) / _LN2 - penalty
+    s_terms, w_terms = q_free_terms(gamma)
+    out = s_terms - (cfg.q / _LN2) * w_terms
     return float(out) if out.ndim == 0 else out
 
 

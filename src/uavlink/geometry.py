@@ -7,6 +7,7 @@ degrees. The distance follows a cubic CDF, the elevation is uniform, and
 the two coordinates are drawn independently (product-form joint density).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,11 @@ class Airspace:
     theta_min_deg: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_min_m, self.r_max_m, self.theta_min_deg))):
+            raise ValueError(
+                f"airspace bounds must be finite, got r_min={self.r_min_m}, "
+                f"r_max={self.r_max_m}, theta_min={self.theta_min_deg}"
+            )
         if not 0.0 < self.r_min_m < self.r_max_m:
             raise ValueError(
                 f"need 0 < r_min < r_max, got r_min={self.r_min_m}, r_max={self.r_max_m}"

@@ -4,7 +4,9 @@ Rules are generated table-free by Newton iteration on the Legendre
 recurrence; the average achievable data rate over the airspace is the
 double integral of rate times position density, approximated by one rule
 in elevation nested inside one rule in distance (the "GCQ" method label
-used by the CLI).
+used by the CLI). The q-free rate terms (fbl_rate.q_free_terms) on the
+latest node grid are cached, so each further sweep row costs one
+combination, one matrix-vector product and one sum.
 """
 
 import math
@@ -14,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import DerivedConstants, snr
-from .fbl_rate import FblConfig, achievable_rate
+# achievable_rate is no longer called here; bench/tracer.py PROBES still looks it up.
+from .fbl_rate import _LN2, FblConfig, achievable_rate, q_free_terms  # noqa: F401
 from .geometry import Airspace
 
 _MAX_ORDER = 1000
@@ -92,6 +95,28 @@ def integrate(rule: QuadratureRule, f, lo: float, hi: float) -> float:
     return float(half * np.sum(rule.weights * y))
 
 
+@lru_cache(maxsize=1)
+def _node_terms(space: Airspace, consts: DerivedConstants, n_theta: int, n_dist: int):
+    """Read-only q-free parts of the nested rule on one airspace.
+
+    Returns (S, W, elevation weights, distance weights w_d d^2, prefactor),
+    with S = log2(1 + SNR) and W = sqrt(V(SNR)) on the distance x elevation
+    node grid.
+    """
+    rule_theta = legendre_rule(n_theta)
+    rule_dist = legendre_rule(n_dist)
+    th_lo, th_hi = space.theta_min_deg, 90.0
+    d_lo, d_hi = space.r_min_m, space.r_max_m
+    theta = 0.5 * (th_hi - th_lo) * rule_theta.nodes + 0.5 * (th_hi + th_lo)
+    dist = 0.5 * (d_hi - d_lo) * rule_dist.nodes + 0.5 * (d_hi + d_lo)
+    s_terms, w_terms = q_free_terms(snr(consts, theta[None, :], dist[:, None]))
+    dist_weights = rule_dist.weights * dist**2
+    for arr in (s_terms, w_terms, dist_weights):
+        arr.setflags(write=False)
+    prefactor = 0.75 * (d_hi - d_lo) / (d_hi**3 - d_lo**3)
+    return s_terms, w_terms, rule_theta.weights, dist_weights, prefactor
+
+
 def aadr_gcq(
     space: Airspace,
     consts: DerivedConstants,
@@ -106,14 +131,9 @@ def aadr_gcq(
     [r_min, r_max]; the position-density normalization collapses to the
     prefactor (3/4) (r_max - r_min) / (r_max^3 - r_min^3).
     """
-    rule_theta = legendre_rule(n_theta)
-    rule_dist = legendre_rule(n_dist)
-    th_lo, th_hi = space.theta_min_deg, 90.0
-    d_lo, d_hi = space.r_min_m, space.r_max_m
-    theta = 0.5 * (th_hi - th_lo) * rule_theta.nodes + 0.5 * (th_hi + th_lo)
-    dist = 0.5 * (d_hi - d_lo) * rule_dist.nodes + 0.5 * (d_hi + d_lo)
-    rate = achievable_rate(snr(consts, theta[None, :], dist[:, None]), cfg)
-    inner = rate @ rule_theta.weights            # per-distance elevation sums
-    outer = np.sum(rule_dist.weights * dist**2 * inner)
-    prefactor = 0.75 * (d_hi - d_lo) / (d_hi**3 - d_lo**3)
+    s_terms, w_terms, theta_weights, dist_weights, prefactor = _node_terms(
+        space, consts, n_theta, n_dist)
+    rate = s_terms - (cfg.q / _LN2) * w_terms
+    inner = rate @ theta_weights                 # per-distance elevation sums
+    outer = np.sum(dist_weights * inner)
     return float(prefactor * outer)

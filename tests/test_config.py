@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 
@@ -98,6 +99,28 @@ def test_bad_units_rejected():
     data["link"]["noise_unit"] = "K"
     with pytest.raises(ValueError, match="noise_unit"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("section,key", [
+    ("fbl", "blocklength"), ("estimators", "n_theta"), ("estimators", "n_dist"),
+    ("estimators", "n_samples"), ("estimators", "seed"), ("estimators", "shards"),
+])
+def test_non_integral_counts_rejected(section, key):
+    data = preset_config("dense_urban")
+    data[section][key] += 0.7
+    with pytest.raises(ValueError, match=f"{section}.{key} must be an integer"):
+        config_from_dict(data)
+    data[section][key] = float(round(data[section][key]))
+    assert isinstance(config_to_dict(config_from_dict(data))[section][key], int)
+
+
+def test_infinite_airspace_rejected(tmp_path):
+    data = preset_config("dense_urban")
+    data["airspace"]["r_max_m"] = math.inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))  # written as the JSON extension Infinity
+    with pytest.raises(ValueError, match="airspace bounds must be finite"):
+        load_config(path)
 
 
 def test_load_config_file(tmp_path):

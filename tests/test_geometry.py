@@ -48,6 +48,14 @@ def test_airspace_rejects_bad_elevation():
         Airspace(r_min_m=250.0, r_max_m=400.0, theta_min_deg=-1.0)
 
 
+@pytest.mark.parametrize("bounds", [
+    (250.0, math.inf, 45.0), (math.nan, 400.0, 45.0), (250.0, 400.0, math.nan),
+])
+def test_airspace_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="airspace bounds must be finite"):
+        Airspace(*bounds)
+
+
 def test_cdf_support_endpoints():
     assert cdf_distance(SPACE, 250.0) == 0.0
     assert cdf_distance(SPACE, 400.0) == 1.0

@@ -6,7 +6,6 @@ and a closed-form Jensen lower bound.
 """
 
 from .bound import (
-    BoundContext,
     aadr_lower_bound,
     d_max,
     exp_integral_ei,
@@ -16,6 +15,7 @@ from .bound import (
     g2_threshold,
     g_bound,
     g_inverse,
+    min_snr_for_valid_rate,
 )
 from .channel import (
     DerivedConstants,
@@ -39,18 +39,15 @@ from .fbl_rate import (
     FblConfig,
     achievable_rate,
     dispersion,
-    min_snr_for_valid_rate,
     q_function,
     q_inverse,
     shannon_rate,
 )
 from .geometry import (
     Airspace,
-    UavPosition,
     cdf_distance,
     pdf_distance,
     pdf_elevation,
-    sample_position,
     sample_positions,
 )
 from .lemmas import run_lemma_suite
@@ -66,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Airspace",
-    "BoundContext",
     "DerivedConstants",
     "FblConfig",
     "LinkBudget",
@@ -75,7 +71,6 @@ __all__ = [
     "QuadratureRule",
     "RunConfig",
     "Scenario",
-    "UavPosition",
     "aadr_gcq",
     "aadr_lower_bound",
     "achievable_rate",
@@ -108,7 +103,6 @@ __all__ = [
     "q_function",
     "q_inverse",
     "run_lemma_suite",
-    "sample_position",
     "sample_positions",
     "shannon_rate",
     "snr",

@@ -12,17 +12,15 @@ maximum usable station-to-UAV distance d_max.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import DerivedConstants
-from .fbl_rate import FblConfig
+from .fbl_rate import _LN2, FblConfig
 from .geometry import Airspace
 
 _EULER_GAMMA = 0.5772156649015328606
-_LN2 = math.log(2.0)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
@@ -78,6 +76,16 @@ def g_inverse(q: float) -> float:
         if hi - lo <= 1e-11 + 1e-15 * mid:
             break
     return lo
+
+
+def min_snr_for_valid_rate(cfg: FblConfig) -> float:
+    """Smallest SNR at which the finite-blocklength rate is nonnegative.
+
+    Equals 1 / g_inverse(q); above it the rate is also increasing in SNR
+    and the map stays inside the proven convexity region of the lower-bound
+    machinery.
+    """
+    return 1.0 / g_inverse(cfg.q)
 
 
 def g1_threshold(x):
@@ -179,22 +187,6 @@ def d_max(consts: DerivedConstants, cfg: FblConfig) -> float:
     zero_elevation = 1.0 + consts.a_env * math.exp(consts.a_env * consts.b_env)
     floor_term = math.exp(consts.a_tilde / zero_elevation)
     return math.sqrt(consts.c_tilde * floor_term * g_inverse(cfg.q))
-
-
-@dataclass(frozen=True)
-class BoundContext:
-    """Penalty coefficient, its g-inverse and the resulting distance limit."""
-
-    q: float
-    g_inv_q: float
-    d_max_m: float
-
-    @classmethod
-    def from_config(cls, consts: DerivedConstants, cfg: FblConfig) -> "BoundContext":
-        if cfg.epsilon >= 0.5:
-            raise ValueError("BoundContext needs epsilon < 0.5")
-        q = cfg.q
-        return cls(q=q, g_inv_q=g_inverse(q), d_max_m=d_max(consts, cfg))
 
 
 @lru_cache(maxsize=1)

@@ -13,14 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x_lin):
-    return 10.0 * np.log10(x_lin)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Environment constants of the LoS-probability model."""
@@ -85,7 +77,7 @@ def derive_constants(s: Scenario, link: LinkBudget) -> DerivedConstants:
     c_db += s.eta_nlos_db
     a_tilde = -a_db * math.log(10.0) / 10.0
     snr_0_db = link.tx_power_dbw - link.noise_power_dbw  # SNR before path loss
-    c_tilde = float(db_to_linear(snr_0_db - c_db))
+    c_tilde = 10.0 ** ((snr_0_db - c_db) / 10.0)
     return DerivedConstants(
         a_env=s.a, b_env=s.b, a_db=a_db, c_db=c_db, a_tilde=a_tilde, c_tilde=c_tilde
     )
@@ -105,13 +97,16 @@ def _check_distance(d):
     return d
 
 
+def _sigmoid(a, b, theta):
+    return 1.0 / (1.0 + a * np.exp(-b * (theta - a)))
+
+
 def los_probability(s: Scenario, theta):
     """Probability of a line-of-sight link at elevation theta (degrees).
 
     Sigmoid 1 / (1 + a exp(-b (theta - a))), strictly increasing in theta.
     """
-    theta = _check_theta(theta)
-    out = 1.0 / (1.0 + s.a * np.exp(-s.b * (theta - s.a)))
+    out = _sigmoid(s.a, s.b, _check_theta(theta))
     return float(out) if out.ndim == 0 else out
 
 
@@ -119,7 +114,7 @@ def mean_path_loss_db(c: DerivedConstants, theta, d):
     """Mean path loss in dB at elevation theta (degrees) and distance d (m)."""
     theta = _check_theta(theta)
     d = _check_distance(d)
-    p_los = 1.0 / (1.0 + c.a_env * np.exp(-c.b_env * (theta - c.a_env)))
+    p_los = _sigmoid(c.a_env, c.b_env, theta)
     out = c.a_db * p_los + 20.0 * np.log10(d) + c.c_db
     return float(out) if out.ndim == 0 else out
 
@@ -128,6 +123,6 @@ def snr(c: DerivedConstants, theta, d):
     """Linear SNR at the UAV, c_tilde * d^-2 * exp(a_tilde * P_los(theta))."""
     theta = _check_theta(theta)
     d = _check_distance(d)
-    p_los = 1.0 / (1.0 + c.a_env * np.exp(-c.b_env * (theta - c.a_env)))
+    p_los = _sigmoid(c.a_env, c.b_env, theta)
     out = c.c_tilde * d**-2.0 * np.exp(c.a_tilde * p_los)
     return float(out) if out.ndim == 0 else out

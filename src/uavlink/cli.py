@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import NamedTuple
 
 from .bound import aadr_lower_bound, d_max
@@ -30,16 +31,24 @@ DMAX_REFERENCE_NOTE = (
 )
 
 
-def _estimate_columns(cfg: RunConfig, consts, fbl: FblConfig, shannon_mean: float) -> dict:
-    mc = estimate_aadr(cfg.airspace, consts, fbl, n=cfg.n_samples, seed=cfg.seed,
-                       shards=cfg.shards)
-    return {
-        "shannon_mc": shannon_mean,
-        "aadr_mc": mc.mean,
-        "aadr_mc_stderr": mc.std_error,
-        "aadr_gcq": aadr_gcq(cfg.airspace, consts, fbl, cfg.n_theta, cfg.n_dist),
-        "aadr_lb": aadr_lower_bound(cfg.airspace, consts, fbl),
-    }
+def _sweep(cfg: RunConfig, column: str, points) -> list[dict]:
+    """One row per (value, FblConfig) pair in points; value fills the given column."""
+    consts = derive_constants(cfg.scenario, cfg.link)
+    shannon = estimate_shannon(cfg.airspace, consts, n=cfg.n_samples, seed=cfg.seed,
+                               shards=cfg.shards)
+    rows = []
+    for value, fbl in points:
+        mc = estimate_aadr(cfg.airspace, consts, fbl, n=cfg.n_samples, seed=cfg.seed,
+                           shards=cfg.shards)
+        rows.append({
+            column: value,
+            "shannon_mc": shannon.mean,
+            "aadr_mc": mc.mean,
+            "aadr_mc_stderr": mc.std_error,
+            "aadr_gcq": aadr_gcq(cfg.airspace, consts, fbl, cfg.n_theta, cfg.n_dist),
+            "aadr_lb": aadr_lower_bound(cfg.airspace, consts, fbl),
+        })
+    return rows
 
 
 def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
@@ -50,16 +59,7 @@ def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
     for m in m_list:
         if int(m) != m or m < 1:
             raise ValueError(f"blocklength values must be positive integers, got {m}")
-    consts = derive_constants(cfg.scenario, cfg.link)
-    shannon = estimate_shannon(cfg.airspace, consts, n=cfg.n_samples, seed=cfg.seed,
-                               shards=cfg.shards)
-    rows = []
-    for m in m_list:
-        fbl = FblConfig(blocklength=int(m), epsilon=cfg.fbl.epsilon)
-        row = {"M": int(m)}
-        row.update(_estimate_columns(cfg, consts, fbl, shannon.mean))
-        rows.append(row)
-    return rows
+    return _sweep(cfg, "M", [(int(m), replace(cfg.fbl, blocklength=int(m))) for m in m_list])
 
 
 def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
@@ -70,16 +70,7 @@ def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
     for eps in eps_list:
         if not 0.0 < eps < 0.5:
             raise ValueError(f"epsilon values must lie in (0, 0.5), got {eps}")
-    consts = derive_constants(cfg.scenario, cfg.link)
-    shannon = estimate_shannon(cfg.airspace, consts, n=cfg.n_samples, seed=cfg.seed,
-                               shards=cfg.shards)
-    rows = []
-    for eps in eps_list:
-        fbl = FblConfig(blocklength=cfg.fbl.blocklength, epsilon=eps)
-        row = {"epsilon": eps}
-        row.update(_estimate_columns(cfg, consts, fbl, shannon.mean))
-        rows.append(row)
-    return rows
+    return _sweep(cfg, "epsilon", [(eps, replace(cfg.fbl, epsilon=eps)) for eps in eps_list])
 
 
 class PacketSize(NamedTuple):
@@ -105,8 +96,6 @@ def report_dmax(cfg: RunConfig) -> tuple[float, bool]:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     return f"{value:.12g}"

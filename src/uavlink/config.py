@@ -11,7 +11,7 @@ is idempotent.
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .channel import LinkBudget, Scenario
 from .fbl_rate import FblConfig
@@ -80,15 +80,7 @@ def preset_config(name: str) -> dict:
     }
 
 
-_SECTION_KEYS = {
-    "scenario": {"name", "a", "b", "eta_los_db", "eta_nlos_db"},
-    "link": {"tx_power_db", "tx_power_unit", "noise_db", "noise_unit",
-             "bandwidth_hz", "carrier_hz", "light_speed_m_s"},
-    "airspace": {"r_min_m", "r_max_m", "theta_min_deg"},
-    "fbl": {"blocklength", "epsilon"},
-    "estimators": {"n_theta", "n_dist", "n_samples", "seed", "shards"},
-    "output": {"directory"},
-}
+_SECTION_KEYS = {section: set(keys) for section, keys in preset_config(PRESET_NAMES[0]).items()}
 
 
 def _strict_section(data: dict, section: str) -> dict:
@@ -175,13 +167,7 @@ def config_from_dict(data: dict) -> RunConfig:
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical dict form of a RunConfig (dBW power, dBm/Hz noise density)."""
     return {
-        "scenario": {
-            "name": cfg.scenario.name,
-            "a": cfg.scenario.a,
-            "b": cfg.scenario.b,
-            "eta_los_db": cfg.scenario.eta_los_db,
-            "eta_nlos_db": cfg.scenario.eta_nlos_db,
-        },
+        "scenario": asdict(cfg.scenario),
         "link": {
             "tx_power_db": cfg.link.tx_power_dbw,
             "tx_power_unit": "dBW",
@@ -191,12 +177,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "carrier_hz": cfg.link.carrier_hz,
             "light_speed_m_s": cfg.link.light_speed_m_s,
         },
-        "airspace": {
-            "r_min_m": cfg.airspace.r_min_m,
-            "r_max_m": cfg.airspace.r_max_m,
-            "theta_min_deg": cfg.airspace.theta_min_deg,
-        },
-        "fbl": {"blocklength": cfg.fbl.blocklength, "epsilon": cfg.fbl.epsilon},
+        "airspace": asdict(cfg.airspace),
+        "fbl": asdict(cfg.fbl),
         "estimators": {
             "n_theta": cfg.n_theta,
             "n_dist": cfg.n_dist,

@@ -10,6 +10,7 @@ Q-function pair used by the penalty term lives here as well.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ class FblConfig:
     epsilon: float
 
     def __post_init__(self):
-        if self.blocklength < 1 or int(self.blocklength) != self.blocklength:
-            raise ValueError(f"blocklength must be a positive integer, got {self.blocklength}")
+        m = self.blocklength
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"blocklength must be a positive integer, got {m!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
@@ -120,7 +122,7 @@ def achievable_rate(gamma, cfg: FblConfig):
     """Finite-blocklength rate in bits per channel use; may be negative.
 
     Negative values for small SNR are returned unclamped; use
-    min_snr_for_valid_rate to locate the region where the rate is
+    bound.min_snr_for_valid_rate to locate the region where the rate is
     nonnegative and increasing.
     """
     s_terms, w_terms = q_free_terms(gamma)
@@ -135,15 +137,3 @@ def shannon_rate(gamma):
         raise ValueError("SNR must be nonnegative")
     out = np.log1p(g) / _LN2
     return float(out) if out.ndim == 0 else out
-
-
-def min_snr_for_valid_rate(cfg: FblConfig) -> float:
-    """Smallest SNR at which the finite-blocklength rate is nonnegative.
-
-    Equals 1 / g_inverse(q); above it the rate is also increasing in SNR
-    and the map stays inside the proven convexity region of the lower-bound
-    machinery.
-    """
-    from .bound import g_inverse  # deferred: bound depends on this module
-
-    return 1.0 / g_inverse(cfg.q)

@@ -33,14 +33,10 @@ class Airspace:
             )
         if not 0.0 <= self.theta_min_deg < 90.0:
             raise ValueError(f"theta_min must lie in [0, 90), got {self.theta_min_deg}")
-
-
-@dataclass(frozen=True)
-class UavPosition:
-    """A single UAV location as seen from the ground station."""
-
-    d_m: float
-    theta_deg: float
+        try:
+            math.pow(self.r_max_m, 5)  # bound.expected_inverse_snr needs r_max**5
+        except OverflowError:
+            raise ValueError(f"r_max={self.r_max_m} m is too large: r_max**5 overflows") from None
 
 
 def cdf_distance(space: Airspace, x):
@@ -88,9 +84,3 @@ def sample_positions(space: Airspace, rng: np.random.Generator, n: int):
     d = np.cbrt(r3 + u * (space.r_max_m**3 - r3))
     theta = space.theta_min_deg + u2 * (90.0 - space.theta_min_deg)
     return d, theta
-
-
-def sample_position(space: Airspace, rng: np.random.Generator) -> UavPosition:
-    """Draw one position; see sample_positions for the sampling law."""
-    d, theta = sample_positions(space, rng, 1)
-    return UavPosition(d_m=float(d[0]), theta_deg=float(theta[0]))

@@ -6,21 +6,17 @@ differences), the strict decrease of g, and the two dominating thresholds
 g1 > g and g2 > g that underpin the derivative sign arguments.
 """
 
-import math
-
 import numpy as np
 
-from .bound import f_penalized, g1_threshold, g2_threshold, g_bound, g_inverse
+from .bound import _INV_SQRT3, f_penalized, g1_threshold, g2_threshold, g_bound, g_inverse
 
 NONNEGATIVITY_TOLERANCE = -1e-12
-
-_INV_SQRT3 = 1.0 / math.sqrt(3.0)
+REL_STEP = 1e-4  # central-difference step, relative to x
 
 
 def run_lemma_suite(
     q_values=(0.05, 0.2, 0.6),
     grid_points: int = 200,
-    rel_step: float = 1e-4,
     f_impl=None,
 ) -> dict:
     """Run every lemma check and return a machine-readable report.
@@ -37,7 +33,7 @@ def run_lemma_suite(
     for q in q_values:
         x_hi = g_inverse(q)
         xs = np.geomspace(1e-6, x_hi, grid_points)
-        h = xs * rel_step
+        h = xs * REL_STEP
         fx = f(xs, q)
         f_plus = f(xs + h, q)
         f_minus = f(xs - h, q)
@@ -59,7 +55,7 @@ def run_lemma_suite(
         ))
 
     xs = np.geomspace(1e-6, 1e3, grid_points)
-    h = xs * rel_step
+    h = xs * REL_STEP
     g_deriv = (g_bound(xs + h) - g_bound(xs - h)) / (2.0 * h)
     checks.append(_check(
         name="g_decreasing", q=None, grid=(1e-6, 1e3), points=grid_points,
@@ -83,7 +79,7 @@ def run_lemma_suite(
     return {
         "q_values": list(q_values),
         "grid_points": grid_points,
-        "rel_step": rel_step,
+        "rel_step": REL_STEP,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }

@@ -88,11 +88,7 @@ def integrate(rule: QuadratureRule, f, lo: float, hi: float) -> float:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     half = 0.5 * (hi - lo)
     xm = half * rule.nodes + 0.5 * (hi + lo)
-    try:
-        y = f(xm)
-    except TypeError:  # scalar-only integrand
-        y = np.array([f(v) for v in xm])
-    return float(half * np.sum(rule.weights * y))
+    return float(half * np.sum(rule.weights * f(xm)))
 
 
 @lru_cache(maxsize=1)

@@ -7,7 +7,6 @@ import scipy.special
 
 from oracles import ei_series_oracle, g_inverse_oracle
 from uavlink.bound import (
-    BoundContext,
     aadr_lower_bound,
     g1_threshold,
     g2_threshold,
@@ -185,14 +184,6 @@ def test_d_max_default_values(dense_consts, suburban_consts):
 def test_d_max_rejects_large_epsilon(dense_consts):
     with pytest.raises(ValueError):
         d_max(dense_consts, FblConfig(blocklength=200, epsilon=0.5))
-
-
-def test_bound_context(dense_consts):
-    cfg = FblConfig(blocklength=200, epsilon=1e-9)
-    ctx = BoundContext.from_config(dense_consts, cfg)
-    assert ctx.q > 0.0
-    assert abs(g_bound(ctx.g_inv_q) - ctx.q) < 1e-10
-    assert ctx.d_max_m > 0.0
 
 
 def test_expected_inverse_snr_frozen_values(dense_urban, dense_consts,

@@ -194,6 +194,16 @@ def test_cli_dmax_exit_codes(tmp_path, capsys):
     assert main(["dmax", "--config", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["sweep-m", "dmax"])
+def test_cli_rejects_airspace_too_large_for_floats(tmp_path, capsys, command):
+    data = preset_config("dense_urban")
+    data["airspace"]["r_max_m"] = 1e62
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "error: r_max=1e+62 m is too large" in capsys.readouterr().err
+
+
 def test_cli_packet_size(capsys):
     assert main(["packet-size", "--t-max", "2e-4"]) == 0
     out = capsys.readouterr().out

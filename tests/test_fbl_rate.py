@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import q_inverse_oracle
+from uavlink.bound import min_snr_for_valid_rate
 from uavlink.fbl_rate import (
     FblConfig,
     achievable_rate,
     dispersion,
-    min_snr_for_valid_rate,
     q_function,
     q_inverse,
     shannon_rate,
@@ -106,6 +106,17 @@ def test_fbl_config_validation():
         FblConfig(blocklength=200, epsilon=0.0)
     with pytest.raises(ValueError):
         FblConfig(blocklength=200, epsilon=1.0)
+
+
+@pytest.mark.parametrize("blocklength", [200.0, True])
+def test_fbl_config_rejects_non_integer_blocklength(blocklength):
+    with pytest.raises(ValueError, match="blocklength must be a positive integer"):
+        FblConfig(blocklength=blocklength, epsilon=1e-9)
+
+
+def test_fbl_config_accepts_numpy_integer():
+    assert FblConfig(blocklength=np.int64(200), epsilon=1e-9).q == \
+        FblConfig(blocklength=200, epsilon=1e-9).q
 
 
 def test_rate_with_epsilon_half_is_shannon():

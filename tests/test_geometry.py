@@ -6,11 +6,9 @@ from scipy import stats
 
 from uavlink.geometry import (
     Airspace,
-    UavPosition,
     cdf_distance,
     pdf_distance,
     pdf_elevation,
-    sample_position,
     sample_positions,
 )
 from uavlink.quadrature import integrate, legendre_rule
@@ -54,6 +52,12 @@ def test_airspace_rejects_bad_elevation():
 def test_airspace_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="airspace bounds must be finite"):
         Airspace(*bounds)
+
+
+def test_airspace_rejects_radius_whose_fifth_power_overflows():
+    Airspace(r_min_m=250.0, r_max_m=1e61, theta_min_deg=45.0)
+    with pytest.raises(ValueError, match=r"r_max=1e\+62 m is too large"):
+        Airspace(r_min_m=250.0, r_max_m=1e62, theta_min_deg=45.0)
 
 
 def test_cdf_support_endpoints():
@@ -126,23 +130,21 @@ def test_elevation_rejects_outside_support():
 
 
 def test_inverse_transform_at_zero_hits_lower_corner():
-    pos = sample_position(SPACE, _StubRng(0.0, 0.0))
-    assert pos == UavPosition(d_m=250.0, theta_deg=45.0)
+    d, theta = sample_positions(SPACE, _StubRng(0.0, 0.0), 1)
+    assert (d[0], theta[0]) == (250.0, 45.0)
 
 
 def test_inverse_transform_near_one_hits_upper_corner():
     u = 1.0 - 1e-12
-    pos = sample_position(SPACE, _StubRng(u, u))
-    assert pos.d_m == pytest.approx(400.0, rel=1e-9)
-    assert pos.theta_deg == pytest.approx(90.0, rel=1e-9)
+    d, theta = sample_positions(SPACE, _StubRng(u, u), 1)
+    assert d[0] == pytest.approx(400.0, rel=1e-9)
+    assert theta[0] == pytest.approx(90.0, rel=1e-9)
 
 
 def test_sample_position_respects_bounds():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        pos = sample_position(SPACE, rng)
-        assert 250.0 <= pos.d_m <= 400.0
-        assert 45.0 <= pos.theta_deg <= 90.0
+    d, theta = sample_positions(SPACE, np.random.default_rng(7), 200)
+    assert np.all((250.0 <= d) & (d <= 400.0))
+    assert np.all((45.0 <= theta) & (theta <= 90.0))
 
 
 def test_sampler_matches_distance_cdf():

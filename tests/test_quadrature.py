@@ -95,11 +95,6 @@ def test_integrate_exponential():
     assert abs(value - (math.e - 1.0)) < 1e-12
 
 
-def test_integrate_accepts_scalar_only_integrand():
-    value = integrate(legendre_rule(8), math.exp, 0.0, 1.0)
-    assert abs(value - (math.e - 1.0)) < 1e-12
-
-
 def test_integrate_rejects_empty_interval():
     with pytest.raises(ValueError):
         integrate(legendre_rule(3), np.exp, 1.0, 1.0)

@@ -2,6 +2,8 @@
 
 The golden CSVs under tests/data were written by the per-row estimators that
 re-drew every row; the cached q-free terms must reproduce them byte for byte.
+The golden dmax and packet-size stdout and verify report pin the outputs that
+do not go through a sweep.
 """
 
 import copy
@@ -51,6 +53,22 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, golden, argv):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden,argv", [
+    (f"{command}_{scenario}.txt", [command.replace("_", "-"), "--scenario", scenario, *extra])
+    for command, extra in (("dmax", []), ("packet_size", ["--t-max", "2e-4"]))
+    for scenario in ("dense_urban", "suburban")
+])
+def test_stdout_matches_golden_text(capsys, golden, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+def test_verify_report_matches_golden_bytes(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "verify.json").read_bytes()
 
 
 def _reference_mc(space, consts, cfg, n, seed, shards):

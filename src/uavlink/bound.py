@@ -24,6 +24,17 @@ _EULER_GAMMA = 0.5772156649015328606
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
+# Unchecked formulas, shared by the validating array functions below and the
+# scalar per-row path. numpy's log1p keeps a Python float bit-identical to a
+# 0-d array; math.log1p rounds differently at some points.
+def _f(x, q):
+    return np.log1p(1.0 / x) - q * np.sqrt(2.0 * x + 1.0) / (x + 1.0)
+
+
+def _g(x):
+    return (x + 1.0) * np.log1p(1.0 / x) / np.sqrt(2.0 * x + 1.0)
+
+
 def f_penalized(x, q):
     """Penalized log-rate f(x) = ln(1 + 1/x) - q sqrt(2x + 1) / (x + 1)."""
     x = np.asarray(x, dtype=float)
@@ -31,7 +42,7 @@ def f_penalized(x, q):
         raise ValueError("f_penalized needs x > 0")
     if q <= 0.0:
         raise ValueError("f_penalized needs q > 0")
-    out = np.log1p(1.0 / x) - q * np.sqrt(2.0 * x + 1.0) / (x + 1.0)
+    out = _f(x, q)
     return float(out) if out.ndim == 0 else out
 
 
@@ -40,7 +51,7 @@ def g_bound(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("g_bound needs x > 0")
-    out = (x + 1.0) * np.log1p(1.0 / x) / np.sqrt(2.0 * x + 1.0)
+    out = _g(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -50,26 +61,27 @@ def g_inverse(q: float) -> float:
     g_bound decreases strictly from +inf to 0, so the root is unique. The
     bracket starts at [1e-12, 1] and the upper end doubles until it crosses.
     Returns the lower bracket end, so g_bound(result) >= q up to rounding
-    and f_penalized stays nonnegative at the result.
+    and f_penalized stays nonnegative at the result. Every bracket point is
+    positive, so g is evaluated on floats without g_bound's checks.
     """
     q = float(q)
-    if q <= 0.0:
-        raise ValueError(f"g_inverse needs q > 0, got {q}")
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"g_inverse needs a finite q > 0, got q={q}")
     lo = 1e-12
-    while g_bound(lo) <= q:
+    while _g(lo) <= q:
         lo /= 8.0
         if lo < 1e-300:
             raise RuntimeError(f"failed to bracket g_inverse({q}) from below")
     hi = 1.0
     doublings = 0
-    while g_bound(hi) >= q:
+    while _g(hi) >= q:
         hi *= 2.0
         doublings += 1
         if doublings > 200:
             raise RuntimeError(f"failed to bracket g_inverse({q}) within 200 doublings")
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        if g_bound(mid) > q:
+        if _g(mid) > q:
             lo = mid
         else:
             hi = mid
@@ -239,4 +251,6 @@ def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) 
             f"airspace radius {space.r_max_m} m exceeds d_max {limit:.1f} m; "
             "the lower bound is invalid for this configuration"
         )
-    return f_penalized(mean_inv, q) / _LN2
+    if mean_inv <= 0.0:
+        raise ValueError(f"aadr_lower_bound needs E(1/SNR) > 0, got {mean_inv}")
+    return float(_f(mean_inv, q)) / _LN2

@@ -6,6 +6,7 @@ byte-identical.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -80,12 +81,15 @@ class PacketSize(NamedTuple):
 
 def packet_size(bandwidth_hz: float, t_max_s: float, aadr: float) -> PacketSize:
     """Packet size B * T_max * rate in bits, plus the channel-use budget B * T_max."""
-    if bandwidth_hz <= 0.0 or t_max_s <= 0.0:
-        raise ValueError("bandwidth and latency budget must be positive")
-    if aadr < 0.0:
-        raise ValueError("average rate must be nonnegative")
+    if not (0.0 < bandwidth_hz < math.inf and 0.0 < t_max_s < math.inf):
+        raise ValueError("bandwidth and latency budget must be positive and finite")
+    if not 0.0 <= aadr < math.inf:
+        raise ValueError("average rate must be finite and nonnegative")
     channel_uses = bandwidth_hz * t_max_s
-    return PacketSize(packet_bits=channel_uses * aadr, channel_uses=channel_uses)
+    packet_bits = channel_uses * aadr
+    if not math.isfinite(packet_bits):
+        raise ValueError(f"packet size overflows: B*T_max = {channel_uses:g}, rate = {aadr:g}")
+    return PacketSize(packet_bits=packet_bits, channel_uses=channel_uses)
 
 
 def report_dmax(cfg: RunConfig) -> tuple[float, bool]:
@@ -168,12 +172,18 @@ def _cmd_dmax(args) -> int:
 
 
 def _cmd_packet_size(args) -> int:
+    if not 0.0 < args.t_max < math.inf:
+        raise ValueError(f"--t-max must be a positive finite number of seconds, got {args.t_max}")
+    if args.aadr is not None and not 0.0 <= args.aadr < math.inf:
+        raise ValueError(f"--aadr must be a finite nonnegative rate, got {args.aadr}")
     cfg = _resolve_config(args)
     bandwidth = cfg.link.bandwidth_hz
     channel_uses = bandwidth * args.t_max
     if args.aadr is not None:
         rate = args.aadr
     else:
+        if not math.isfinite(channel_uses):
+            raise ValueError(f"latency budget too large: B*T_max = {channel_uses:g}")
         m = round(channel_uses)
         if m < 1:
             raise ValueError(f"latency budget too small: B*T_max = {channel_uses:g} < 1")

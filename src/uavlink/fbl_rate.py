@@ -12,6 +12,7 @@ Q-function pair used by the penalty term lives here as well.
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +35,13 @@ class FblConfig:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
-    @property
+    @cached_property
     def q(self) -> float:
-        """Penalty coefficient Qinv(epsilon) / sqrt(M)."""
+        """Penalty coefficient Qinv(epsilon) / sqrt(M), computed once per config.
+
+        The value is kept in the instance dict, outside the dataclass fields,
+        so equality, hashing and asdict are unaffected.
+        """
         return q_inverse(self.epsilon) / math.sqrt(self.blocklength)
 
 

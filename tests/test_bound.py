@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,9 @@ from uavlink.bound import (
     g_bound,
     g_inverse,
 )
-from uavlink.channel import snr
-from uavlink.fbl_rate import FblConfig, achievable_rate
+from uavlink.channel import derive_constants, snr
+from uavlink.config import PRESET_NAMES, load_preset
+from uavlink.fbl_rate import _LN2, FblConfig, achievable_rate
 from uavlink.geometry import Airspace, pdf_distance, pdf_elevation
 from uavlink.montecarlo import estimate_aadr, estimate_inverse_snr
 from uavlink.quadrature import integrate, legendre_rule
@@ -87,6 +89,74 @@ def test_g_inverse_zeroes_f():
 def test_g_inverse_domain_error():
     with pytest.raises(ValueError):
         g_inverse(0.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_g_inverse_rejects_non_finite_q(q):
+    with pytest.raises(ValueError, match="q="):
+        g_inverse(q)
+
+
+def _reference_g_inverse(q):
+    # The bisection as it ran on the validating 0-d array g_bound, kept to pin
+    # the scalar path's results bit for bit.
+    q = float(q)
+    lo = 1e-12
+    while g_bound(lo) <= q:
+        lo /= 8.0
+    hi = 1.0
+    while g_bound(hi) >= q:
+        hi *= 2.0
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if g_bound(mid) > q:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-11 + 1e-15 * mid:
+            break
+    return lo
+
+
+def _dense_sweep_eps(seed):
+    # The eps grid of the dense-sweep benchmark workload: 400 log-uniform
+    # values in [1e-12, 1e-3], rounded to 12 significant digits.
+    rng = random.Random(seed)
+    return [float(f"{10.0 ** rng.uniform(-12.0, -3.0):.12g}") for _ in range(400)]
+
+
+def _pinned_q_values():
+    qs = [0.05, 0.2, 0.6]  # the verify defaults
+    for name in PRESET_NAMES:
+        fbl = load_preset(name).fbl
+        qs += [replace(fbl, blocklength=m).q for m in range(100, 1001, 100)]
+        qs += [replace(fbl, epsilon=10.0**k).q for k in range(-12, -2)]
+    for seed in range(1, 6):
+        for m in (100, 200, 1000):
+            qs += [FblConfig(m, eps).q for eps in _dense_sweep_eps(seed)]
+    qs += list(np.exp(np.random.default_rng(4).uniform(math.log(1e-4), math.log(30.0), 2000)))
+    # Roots that move when g is bisected with math.log1p instead of numpy's
+    # log1p (found on x86-64 with AVX-512, numpy 2.4, where the two log1p
+    # differ in the last bit at about 2% of arguments).
+    qs += [0.019101235970546908, 0.03434264142864626, 0.017693160192638877,
+           0.015370933326331916, 0.005675954852608689, 0.016796099820234268,
+           0.015284110032871496, 0.04371965666134508]
+    return qs
+
+
+def test_g_inverse_is_bit_identical_to_the_array_bisection():
+    mismatches = [q for q in _pinned_q_values() if g_inverse(q) != _reference_g_inverse(q)]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_lower_bound_is_bit_identical_to_f_penalized(name):
+    cfg = load_preset(name)
+    consts = derive_constants(cfg.scenario, cfg.link)
+    mean_inv = expected_inverse_snr(cfg.airspace, consts)
+    for eps in _dense_sweep_eps(1)[:50]:
+        fbl = replace(cfg.fbl, epsilon=eps)
+        assert aadr_lower_bound(cfg.airspace, consts, fbl) == f_penalized(mean_inv, fbl.q) / _LN2
 
 
 def test_g1_threshold_reference_value():

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,15 @@ def test_packet_size_validation():
         packet_size(1e6, 2e-4, -1.0)
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 2e-4, 5.0), (math.inf, 2e-4, 5.0), (1e6, math.nan, 5.0), (1e6, math.inf, 5.0),
+    (1e6, 2e-4, math.nan), (1e6, 2e-4, math.inf), (1e6, 1e305, 5.0),
+])
+def test_packet_size_rejects_non_finite_input(args):
+    with pytest.raises(ValueError):
+        packet_size(*args)
+
+
 def test_report_dmax_default_ok():
     cfg = load_preset("dense_urban")
     limit, ok = report_dmax(cfg)
@@ -217,6 +227,32 @@ def test_cli_packet_size(capsys):
 
 def test_cli_packet_size_rejects_tiny_budget(capsys):
     assert main(["packet-size", "--t-max", "1e-9"]) == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--t-max", "nan"], "--t-max"),
+    (["--t-max", "inf"], "--t-max"),
+    (["--t-max", "nan", "--aadr", "2"], "--t-max"),
+    (["--t-max", "2e-4", "--aadr", "nan"], "--aadr"),
+    (["--t-max", "2e-4", "--aadr", "inf"], "--aadr"),
+])
+def test_cli_packet_size_rejects_non_finite_flags(capsys, argv, flag):
+    assert main(["packet-size", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be")
+
+
+@pytest.mark.parametrize("extra", [[], ["--aadr", "3"]])
+def test_cli_packet_size_rejects_an_overflowing_budget(capsys, extra):
+    assert main(["packet-size", "--t-max", "1e305", *extra]) == 2
+    assert "B*T_max = inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["nan", "inf"])
+def test_cli_verify_rejects_non_finite_q(capsys, q):
+    assert main(["verify", "--q-values", f"0.2,{q}"]) == 2
+    assert f"error: g_inverse needs a finite q > 0, got q={q}" in capsys.readouterr().err
 
 
 def test_cli_verify_passes(tmp_path):

@@ -7,18 +7,22 @@ do not go through a sweep.
 """
 
 import copy
+import dataclasses
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import uavlink.bound
+import uavlink.fbl_rate
 import uavlink.montecarlo
 import uavlink.quadrature
 from uavlink.channel import snr
-from uavlink.cli import main, sweep_blocklength
-from uavlink.config import config_from_dict, preset_config
+from uavlink.cli import main, sweep_blocklength, sweep_epsilon
+from uavlink.config import config_from_dict, config_to_dict, preset_config
 from uavlink.fbl_rate import FblConfig, achievable_rate
 from uavlink.geometry import sample_positions
 from uavlink.montecarlo import _rate_terms, estimate_aadr, estimate_shannon
@@ -26,6 +30,10 @@ from uavlink.quadrature import _node_terms, aadr_gcq, legendre_rule
 
 DATA = Path(__file__).parent / "data"
 M_VALUES = list(range(100, 1001, 100))
+# 40 log-uniform values in [1e-12, 1e-3] at 12 significant digits: many
+# distinct q values through the per-row bound path.
+_rng = random.Random(1)
+DENSE_EPS = ",".join(repr(float(f"{10.0 ** _rng.uniform(-12.0, -3.0):.12g}")) for _ in range(40))
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +55,8 @@ def _shards2_config(tmp_path) -> Path:
     ("sweep_eps_suburban_seed1.csv", ["sweep-eps", "--scenario", "suburban", "--seed", "1"]),
     ("sweep_m_dense_urban_shards2.csv", ["sweep-m", "--config", "{shards2}",
                                          "--m-values", "100,300,1000"]),
+    ("sweep_eps_suburban_dense.csv", ["sweep-eps", "--scenario", "suburban", "--seed", "1",
+                                      "--n1", "60", "--n2", "60", "--eps-values", DENSE_EPS]),
 ])
 def test_sweep_csv_matches_golden_bytes(tmp_path, golden, argv):
     argv = [a.format(shards2=_shards2_config(tmp_path)) for a in argv]
@@ -148,6 +158,35 @@ def test_a_sweep_draws_once_per_shard_and_grid(monkeypatch):
 
     sweep_blocklength(cfg, M_VALUES)
     assert (draws.calls, grids.calls, ei.calls) == (cfg.shards, 1, 4)
+
+
+def test_a_sweep_computes_q_once_per_row(monkeypatch):
+    qinv = _Counted(monkeypatch, uavlink.fbl_rate, "q_inverse")
+    rows = sweep_epsilon(_sweep_config(), [1e-9, 1e-6, 1e-3])
+    assert len(rows) == 3
+    assert qinv.calls == 3
+
+
+def test_q_is_cached_per_config_and_not_a_field(monkeypatch):
+    qinv = _Counted(monkeypatch, uavlink.fbl_rate, "q_inverse")
+    fbl = FblConfig(blocklength=200, epsilon=1e-9)
+    assert fbl.q == fbl.q
+    assert qinv.calls == 1
+    same = dataclasses.replace(fbl)
+    assert same.q == fbl.q
+    assert qinv.calls == 2
+    assert dataclasses.replace(fbl, epsilon=1e-6).q < fbl.q
+    assert qinv.calls == 3
+
+    fresh, used = _sweep_config(), _sweep_config()
+    digest = hashlib.sha256(json.dumps(config_to_dict(fresh), sort_keys=True).encode())
+    assert used.fbl.q > 0.0
+    assert "q" in vars(used.fbl) and "q" not in vars(fresh.fbl)
+    assert used == fresh and hash(used.fbl) == hash(fresh.fbl)
+    assert dataclasses.asdict(used.fbl) == {"blocklength": 200, "epsilon": 1e-9}
+    assert config_to_dict(used) == config_to_dict(fresh)
+    assert hashlib.sha256(json.dumps(config_to_dict(used), sort_keys=True).encode()).digest() \
+        == digest.digest()
 
 
 @pytest.mark.parametrize("change", [

@@ -232,6 +232,10 @@ def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
     return norm * u * v
 
 
+class DistanceLimitError(ValueError):
+    """The airspace reaches beyond d_max, where the lower bound is invalid."""
+
+
 def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) -> float:
     """Jensen lower bound of the average achievable data rate, bits/channel use.
 
@@ -247,7 +251,7 @@ def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) 
         return math.log1p(1.0 / mean_inv) / _LN2
     limit = d_max(consts, cfg)
     if space.r_max_m > limit:
-        raise ValueError(
+        raise DistanceLimitError(
             f"airspace radius {space.r_max_m} m exceeds d_max {limit:.1f} m; "
             "the lower bound is invalid for this configuration"
         )

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from typing import NamedTuple
 
-from .bound import aadr_lower_bound, d_max
+from .bound import DistanceLimitError, aadr_lower_bound, d_max
 from .channel import derive_constants
 from .config import PRESET_NAMES, RunConfig, load_config, load_preset
 from .fbl_rate import FblConfig
@@ -33,7 +33,10 @@ DMAX_REFERENCE_NOTE = (
 
 
 def _sweep(cfg: RunConfig, column: str, points) -> list[dict]:
-    """One row per (value, FblConfig) pair in points; value fills the given column."""
+    """One row per (value, FblConfig) pair in points; value fills the given column.
+
+    aadr_lb is nan in a row whose d_max is below the airspace radius.
+    """
     consts = derive_constants(cfg.scenario, cfg.link)
     shannon = estimate_shannon(cfg.airspace, consts, n=cfg.n_samples, seed=cfg.seed,
                                shards=cfg.shards)
@@ -41,13 +44,17 @@ def _sweep(cfg: RunConfig, column: str, points) -> list[dict]:
     for value, fbl in points:
         mc = estimate_aadr(cfg.airspace, consts, fbl, n=cfg.n_samples, seed=cfg.seed,
                            shards=cfg.shards)
+        try:
+            bound = aadr_lower_bound(cfg.airspace, consts, fbl)
+        except DistanceLimitError:
+            bound = math.nan
         rows.append({
             column: value,
             "shannon_mc": shannon.mean,
             "aadr_mc": mc.mean,
             "aadr_mc_stderr": mc.std_error,
             "aadr_gcq": aadr_gcq(cfg.airspace, consts, fbl, cfg.n_theta, cfg.n_dist),
-            "aadr_lb": aadr_lower_bound(cfg.airspace, consts, fbl),
+            "aadr_lb": bound,
         })
     return rows
 
@@ -123,7 +130,7 @@ def _resolve_config(args) -> RunConfig:
         overrides["n_theta"] = args.n1
     if args.n2 is not None:
         overrides["n_dist"] = args.n2
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 def _out_path(args, cfg: RunConfig, default_name: str) -> str:

@@ -11,7 +11,7 @@ is idempotent.
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .channel import LinkBudget, Scenario
 from .fbl_rate import FblConfig
@@ -41,9 +41,6 @@ class RunConfig:
     seed: int
     shards: int
     output_dir: str
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
 
 def preset_config(name: str) -> dict:

@@ -12,6 +12,7 @@ from .bound import _INV_SQRT3, f_penalized, g1_threshold, g2_threshold, g_bound,
 
 NONNEGATIVITY_TOLERANCE = -1e-12
 REL_STEP = 1e-4  # central-difference step, relative to x
+MAX_GRID_POINTS = 10**6  # several float arrays of this length are built per q
 
 
 def run_lemma_suite(
@@ -25,8 +26,8 @@ def run_lemma_suite(
     implementation. The report lists, per check, the grid, the tolerance
     and the worst observed value; all_passed aggregates the verdicts.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], got {grid_points}")
     f = f_penalized if f_impl is None else f_impl
     checks = []
 

@@ -5,9 +5,10 @@ deterministic and non-overlapping: shard i draws from Philox(key=seed)
 jumped i times. The (seed, shards) pair is part of the reproducibility
 contract; identical inputs give bit-identical estimates.
 
-The per-sample q-free rate terms of the latest draw (fbl_rate.q_free_terms)
-are cached, so a sweep draws once and each further row costs O(n)
-arithmetic.
+The rate is affine in q: R = S - (q/ln 2) W with the q-free terms
+S = log2(1 + SNR) and W = sqrt(V) (fbl_rate.q_free_terms). So the moments
+of S and W over the latest draw are cached, a sweep draws once, and each
+further row is one multiply-add.
 """
 
 import math
@@ -29,8 +30,6 @@ class McEstimate:
 
     mean: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 def _shard_slices(n: int, shards: int) -> list:
@@ -56,28 +55,27 @@ def _draws(space: Airspace, seed: int, parts: list):
         yield part, d, theta
 
 
-def _summary(values: np.ndarray, seed: int) -> McEstimate:
-    n = values.size
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n))
-    return McEstimate(mean=mean, std_error=std_error, n_samples=n, seed=seed)
-
-
 @lru_cache(maxsize=1)
 def _rate_terms(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
-    """Read-only per-sample (S, W) of one draw, filled one shard at a time.
+    """(E[S], E[W], Var S, Cov(S, W), Var W) of one draw, as floats (ddof = 1).
 
-    Filling preallocated arrays keeps only one shard's positions and SNR
-    alive at a time, which holds peak memory at the per-row draws' level.
+    S and W are filled one shard at a time into preallocated arrays, which
+    keeps only one shard's positions and SNR alive at a time, then centred
+    in place; the arrays are dropped on return.
     """
     parts = _shard_slices(n, shards)
     s_terms = np.empty(n)
     w_terms = np.empty(n)
     for part, d, theta in _draws(space, seed, parts):
         s_terms[part], w_terms[part] = q_free_terms(snr(consts, theta, d))
-    s_terms.setflags(write=False)
-    w_terms.setflags(write=False)
-    return s_terms, w_terms
+    mean_s, mean_w = float(s_terms.mean()), float(w_terms.mean())
+    s_terms -= mean_s
+    w_terms -= mean_w
+    # numpy's pairwise sums with one product array alive at a time: a BLAS
+    # dot may sum in a thread-dependent order, and np.cov copies both arrays.
+    var_s, cov_sw, var_w = (float(np.add.reduce(a * b)) / (n - 1) for a, b in
+                            ((s_terms, s_terms), (s_terms, w_terms), (w_terms, w_terms)))
+    return mean_s, mean_w, var_s, cov_sw, var_w
 
 
 def estimate_aadr(
@@ -89,11 +87,11 @@ def estimate_aadr(
     shards: int = 1,
 ) -> McEstimate:
     """Mean finite-blocklength rate over n random UAV positions."""
-    s_terms, w_terms = _rate_terms(space, consts, n, seed, shards)
-    # The operations of achievable_rate in its order, so the bytes match it.
-    rate = w_terms * (cfg.q / _LN2)
-    np.subtract(s_terms, rate, out=rate)
-    return _summary(rate, seed)
+    mean_s, mean_w, var_s, cov_sw, var_w = _rate_terms(space, consts, n, seed, shards)
+    c = cfg.q / _LN2
+    # Var(S - cW) can round below 0 when S - cW is nearly constant.
+    variance = max(var_s - 2.0 * c * cov_sw + c * c * var_w, 0.0)
+    return McEstimate(mean=mean_s - c * mean_w, std_error=math.sqrt(variance) / math.sqrt(n))
 
 
 def estimate_shannon(
@@ -104,7 +102,8 @@ def estimate_shannon(
     shards: int = 1,
 ) -> McEstimate:
     """Mean Shannon rate log2(1 + SNR) over n random UAV positions."""
-    return _summary(_rate_terms(space, consts, n, seed, shards)[0], seed)
+    mean_s, _, var_s, _, _ = _rate_terms(space, consts, n, seed, shards)
+    return McEstimate(mean=mean_s, std_error=math.sqrt(var_s) / math.sqrt(n))
 
 
 def estimate_inverse_snr(
@@ -119,4 +118,5 @@ def estimate_inverse_snr(
     values = np.empty(n)
     for part, d, theta in _draws(space, seed, parts):
         values[part] = 1.0 / snr(consts, theta, d)
-    return _summary(values, seed)
+    return McEstimate(mean=float(values.mean()),
+                      std_error=float(values.std(ddof=1) / math.sqrt(n)))

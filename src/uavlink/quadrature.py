@@ -4,9 +4,10 @@ Rules are generated table-free by Newton iteration on the Legendre
 recurrence; the average achievable data rate over the airspace is the
 double integral of rate times position density, approximated by one rule
 in elevation nested inside one rule in distance (the "GCQ" method label
-used by the CLI). The q-free rate terms (fbl_rate.q_free_terms) on the
-latest node grid are cached, so each further sweep row costs one
-combination, one matrix-vector product and one sum.
+used by the CLI). The rate is affine in q, R = S - (q/ln 2) W with the
+q-free terms of fbl_rate.q_free_terms, so the nested-rule sums of S and W
+on the latest node grid are cached and each further sweep row is one
+multiply-add.
 """
 
 import math
@@ -93,24 +94,17 @@ def integrate(rule: QuadratureRule, f, lo: float, hi: float) -> float:
 
 @lru_cache(maxsize=1)
 def _node_terms(space: Airspace, consts: DerivedConstants, n_theta: int, n_dist: int):
-    """Read-only q-free parts of the nested rule on one airspace.
-
-    Returns (S, W, elevation weights, distance weights w_d d^2, prefactor),
-    with S = log2(1 + SNR) and W = sqrt(V(SNR)) on the distance x elevation
-    node grid.
-    """
+    """Nested-rule averages (GCQ[S], GCQ[W]) of the q-free terms, as floats."""
     rule_theta = legendre_rule(n_theta)
     rule_dist = legendre_rule(n_dist)
     th_lo, th_hi = space.theta_min_deg, 90.0
     d_lo, d_hi = space.r_min_m, space.r_max_m
     theta = 0.5 * (th_hi - th_lo) * rule_theta.nodes + 0.5 * (th_hi + th_lo)
     dist = 0.5 * (d_hi - d_lo) * rule_dist.nodes + 0.5 * (d_hi + d_lo)
-    s_terms, w_terms = q_free_terms(snr(consts, theta[None, :], dist[:, None]))
     dist_weights = rule_dist.weights * dist**2
-    for arr in (s_terms, w_terms, dist_weights):
-        arr.setflags(write=False)
     prefactor = 0.75 * (d_hi - d_lo) / (d_hi**3 - d_lo**3)
-    return s_terms, w_terms, rule_theta.weights, dist_weights, prefactor
+    return tuple(float(prefactor * np.sum(dist_weights * (terms @ rule_theta.weights)))
+                 for terms in q_free_terms(snr(consts, theta[None, :], dist[:, None])))
 
 
 def aadr_gcq(
@@ -127,9 +121,5 @@ def aadr_gcq(
     [r_min, r_max]; the position-density normalization collapses to the
     prefactor (3/4) (r_max - r_min) / (r_max^3 - r_min^3).
     """
-    s_terms, w_terms, theta_weights, dist_weights, prefactor = _node_terms(
-        space, consts, n_theta, n_dist)
-    rate = s_terms - (cfg.q / _LN2) * w_terms
-    inner = rate @ theta_weights                 # per-distance elevation sums
-    outer = np.sum(dist_weights * inner)
-    return float(prefactor * outer)
+    gcq_s, gcq_w = _node_terms(space, consts, n_theta, n_dist)
+    return gcq_s - (cfg.q / _LN2) * gcq_w

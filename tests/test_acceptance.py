@@ -4,6 +4,7 @@ see them; any failure shows up as a normal pytest failure).
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -163,7 +164,7 @@ def test_criterion_10_distance_limit_sanity():
 
 
 def test_criterion_11_deterministic_csv(tmp_path):
-    cfg = load_preset("dense_urban").with_overrides(n_samples=4_000)
+    cfg = dataclasses.replace(load_preset("dense_urban"), n_samples=4_000)
     blobs = []
     for run in range(2):
         rows = sweep_blocklength(cfg, [100, 500, 1000])

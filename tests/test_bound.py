@@ -8,6 +8,7 @@ import scipy.special
 
 from oracles import ei_series_oracle, g_inverse_oracle
 from uavlink.bound import (
+    DistanceLimitError,
     aadr_lower_bound,
     g1_threshold,
     g2_threshold,
@@ -312,7 +313,7 @@ def test_lower_bound_below_monte_carlo(dense_urban, dense_consts):
 def test_lower_bound_rejects_airspace_beyond_d_max(dense_consts):
     cfg = FblConfig(blocklength=200, epsilon=1e-9)
     big = Airspace(r_min_m=250.0, r_max_m=5000.0, theta_min_deg=45.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DistanceLimitError, match="exceeds d_max"):
         aadr_lower_bound(big, dense_consts, cfg)
 
 

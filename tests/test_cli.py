@@ -1,10 +1,12 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uavlink.lemmas
 from uavlink.channel import snr
 from uavlink.cli import (
     SWEEP_EPS_COLUMNS,
@@ -165,6 +167,22 @@ def test_cli_sweep_m_writes_deterministic_csv(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_cli_sweep_m_writes_nan_bound_beyond_d_max(tmp_path, capsys):
+    # d_max is about 50 m at M = 1, inside the 400 m airspace: only that
+    # row's bound is invalid, and its MC and GCQ cells still are not.
+    out = tmp_path / "m.csv"
+    assert main(["sweep-m", "--scenario", "dense_urban", "--seed", "1",
+                 "--m-values", "1,200", "--out", str(out)]) == 0
+    header, m1, m200 = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), m1.split(",")))
+    assert cells["aadr_lb"] == "nan"
+    assert all(math.isfinite(float(cells[c]))
+               for c in ("shannon_mc", "aadr_mc", "aadr_mc_stderr", "aadr_gcq"))
+    golden = (Path(__file__).parent / "data" / "sweep_m_dense_urban_seed1.csv").read_text()
+    assert m200 in golden.splitlines()
+    assert m200.startswith("200,")
+
+
 def test_cli_sweep_eps(tmp_path):
     out = tmp_path / "eps.csv"
     assert main(["sweep-eps", "--samples", "2000", "--eps-values", "1e-9,1e-6",
@@ -253,6 +271,17 @@ def test_cli_packet_size_rejects_an_overflowing_budget(capsys, extra):
 def test_cli_verify_rejects_non_finite_q(capsys, q):
     assert main(["verify", "--q-values", f"0.2,{q}"]) == 2
     assert f"error: g_inverse needs a finite q > 0, got q={q}" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_a_huge_grid_before_building_it(monkeypatch, capsys):
+    def unreachable(q):
+        raise AssertionError("the grid size must be checked before any grid is built")
+
+    monkeypatch.setattr(uavlink.lemmas, "g_inverse", unreachable)
+    assert main(["verify", "--grid-points", str(10**9)]) == 2
+    assert "error: grid_points must lie in [2, 1000000], got 1000000000" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="grid_points"):
+        run_lemma_suite(grid_points=10**6 + 1)
 
 
 def test_cli_verify_passes(tmp_path):

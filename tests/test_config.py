@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -133,7 +134,7 @@ def test_load_config_file(tmp_path):
 
 def test_overrides():
     cfg = load_preset("dense_urban")
-    bumped = cfg.with_overrides(seed=77, n_samples=123)
+    bumped = dataclasses.replace(cfg, seed=77, n_samples=123)
     assert bumped.seed == 77
     assert bumped.n_samples == 123
     assert bumped.scenario == cfg.scenario

@@ -1,0 +1,66 @@
+"""Property tests over random valid configs: GCQ ordering in M and eps, LB <= GCQ.
+
+Examples are derandomized and not stored, so every run checks the same
+configs and writes no example database.
+"""
+
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from uavlink.bound import aadr_lower_bound, d_max
+from uavlink.channel import derive_constants
+from uavlink.config import PRESET_NAMES, load_preset
+from uavlink.fbl_rate import FblConfig
+from uavlink.geometry import Airspace
+from uavlink.quadrature import aadr_gcq
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_CONSTS = {name: derive_constants(load_preset(name).scenario, load_preset(name).link)
+           for name in PRESET_NAMES}
+
+
+@st.composite
+def airspaces(draw):
+    r_min = draw(st.floats(1.0, 500.0))
+    r_max = r_min * (1.0 + draw(st.floats(1e-3, 20.0)))
+    return Airspace(r_min_m=r_min, r_max_m=r_max, theta_min_deg=draw(st.floats(0.0, 89.0)))
+
+
+blocklengths = st.integers(1, 10**6)
+log10_epsilons = st.floats(-300.0, math.log10(0.49))
+orders = st.integers(4, 40)
+
+
+@_PROPERTY
+@given(st.sampled_from(PRESET_NAMES), airspaces(), blocklengths, blocklengths, log10_epsilons,
+       orders, orders)
+def test_gcq_strictly_increasing_in_blocklength(preset, space, m1, m2, log_eps, n_theta, n_dist):
+    assume(m1 != m2)
+    lo, hi = sorted((m1, m2))
+    eps = 10.0**log_eps
+    consts = _CONSTS[preset]
+    assert aadr_gcq(space, consts, FblConfig(lo, eps), n_theta, n_dist) \
+        < aadr_gcq(space, consts, FblConfig(hi, eps), n_theta, n_dist)
+
+
+@_PROPERTY
+@given(st.sampled_from(PRESET_NAMES), airspaces(), blocklengths, log10_epsilons, log10_epsilons,
+       orders, orders)
+def test_gcq_strictly_increasing_in_epsilon(preset, space, m, log_e1, log_e2, n_theta, n_dist):
+    # Epsilons a relative 1e-6 apart or more, well above q_inverse's rounding.
+    lo, hi = sorted((log_e1, log_e2))
+    assume(hi - lo > 1e-6)
+    consts = _CONSTS[preset]
+    assert aadr_gcq(space, consts, FblConfig(m, 10.0**lo), n_theta, n_dist) \
+        < aadr_gcq(space, consts, FblConfig(m, 10.0**hi), n_theta, n_dist)
+
+
+@_PROPERTY
+@given(st.sampled_from(PRESET_NAMES), airspaces(), blocklengths, log10_epsilons)
+def test_lower_bound_below_gcq_within_d_max(preset, space, m, log_eps):
+    consts = _CONSTS[preset]
+    cfg = FblConfig(m, 10.0**log_eps)
+    assume(space.r_max_m <= d_max(consts, cfg))
+    assert aadr_lower_bound(space, consts, cfg) <= aadr_gcq(space, consts, cfg)

@@ -1,15 +1,16 @@
 """A sweep draws the Monte Carlo sample and evaluates the quadrature grid once.
 
 The golden CSVs under tests/data were written by the per-row estimators that
-re-drew every row; the cached q-free terms must reproduce them byte for byte.
-The golden dmax and packet-size stdout and verify report pin the outputs that
-do not go through a sweep.
+re-drew every row; the rows built from the cached moments of S and W must
+reproduce them byte for byte. The golden dmax and packet-size stdout and
+verify report pin the outputs that do not go through a sweep.
 """
 
 import copy
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -23,9 +24,9 @@ import uavlink.quadrature
 from uavlink.channel import snr
 from uavlink.cli import main, sweep_blocklength, sweep_epsilon
 from uavlink.config import config_from_dict, config_to_dict, preset_config
-from uavlink.fbl_rate import FblConfig, achievable_rate
-from uavlink.geometry import sample_positions
-from uavlink.montecarlo import _rate_terms, estimate_aadr, estimate_shannon
+from uavlink.fbl_rate import FblConfig, achievable_rate, q_function, shannon_rate
+from uavlink.geometry import Airspace, sample_positions
+from uavlink.montecarlo import McEstimate, _rate_terms, estimate_aadr, estimate_shannon
 from uavlink.quadrature import _node_terms, aadr_gcq, legendre_rule
 
 DATA = Path(__file__).parent / "data"
@@ -81,14 +82,14 @@ def test_verify_report_matches_golden_bytes(tmp_path):
     assert out.read_bytes() == (DATA / "verify.json").read_bytes()
 
 
-def _reference_mc(space, consts, cfg, n, seed, shards):
+def _reference_mc(space, consts, n, seed, shards, rate):
     # The per-row estimator the cache replaces: draw, then rate, per shard.
     base, rem = divmod(n, shards)
     chunks = []
     for i in range(shards):
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
         d, theta = sample_positions(space, rng, base + 1 if i < rem else base)
-        chunks.append(achievable_rate(snr(consts, theta, d), cfg))
+        chunks.append(rate(snr(consts, theta, d)))
     return np.concatenate(chunks)
 
 
@@ -104,25 +105,31 @@ def _reference_gcq(space, consts, cfg, n_theta, n_dist):
 
 
 @pytest.mark.parametrize("m,eps", [(1, 0.4), (200, 1e-9), (5000, 1e-300)])
-def test_cached_estimators_equal_per_row_reference(monkeypatch, dense_urban, dense_consts,
-                                                   m, eps):
-    summarized = []
-    summary = uavlink.montecarlo._summary
-
-    def keep_values(values, seed):
-        summarized.append(values.copy())
-        return summary(values, seed)
-
-    monkeypatch.setattr(uavlink.montecarlo, "_summary", keep_values)
+def test_cached_estimators_equal_per_row_reference(dense_urban, dense_consts, m, eps):
+    # A row is E[S] - c E[W]: equal to the per-sample mean up to rounding on
+    # the scale of its two terms, and likewise for the standard error.
     space, cfg = dense_urban.airspace, FblConfig(blocklength=m, epsilon=eps)
+    c = cfg.q / math.log(2.0)
+    n = 3001
     for shards in (1, 3):
-        est = estimate_aadr(space, dense_consts, cfg, n=3001, seed=9, shards=shards)
-        reference = _reference_mc(space, dense_consts, cfg, 3001, 9, shards)
-        assert np.array_equal(summarized.pop(), reference)  # per sample, not just the mean
-        assert est.mean == float(reference.mean())
-        assert est.std_error == float(reference.std(ddof=1) / np.sqrt(3001))
-    assert aadr_gcq(space, dense_consts, cfg, 17, 23) == _reference_gcq(
-        space, dense_consts, cfg, 17, 23)
+        est = estimate_aadr(space, dense_consts, cfg, n=n, seed=9, shards=shards)
+        mean_s, mean_w, var_s, _, var_w = _rate_terms(space, dense_consts, n, 9, shards)
+        reference = _reference_mc(space, dense_consts, n, 9, shards,
+                                  lambda g: achievable_rate(g, cfg))
+        assert abs(est.mean - reference.mean()) <= 1e-13 * (abs(mean_s) + c * abs(mean_w))
+        spread = math.sqrt(var_s + c * c * var_w) / math.sqrt(n)
+        assert abs(est.std_error - reference.std(ddof=1) / math.sqrt(n)) <= 1e-13 * spread
+
+        # Shannon is E[S] itself: the per-sample summary, bit for bit.
+        shannon = estimate_shannon(space, dense_consts, n=n, seed=9, shards=shards)
+        reference = _reference_mc(space, dense_consts, n, 9, shards, shannon_rate)
+        assert shannon.mean == float(reference.mean())
+        assert shannon.std_error == float(reference.std(ddof=1) / math.sqrt(n))
+
+    gcq_s, gcq_w = _node_terms(space, dense_consts, 17, 23)
+    assert abs(aadr_gcq(space, dense_consts, cfg, 17, 23)
+               - _reference_gcq(space, dense_consts, cfg, 17, 23)) \
+        <= 1e-13 * (abs(gcq_s) + c * abs(gcq_w))
 
 
 class _Counted:
@@ -210,14 +217,41 @@ def test_a_changed_input_gives_a_fresh_draw(monkeypatch, change):
     assert sweep_blocklength(changed, M_VALUES[:2]) == second
 
 
-def test_cached_terms_are_read_only(dense_urban, dense_consts):
+def test_cached_terms_are_floats(dense_urban, dense_consts):
     space = dense_urban.airspace
-    arrays = [*_rate_terms(space, dense_consts, 100, 1, 1),
-              *_node_terms(space, dense_consts, 5, 6)[:4]]
-    for arr in arrays:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    cached = [*_rate_terms(space, dense_consts, 100, 1, 1), *_node_terms(space, dense_consts, 5, 6)]
+    assert len(cached) == 7
+    assert all(type(value) is float for value in cached)
+    cfg = FblConfig(blocklength=200, epsilon=1e-9)
+    for est in (estimate_aadr(space, dense_consts, cfg, n=100, seed=1),
+                estimate_shannon(space, dense_consts, n=100, seed=1)):
+        assert [type(v) for v in vars(est).values()] == [float, float]
+    assert [f.name for f in dataclasses.fields(McEstimate)] == ["mean", "std_error"]
+
+
+def test_std_error_of_a_nearly_constant_rate_is_finite(dense_consts):
+    # A 3 mm shell straight overhead at 30 km (SNR about 0.14): S and W are
+    # almost affine in the SNR, and at c = Cov(S, W)/Var W the combined
+    # variance Var S - 2c Cov + c^2 Var W cancels down to rounding noise.
+    shell = Airspace(r_min_m=3e4 * (1.0 - 1e-7), r_max_m=3e4, theta_min_deg=90.0 - 1e-12)
+    _, _, var_s, cov_sw, var_w = _rate_terms(shell, dense_consts, 2000, 2, 1)
+    eps = q_function(cov_sw / var_w * math.log(2.0))
+    for k in range(-40, 41):
+        cfg = FblConfig(blocklength=1, epsilon=eps + k * float(np.spacing(eps)))
+        est = estimate_aadr(shell, dense_consts, cfg, n=2000, seed=2)
+        assert math.isfinite(est.std_error) and est.std_error >= 0.0
+        assert est.std_error <= 1e-7 * math.sqrt(var_s / 2000)
+
+
+def test_a_combined_variance_rounded_below_zero_gives_zero_std_error(monkeypatch, dense_urban,
+                                                                     dense_consts):
+    # Moments whose sums rounded past Cauchy-Schwarz: Var S - 2c Cov + c^2 Var W < 0.
+    cfg = FblConfig(blocklength=200, epsilon=1e-9)
+    c = cfg.q / math.log(2.0)
+    moments = (9.0, 1.0, c * c, c * (1.0 + 1e-12), 1.0)
+    monkeypatch.setattr(uavlink.montecarlo, "_rate_terms", lambda *args: moments)
+    est = estimate_aadr(dense_urban.airspace, dense_consts, cfg, n=100, seed=1)
+    assert est == McEstimate(mean=9.0 - c, std_error=0.0)
 
 
 def test_non_positive_snr_is_rejected_and_not_cached(monkeypatch, dense_urban, dense_consts):

@@ -134,6 +134,11 @@ def config_from_dict(data: dict) -> RunConfig:
     elif nunit != "dBm_per_Hz":
         raise ValueError(f"noise_unit must be 'dBm_per_Hz' or 'dBm', got {nunit!r}")
 
+    # The bound, d_max and the sweeps all assume eps < 0.5 (q > 0).
+    epsilon = float(fb["epsilon"])
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"fbl.epsilon must lie in (0, 0.5), got {epsilon!r}")
+
     return RunConfig(
         scenario=Scenario(
             name=str(sc["name"]), a=float(sc["a"]), b=float(sc["b"]),
@@ -151,7 +156,7 @@ def config_from_dict(data: dict) -> RunConfig:
             theta_min_deg=float(ai["theta_min_deg"]),
         ),
         fbl=FblConfig(blocklength=_integer(fb, "fbl", "blocklength"),
-                      epsilon=float(fb["epsilon"])),
+                      epsilon=epsilon),
         n_theta=_integer(es, "estimators", "n_theta"),
         n_dist=_integer(es, "estimators", "n_dist"),
         n_samples=_integer(es, "estimators", "n_samples"),

@@ -66,7 +66,7 @@ def pdf_elevation(space: Airspace, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_positions(space: Airspace, rng: np.random.Generator, n: int):
+def sample_positions(space: Airspace, rng: "np.random.Generator", n: int):
     """Draw n independent positions by inverse-transform sampling.
 
     The distance uses the cube-root inverse of the cubic CDF, the elevation

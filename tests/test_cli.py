@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from uavlink.cli import (
     write_csv,
 )
 from uavlink.config import config_from_dict, load_preset, preset_config
-from uavlink.fbl_rate import shannon_rate
+from uavlink.fbl_rate import FblConfig, shannon_rate
 from uavlink.geometry import pdf_distance, pdf_elevation
 from uavlink.lemmas import run_lemma_suite
 from uavlink.quadrature import integrate, legendre_rule
@@ -56,7 +57,8 @@ def test_sweep_blocklength_validates_input():
 
 
 def test_sweep_blocklength_penalty_free_matches_shannon_quadrature():
-    cfg = _small_cfg(fbl={"epsilon": 0.5, "blocklength": 200})
+    # The config loader rejects eps = 0.5, where q = 0; the library takes it.
+    cfg = replace(_small_cfg(), fbl=FblConfig(blocklength=200, epsilon=0.5))
     rows = sweep_blocklength(cfg, [200])
     space = cfg.airspace
     from uavlink.channel import derive_constants
@@ -220,6 +222,31 @@ def test_cli_dmax_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "big.json"
     cfg_path.write_text(json.dumps(data))
     assert main(["dmax", "--config", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep-m", "dmax"])
+@pytest.mark.parametrize("epsilon", [0.5, 0.6])
+def test_cli_rejects_a_config_epsilon_outside_the_bound_domain(tmp_path, capsys, command,
+                                                               epsilon):
+    data = preset_config("dense_urban")
+    data["fbl"]["epsilon"] = epsilon
+    cfg_path = tmp_path / "eps.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: fbl.epsilon must lie in (0, 0.5), got {epsilon}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["sweep-m", "--m-values", "200"], ["dmax"]])
+def test_cli_accepts_a_config_epsilon_inside_the_bound_domain(tmp_path, capsys, extra):
+    data = copy.deepcopy(preset_config("dense_urban"))
+    data["estimators"]["n_samples"] = 2_000
+    data["fbl"]["epsilon"] = 0.1
+    cfg_path = tmp_path / "eps.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main([*extra, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
+    assert "eps=0.1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["sweep-m", "dmax"])

@@ -156,3 +156,17 @@ def test_distance_limit_under_alternate_unit_reading():
     sub = _alternate_reading("suburban")
     limit_sub = d_max(derive_constants(sub.scenario, sub.link), sub.fbl)
     assert limit_sub == pytest.approx(71475.549676274926, rel=1e-9)
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.6, 0.0, -1e-9, math.nan])
+def test_epsilon_outside_the_bound_domain_rejected(epsilon):
+    data = preset_config("dense_urban")
+    data["fbl"]["epsilon"] = epsilon
+    with pytest.raises(ValueError, match=r"fbl\.epsilon must lie in \(0, 0\.5\)"):
+        config_from_dict(data)
+
+
+def test_epsilon_just_below_one_half_accepted():
+    data = preset_config("dense_urban")
+    data["fbl"]["epsilon"] = 0.49
+    assert config_from_dict(data).fbl.epsilon == 0.49

@@ -97,8 +97,25 @@ def _check_distance(d):
     return d
 
 
-def _sigmoid(a, b, theta):
-    return 1.0 / (1.0 + a * np.exp(-b * (theta - a)))
+def _check_out(out, shape, *inputs):
+    """Validate a caller's output buffer: float64, the result's shape, no input overlap."""
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != shape:
+        got = (f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
+               else type(out).__name__)
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {got}")
+    if any(np.may_share_memory(out, x) for x in inputs):
+        raise ValueError("out must not overlap the inputs")
+    return out
+
+
+def _sigmoid(a, b, theta, out=None):
+    """1 / (1 + a exp(-b (theta - a))), evaluated in place in out (new if None)."""
+    out = np.subtract(theta, a, out=np.empty(theta.shape) if out is None else out)
+    np.multiply(-b, out, out=out)
+    np.exp(out, out=out)
+    np.multiply(a, out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def los_probability(s: Scenario, theta):
@@ -119,10 +136,22 @@ def mean_path_loss_db(c: DerivedConstants, theta, d):
     return float(out) if out.ndim == 0 else out
 
 
-def snr(c: DerivedConstants, theta, d):
-    """Linear SNR at the UAV, c_tilde * d^-2 * exp(a_tilde * P_los(theta))."""
+def snr(c: DerivedConstants, theta, d, *, out=None):
+    """Linear SNR at the UAV, c_tilde * d^-2 * exp(a_tilde * P_los(theta)).
+
+    With out, a float64 array of the broadcast shape of theta and d that
+    overlaps neither, the SNR is written there and out is returned; the
+    values are the same bits as without it.
+    """
     theta = _check_theta(theta)
     d = _check_distance(d)
-    p_los = _sigmoid(c.a_env, c.b_env, theta)
-    out = c.c_tilde * d**-2.0 * np.exp(c.a_tilde * p_los)
-    return float(out) if out.ndim == 0 else out
+    shape = np.broadcast_shapes(theta.shape, d.shape)
+    given = out is not None
+    out = _check_out(out, shape, theta, d) if given else np.empty(shape)
+    # The elevation factor exp(a_tilde P_los) at theta's shape, in out when it fits.
+    elevation = out if theta.shape == shape else np.empty(theta.shape)
+    _sigmoid(c.a_env, c.b_env, theta, out=elevation)
+    np.multiply(c.a_tilde, elevation, out=elevation)
+    np.exp(elevation, out=elevation)
+    np.multiply(c.c_tilde * d**-2.0, elevation, out=out)
+    return float(out) if out.ndim == 0 and not given else out

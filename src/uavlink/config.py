@@ -42,6 +42,12 @@ class RunConfig:
     shards: int
     output_dir: str
 
+    def __post_init__(self):
+        # Philox takes a 128-bit key; checked here so that overrides applied
+        # with dataclasses.replace are checked too.
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"estimators.seed must lie in [0, 2**128), got {self.seed!r}")
+
 
 def preset_config(name: str) -> dict:
     """Canonical config dict for a bundled preset."""

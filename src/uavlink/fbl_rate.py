@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .channel import _check_out
+
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -101,26 +103,46 @@ def q_inverse(p: float) -> float:
     return x
 
 
+def _dispersion(g, out, scratch):
+    """out = g (g + 2) / (1 + g)^2 in that operation order; scratch is overwritten."""
+    np.add(g, 2.0, out=out)
+    np.multiply(g, out, out=out)
+    np.add(1.0, g, out=scratch)
+    np.square(scratch, out=scratch)
+    return np.divide(out, scratch, out=out)
+
+
 def dispersion(gamma):
     """Channel dispersion V = 1 - (1 + gamma)^-2, evaluated cancellation-free."""
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0.0):
         raise ValueError("SNR must be nonnegative")
-    out = g * (g + 2.0) / (1.0 + g) ** 2
+    out = _dispersion(g, np.empty_like(g), np.empty_like(g))
     return float(out) if out.ndim == 0 else out
 
 
-def q_free_terms(gamma):
+def q_free_terms(gamma, *, out=None):
     """Arrays (S, W) = (log2(1 + gamma), sqrt(V(gamma))) for gamma > 0.
 
     The rate is R = S - (q / ln 2) W: only q = Qinv(eps)/sqrt(M) depends on
     the blocklength and error probability, so averages of S and W serve
-    every (M, eps) pair.
+    every (M, eps) pair. With out, a pair of float64 arrays of gamma's shape
+    that overlap neither gamma nor each other, S and W are written there and
+    out is returned; the values are the same bits as without it.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g <= 0.0):
         raise ValueError("SNR must be positive")
-    return np.log1p(g) / _LN2, np.sqrt(dispersion(g))
+    if out is None:
+        s_terms, w_terms = np.empty_like(g), np.empty_like(g)
+    else:
+        s_terms, w_terms = out
+        _check_out(s_terms, g.shape, g)
+        _check_out(w_terms, g.shape, g, s_terms)
+    np.sqrt(_dispersion(g, w_terms, scratch=s_terms), out=w_terms)
+    np.log1p(g, out=s_terms)
+    np.divide(s_terms, _LN2, out=s_terms)
+    return s_terms, w_terms
 
 
 def achievable_rate(gamma, cfg: FblConfig):

@@ -71,16 +71,20 @@ def sample_positions(space: Airspace, rng: "np.random.Generator", n: int):
 
     The distance uses the cube-root inverse of the cubic CDF, the elevation
     an affine map of a uniform draw. Consumes exactly two uniform blocks
-    (distances first, then elevations) from rng.
+    (distances first, then elevations) from rng, and maps each in place.
 
     Returns:
         Tuple (d_m, theta_deg) of float arrays of length n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    u = rng.random(n)
-    u2 = rng.random(n)
+    d = rng.random(n)
+    theta = rng.random(n)
     r3 = space.r_min_m**3
-    d = np.cbrt(r3 + u * (space.r_max_m**3 - r3))
-    theta = space.theta_min_deg + u2 * (90.0 - space.theta_min_deg)
+    # cbrt(r3 + u (r_max^3 - r3)) and theta_min + u (90 - theta_min).
+    np.multiply(d, space.r_max_m**3 - r3, out=d)
+    np.add(r3, d, out=d)
+    np.cbrt(d, out=d)
+    np.multiply(theta, 90.0 - space.theta_min_deg, out=theta)
+    np.add(space.theta_min_deg, theta, out=theta)
     return d, theta

@@ -150,3 +150,54 @@ def test_snr_rejects_bad_arguments():
         snr(c, 95.0, 300.0)
     with pytest.raises(ValueError):
         snr(c, 45.0, 0.0)
+
+
+def _positions(n=1001):
+    rng = np.random.default_rng(4)
+    return rng.uniform(0.0, 90.0, n), rng.uniform(1.0, 5e4, n)
+
+
+@pytest.mark.parametrize("scenario", [DENSE, SUBURBAN])
+def test_snr_into_out_equals_the_allocating_form_bit_for_bit(scenario):
+    c = derive_constants(scenario, LINK)
+    theta, d = _positions()
+    out = np.empty(theta.size)
+    assert snr(c, theta, d, out=out) is out
+    assert np.array_equal(out, snr(c, theta, d))
+    # the same bits as the expression it is evaluated from, and broadcasting
+    p_los = 1.0 / (1.0 + c.a_env * np.exp(-c.b_env * (theta - c.a_env)))
+    assert np.array_equal(out, c.c_tilde * d**-2.0 * np.exp(c.a_tilde * p_los))
+    grid = np.empty((d.size, 7))
+    snr(c, theta[:7][None, :], d[:, None], out=grid)
+    assert np.array_equal(grid, snr(c, theta[:7][None, :], d[:, None]))
+    scalar = np.empty(())
+    snr(c, 60.0, 300.0, out=scalar)
+    assert float(scalar) == snr(c, 60.0, 300.0)
+
+
+@pytest.mark.parametrize("out", [np.empty(4), np.empty((5, 1)), np.empty(5, dtype=np.float32),
+                                 np.empty(5, dtype=int), [0.0] * 5])
+def test_snr_rejects_a_wrong_out(out):
+    c = derive_constants(DENSE, LINK)
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        snr(c, np.full(5, 60.0), np.full(5, 300.0), out=out)
+
+
+def test_snr_rejects_an_out_overlapping_an_input():
+    c = derive_constants(DENSE, LINK)
+    theta, d = np.full(5, 60.0), np.full(5, 300.0)
+    for overlapping in (theta, d):
+        with pytest.raises(ValueError, match="out must not overlap"):
+            snr(c, theta, d, out=overlapping)
+
+
+@pytest.mark.parametrize("theta,d,message", [
+    ([60.0, -1e-9], [300.0, 300.0], "elevation angle"),
+    ([60.0, 90.5], [300.0, 300.0], "elevation angle"),
+    ([60.0, 60.0], [300.0, 0.0], "distance must be positive"),
+    ([60.0, 60.0], [-1.0, 300.0], "distance must be positive"),
+])
+def test_snr_into_out_still_checks_its_inputs(theta, d, message):
+    c = derive_constants(DENSE, LINK)
+    with pytest.raises(ValueError, match=message):
+        snr(c, np.array(theta), np.array(d), out=np.empty(2))

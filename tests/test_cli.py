@@ -343,3 +343,20 @@ def test_lemma_suite_detects_injected_sign_flip():
 def test_lemma_suite_rejects_tiny_grid():
     with pytest.raises(ValueError):
         run_lemma_suite(grid_points=1)
+
+
+@pytest.mark.parametrize("command", ["sweep-m", "dmax"])
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_cli_rejects_a_seed_outside_the_philox_key_range(tmp_path, capsys, command, seed):
+    out = tmp_path / "o.csv"
+    assert main([command, "--seed", seed, "--out", str(out)]) == 2
+    assert f"error: estimators.seed must lie in [0, 2**128), got {seed}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_accepts_the_largest_seed(tmp_path):
+    out = tmp_path / "o.csv"
+    assert main(["sweep-m", "--seed", str(2**128 - 1), "--samples", "100",
+                 "--m-values", "200", "--out", str(out)]) == 0
+    assert out.exists()

@@ -170,3 +170,22 @@ def test_epsilon_just_below_one_half_accepted():
     data = preset_config("dense_urban")
     data["fbl"]["epsilon"] = 0.49
     assert config_from_dict(data).fbl.epsilon == 0.49
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_the_philox_key_range_rejected(seed):
+    data = preset_config("dense_urban")
+    data["estimators"]["seed"] = seed
+    with pytest.raises(ValueError, match=r"estimators\.seed must lie in \[0, 2\*\*128\)"):
+        config_from_dict(data)
+    # an override applied with replace is checked the same way
+    with pytest.raises(ValueError, match=r"estimators\.seed must lie in \[0, 2\*\*128\)"):
+        dataclasses.replace(load_preset("dense_urban"), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1])
+def test_seed_at_the_ends_of_the_philox_key_range_accepted(seed):
+    data = preset_config("dense_urban")
+    data["estimators"]["seed"] = seed
+    assert config_from_dict(data).seed == seed
+    assert dataclasses.replace(load_preset("dense_urban"), seed=seed).seed == seed

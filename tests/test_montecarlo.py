@@ -1,9 +1,21 @@
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from uavlink.channel import snr
+from uavlink.channel import derive_constants, snr
+from uavlink.config import load_preset
 from uavlink.fbl_rate import FblConfig, achievable_rate
 from uavlink.geometry import Airspace
-from uavlink.montecarlo import estimate_aadr, estimate_inverse_snr, estimate_shannon
+from uavlink.montecarlo import (
+    _BLOCK,
+    McEstimate,
+    _rate_terms,
+    estimate_aadr,
+    estimate_inverse_snr,
+    estimate_shannon,
+)
 from uavlink.quadrature import aadr_gcq
 
 CFG = FblConfig(blocklength=200, epsilon=1e-9)
@@ -89,3 +101,71 @@ def test_estimate_validation(dense_urban, dense_consts):
         estimate_aadr(space, dense_consts, CFG, n=10, seed=1, shards=0)
     with pytest.raises(ValueError):
         estimate_aadr(space, dense_consts, CFG, n=10, seed=1, shards=11)
+
+
+_LN2 = math.log(2.0)
+
+
+# The whole-array chain that the blocked one replaced, formula for formula:
+# sample_positions, snr and q_free_terms over a shard at once, then the
+# moments through three product arrays.
+def _whole_array_snr(space, consts, n, seed, shards):
+    base, rem = divmod(n, shards)
+    chunks = []
+    for i in range(shards):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        count = base + 1 if i < rem else base
+        u = rng.random(count)
+        u2 = rng.random(count)
+        r3 = space.r_min_m**3
+        d = np.cbrt(r3 + u * (space.r_max_m**3 - r3))
+        theta = space.theta_min_deg + u2 * (90.0 - space.theta_min_deg)
+        p_los = 1.0 / (1.0 + consts.a_env * np.exp(-consts.b_env * (theta - consts.a_env)))
+        chunks.append(consts.c_tilde * d**-2.0 * np.exp(consts.a_tilde * p_los))
+    return np.concatenate(chunks)
+
+
+def _whole_array_rate_terms(space, consts, n, seed, shards):
+    g = _whole_array_snr(space, consts, n, seed, shards)
+    s_terms = np.log1p(g) / _LN2
+    w_terms = np.sqrt(g * (g + 2.0) / (1.0 + g) ** 2)
+    mean_s, mean_w = float(s_terms.mean()), float(w_terms.mean())
+    s_terms -= mean_s
+    w_terms -= mean_w
+    var_s, cov_sw, var_w = (float(np.add.reduce(a * b)) / (n - 1) for a, b in
+                            ((s_terms, s_terms), (s_terms, w_terms), (w_terms, w_terms)))
+    return mean_s, mean_w, var_s, cov_sw, var_w
+
+
+@pytest.mark.parametrize("preset", ["dense_urban", "suburban"])
+@pytest.mark.parametrize("n,shards", [
+    (n, shards)
+    for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17, 200_001)
+    for shards in (1, 2, 3) if shards <= n])
+def test_blocked_chain_equals_the_whole_array_chain_bit_for_bit(preset, n, shards):
+    cfg = load_preset(preset)
+    consts = derive_constants(cfg.scenario, cfg.link)
+    _rate_terms.cache_clear()
+    assert _rate_terms(cfg.airspace, consts, n, 11, shards) \
+        == _whole_array_rate_terms(cfg.airspace, consts, n, 11, shards)
+
+    values = 1.0 / _whole_array_snr(cfg.airspace, consts, n, 11, shards)
+    assert estimate_inverse_snr(cfg.airspace, consts, n, 11, shards) == McEstimate(
+        mean=float(values.mean()), std_error=float(values.std(ddof=1) / math.sqrt(n)))
+
+
+def test_a_draw_peaks_at_three_arrays_of_n_doubles(dense_urban, dense_consts):
+    # S and W, then one product array for Cov(S, W); a shard's positions
+    # (2n/3 doubles) are dropped before the next shard draws. The 1 MiB
+    # covers the block buffers; the whole-array chain peaked at 4 x 8n here.
+    n, shards = 200_001, 3
+    _rate_terms(dense_urban.airspace, dense_consts, 100, 1, 1)  # imports numpy.random
+    _rate_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        _rate_terms(dense_urban.airspace, dense_consts, n, 1, shards)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _rate_terms.cache_clear()
+    assert peak <= 3 * 8 * n + 2**20

@@ -2,8 +2,10 @@
 
 The golden CSVs under tests/data were written by the per-row estimators that
 re-drew every row; the rows built from the cached moments of S and W must
-reproduce them byte for byte. The golden dmax and packet-size stdout and
-verify report pin the outputs that do not go through a sweep.
+reproduce them byte for byte. sweep_eps_suburban_blocks3.csv was written
+by the whole-array Monte Carlo chain that the blocked one replaced. The
+golden dmax and packet-size stdout and verify report pin the outputs that do
+not go through a sweep.
 """
 
 import copy
@@ -43,12 +45,20 @@ def _empty_caches():
         cached.cache_clear()
 
 
-def _shards2_config(tmp_path) -> Path:
-    data = preset_config("dense_urban")
-    data["estimators"].update(n_samples=2001, shards=2)
-    path = tmp_path / "shards2.json"
-    path.write_text(json.dumps(data))
-    return path
+# name: (preset, n_samples, shards). blocks3 gives each of its three shards
+# one full Monte Carlo block and a partial one.
+_ESTIMATOR_CONFIGS = {"shards2": ("dense_urban", 2001, 2),
+                      "blocks3": ("suburban", 3 * uavlink.montecarlo._BLOCK + 17, 3)}
+
+
+def _estimator_configs(tmp_path) -> dict:
+    paths = {}
+    for name, (preset, n_samples, shards) in _ESTIMATOR_CONFIGS.items():
+        data = preset_config(preset)
+        data["estimators"].update(n_samples=n_samples, shards=shards)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    return paths
 
 
 @pytest.mark.parametrize("golden,argv", [
@@ -58,9 +68,11 @@ def _shards2_config(tmp_path) -> Path:
                                          "--m-values", "100,300,1000"]),
     ("sweep_eps_suburban_dense.csv", ["sweep-eps", "--scenario", "suburban", "--seed", "1",
                                       "--n1", "60", "--n2", "60", "--eps-values", DENSE_EPS]),
+    ("sweep_eps_suburban_blocks3.csv", ["sweep-eps", "--config", "{blocks3}"]),
 ])
 def test_sweep_csv_matches_golden_bytes(tmp_path, golden, argv):
-    argv = [a.format(shards2=_shards2_config(tmp_path)) for a in argv]
+    configs = _estimator_configs(tmp_path)
+    argv = [a.format(**configs) for a in argv]
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
@@ -255,7 +267,7 @@ def test_a_combined_variance_rounded_below_zero_gives_zero_std_error(monkeypatch
 
 
 def test_non_positive_snr_is_rejected_and_not_cached(monkeypatch, dense_urban, dense_consts):
-    def underflowed(consts, theta, d):
+    def underflowed(consts, theta, d, *, out=None):
         return np.zeros(np.broadcast(theta, d).shape)
 
     monkeypatch.setattr(uavlink.montecarlo, "snr", underflowed)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import DerivedConstants
+from .channel import DerivedConstants, _scalar_or_array
 from .fbl_rate import _LN2, FblConfig
 from .geometry import Airspace
 
@@ -24,9 +24,10 @@ _EULER_GAMMA = 0.5772156649015328606
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
-# Unchecked formulas, shared by the validating array functions below and the
-# scalar per-row path. numpy's log1p keeps a Python float bit-identical to a
-# 0-d array; math.log1p rounds differently at some points.
+# Unchecked formulas, shared by the validating array functions below, the
+# Jensen bound and g_inverse's bisection. numpy's log1p gives a Python float
+# and each element of an array the same bits; math.log1p rounds differently
+# at some points.
 def _f(x, q):
     return np.log1p(1.0 / x) - q * np.sqrt(2.0 * x + 1.0) / (x + 1.0)
 
@@ -38,56 +39,80 @@ def _g(x):
 def f_penalized(x, q):
     """Penalized log-rate f(x) = ln(1 + 1/x) - q sqrt(2x + 1) / (x + 1)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):
         raise ValueError("f_penalized needs x > 0")
-    if q <= 0.0:
+    if not q > 0.0:
         raise ValueError("f_penalized needs q > 0")
-    out = _f(x, q)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_f(x, q))
 
 
 def g_bound(x):
     """Largest penalty coefficient keeping f nonnegative at x; decreasing in x."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):
         raise ValueError("g_bound needs x > 0")
-    out = _g(x)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_g(x))
 
 
-def g_inverse(q: float) -> float:
-    """Solve g_bound(x) = q for x by bracketed bisection.
+def g_inverse(q):
+    """Solve g_bound(x) = q for x by bracketed bisection, elementwise over q.
 
     g_bound decreases strictly from +inf to 0, so the root is unique. The
-    bracket starts at [1e-12, 1] and the upper end doubles until it crosses.
-    Returns the lower bracket end, so g_bound(result) >= q up to rounding
-    and f_penalized stays nonnegative at the result. Every bracket point is
-    positive, so g is evaluated on floats without g_bound's checks.
+    bracket starts at [1e-12, 1], the lower end divides by 8 until g is
+    above q and the upper end doubles until it crosses. Each element then
+    bisects until its bracket is narrower than 1e-11 + 1e-15 mid, and the
+    lower bracket end is returned, so g_bound(result) >= q up to rounding
+    and f_penalized stays nonnegative at the result. A finished element is
+    frozen while the others go on, so an array call gives every element
+    the bits of a scalar call. A float q gives a float, an array an array
+    of its shape.
+
+    The stopping width is absolute, so a small root is resolved only to
+    about 1e-11: the relative residual |g(x) - q| / q is 7.8e-13 at M=200,
+    eps=1e-9, 6.8e-10 at M=1, eps=1e-12 and 2.6e-2 at M=1, eps=1e-300.
     """
-    q = float(q)
-    if not (math.isfinite(q) and q > 0.0):
-        raise ValueError(f"g_inverse needs a finite q > 0, got q={q}")
-    lo = 1e-12
-    while _g(lo) <= q:
-        lo /= 8.0
-        if lo < 1e-300:
-            raise RuntimeError(f"failed to bracket g_inverse({q}) from below")
-    hi = 1.0
-    doublings = 0
-    while _g(hi) >= q:
-        hi *= 2.0
+    q = np.asarray(q, dtype=float)
+    bad = ~(np.isfinite(q) & (q > 0.0))
+    if bad.any():
+        raise ValueError(f"g_inverse needs a finite q > 0, got q={float(q[bad][0])}")
+    qs = q.ravel()
+    # Every bracket point is positive, so g is evaluated without g_bound's
+    # checks. Each bracket end moves in lockstep for all elements that have
+    # not crossed yet, so one scalar g per step serves them all.
+    lo, x = np.full(qs.shape, 1e-12), 1e-12
+    rows = np.flatnonzero(_g(x) <= qs)
+    while rows.size:
+        x /= 8.0
+        if x < 1e-300:
+            raise RuntimeError(f"failed to bracket g_inverse({float(qs[rows[0]])}) from below")
+        lo[rows] = x
+        rows = rows[_g(x) <= qs[rows]]
+    hi, x, doublings = np.ones(qs.shape), 1.0, 0
+    rows = np.flatnonzero(_g(x) >= qs)
+    while rows.size:
+        x *= 2.0
         doublings += 1
         if doublings > 200:
-            raise RuntimeError(f"failed to bracket g_inverse({q}) within 200 doublings")
+            raise RuntimeError(
+                f"failed to bracket g_inverse({float(qs[rows[0]])}) within 200 doublings")
+        hi[rows] = x
+        rows = rows[_g(x) >= qs[rows]]
+    # Bisect the unfinished elements, packed: a finished one leaves lo, hi
+    # and qs, and its lower end goes to root.
+    root, rows = np.empty(qs.size), np.arange(qs.size)
     for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if _g(mid) > q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-11 + 1e-15 * mid:
+        if not rows.size:
             break
-    return lo
+        mid = 0.5 * (lo + hi)
+        above = _g(mid) > qs
+        np.copyto(lo, mid, where=above)
+        np.copyto(hi, mid, where=~above)
+        going = hi - lo > 1e-11 + 1e-15 * mid
+        if not going.all():
+            root[rows[~going]] = lo[~going]
+            rows, lo, hi, qs = rows[going], lo[going], hi[going], qs[going]
+    root[rows] = lo
+    return _scalar_or_array(root.reshape(q.shape))
 
 
 def min_snr_for_valid_rate(cfg: FblConfig) -> float:
@@ -103,10 +128,9 @@ def min_snr_for_valid_rate(cfg: FblConfig) -> float:
 def g1_threshold(x):
     """Penalty threshold (1 + x) sqrt(2x + 1) / (2 x^2); dominates g_bound."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):
         raise ValueError("g1_threshold needs x > 0")
-    out = (1.0 + x) * np.sqrt(2.0 * x + 1.0) / (2.0 * x * x)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array((1.0 + x) * np.sqrt(2.0 * x + 1.0) / (2.0 * x * x))
 
 
 def g2_threshold(x):
@@ -115,10 +139,10 @@ def g2_threshold(x):
     Only defined right of the pole at 1/sqrt(3); dominates g_bound there.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= _INV_SQRT3):
+    if not np.all(x > _INV_SQRT3):
         raise ValueError("g2_threshold needs x > 1/sqrt(3)")
-    out = (x + 1.0) * (2.0 * x + 1.0) ** 2.5 / (2.0 * x * x * (3.0 * x * x - 1.0))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(
+        (x + 1.0) * (2.0 * x + 1.0) ** 2.5 / (2.0 * x * x * (3.0 * x * x - 1.0)))
 
 
 def _ei_series(x: float) -> float:
@@ -188,17 +212,22 @@ def exp_integral_ei(x: float) -> float:
     return -_e1_continued_fraction(-x)
 
 
-def d_max(consts: DerivedConstants, cfg: FblConfig) -> float:
-    """Largest station-to-UAV distance keeping the rate map convex in 1/SNR.
+def _distance_limit(consts: DerivedConstants, q):
+    """d_max at q > 0, a float or an array: the q-free floor term times g_inverse(q).
 
     sqrt(c_tilde * exp(a_tilde / (1 + a exp(a b))) * g_inverse(q)); the
     exponent uses the worst case of zero elevation.
     """
-    if cfg.epsilon >= 0.5:
-        raise ValueError("d_max needs epsilon < 0.5")
     zero_elevation = 1.0 + consts.a_env * math.exp(consts.a_env * consts.b_env)
     floor_term = math.exp(consts.a_tilde / zero_elevation)
-    return math.sqrt(consts.c_tilde * floor_term * g_inverse(cfg.q))
+    return np.sqrt(consts.c_tilde * floor_term * g_inverse(q))
+
+
+def d_max(consts: DerivedConstants, cfg: FblConfig) -> float:
+    """Largest station-to-UAV distance keeping the rate map convex in 1/SNR."""
+    if cfg.epsilon >= 0.5:
+        raise ValueError("d_max needs epsilon < 0.5")
+    return float(_distance_limit(consts, cfg.q))
 
 
 @lru_cache(maxsize=1)
@@ -236,6 +265,32 @@ class DistanceLimitError(ValueError):
     """The airspace reaches beyond d_max, where the lower bound is invalid."""
 
 
+def _lower_bound_rows(space: Airspace, consts: DerivedConstants, q):
+    """(Jensen bound in bits/channel use, d_max) at q >= 0, a float or an array.
+
+    The bound is nan where the airspace reaches beyond d_max. At q = 0
+    (epsilon = 0.5) the penalty vanishes, d_max is inf and the bound is
+    log2(1 + 1/E(1/gamma)).
+    """
+    mean_inv = expected_inverse_snr(space, consts)
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0.0):
+        raise ValueError("aadr_lower_bound needs epsilon <= 0.5")
+    bound = np.full(q.shape, math.nan)
+    limit = np.full(q.shape, math.inf)
+    zero = q == 0.0
+    if zero.any():
+        bound[zero] = math.log1p(1.0 / mean_inv) / _LN2
+    if not zero.all():
+        limit[~zero] = _distance_limit(consts, q[~zero])
+        rows = ~zero & (space.r_max_m <= limit)
+        if rows.any():
+            if mean_inv <= 0.0:
+                raise ValueError(f"aadr_lower_bound needs E(1/SNR) > 0, got {mean_inv}")
+            bound[rows] = _f(mean_inv, q[rows]) / _LN2
+    return _scalar_or_array(bound), _scalar_or_array(limit)
+
+
 def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) -> float:
     """Jensen lower bound of the average achievable data rate, bits/channel use.
 
@@ -243,18 +298,10 @@ def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) 
     hard error because the convexity argument breaks. At epsilon = 0.5 the
     penalty vanishes and the bound reduces to log2(1 + 1/E(1/gamma)).
     """
-    mean_inv = expected_inverse_snr(space, consts)
-    q = cfg.q
-    if q < 0.0:
-        raise ValueError("aadr_lower_bound needs epsilon <= 0.5")
-    if q == 0.0:
-        return math.log1p(1.0 / mean_inv) / _LN2
-    limit = d_max(consts, cfg)
+    bound, limit = _lower_bound_rows(space, consts, cfg.q)
     if space.r_max_m > limit:
         raise DistanceLimitError(
             f"airspace radius {space.r_max_m} m exceeds d_max {limit:.1f} m; "
             "the lower bound is invalid for this configuration"
         )
-    if mean_inv <= 0.0:
-        raise ValueError(f"aadr_lower_bound needs E(1/SNR) > 0, got {mean_inv}")
-    return float(_f(mean_inv, q)) / _LN2
+    return bound

@@ -83,18 +83,25 @@ def derive_constants(s: Scenario, link: LinkBudget) -> DerivedConstants:
     )
 
 
+# Range checks are written so that NaN fails them: every comparison with NaN
+# is false, so "not all inside" rejects it where "any outside" would not.
 def _check_theta(theta):
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta > 90.0):
+    if not (np.all(theta >= 0.0) and np.all(theta <= 90.0)):
         raise ValueError("elevation angle must lie in [0, 90] degrees")
     return theta
 
 
 def _check_distance(d):
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):
         raise ValueError("distance must be positive")
     return d
+
+
+def _scalar_or_array(out):
+    """A 0-d result as a Python float, any other array as it is."""
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_out(out, shape, *inputs):
@@ -123,8 +130,7 @@ def los_probability(s: Scenario, theta):
 
     Sigmoid 1 / (1 + a exp(-b (theta - a))), strictly increasing in theta.
     """
-    out = _sigmoid(s.a, s.b, _check_theta(theta))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_sigmoid(s.a, s.b, _check_theta(theta)))
 
 
 def mean_path_loss_db(c: DerivedConstants, theta, d):
@@ -132,8 +138,7 @@ def mean_path_loss_db(c: DerivedConstants, theta, d):
     theta = _check_theta(theta)
     d = _check_distance(d)
     p_los = _sigmoid(c.a_env, c.b_env, theta)
-    out = c.a_db * p_los + 20.0 * np.log10(d) + c.c_db
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(c.a_db * p_los + 20.0 * np.log10(d) + c.c_db)
 
 
 def snr(c: DerivedConstants, theta, d, *, out=None):
@@ -154,4 +159,4 @@ def snr(c: DerivedConstants, theta, d, *, out=None):
     np.multiply(c.a_tilde, elevation, out=elevation)
     np.exp(elevation, out=elevation)
     np.multiply(c.c_tilde * d**-2.0, elevation, out=out)
-    return float(out) if out.ndim == 0 and not given else out
+    return out if given else _scalar_or_array(out)

@@ -12,13 +12,19 @@ import sys
 from dataclasses import replace
 from typing import NamedTuple
 
-from .bound import DistanceLimitError, aadr_lower_bound, d_max
+import numpy as np
+
+from .bound import _lower_bound_rows, d_max
 from .channel import derive_constants
 from .config import PRESET_NAMES, RunConfig, load_config, load_preset
-from .fbl_rate import FblConfig
+from .fbl_rate import FblConfig, _penalty
 from .lemmas import run_lemma_suite
-from .montecarlo import estimate_aadr, estimate_shannon
-from .quadrature import aadr_gcq
+from .montecarlo import _aadr_rows, estimate_shannon
+from .quadrature import _gcq_rows, aadr_gcq
+# The sweep computes these two estimators' columns through _lower_bound_rows
+# and _aadr_rows; bench/tracer.py PROBES still looks them up in this module.
+from .bound import aadr_lower_bound  # noqa: F401
+from .montecarlo import estimate_aadr  # noqa: F401
 
 OUT_DIR_ENV = "UAVLINK_OUT_DIR"
 
@@ -32,31 +38,23 @@ DMAX_REFERENCE_NOTE = (
 )
 
 
-def _sweep(cfg: RunConfig, column: str, points) -> list[dict]:
-    """One row per (value, FblConfig) pair in points; value fills the given column.
+def _sweep(cfg: RunConfig, column: str, values: list, q: list) -> list[dict]:
+    """One row per (value, q) pair; value fills the given column.
 
+    Every estimator column is one array expression over q and the cached
+    q-free moments, with the bits of the per-config public estimators.
     aadr_lb is nan in a row whose d_max is below the airspace radius.
     """
     consts = derive_constants(cfg.scenario, cfg.link)
-    shannon = estimate_shannon(cfg.airspace, consts, n=cfg.n_samples, seed=cfg.seed,
-                               shards=cfg.shards)
-    rows = []
-    for value, fbl in points:
-        mc = estimate_aadr(cfg.airspace, consts, fbl, n=cfg.n_samples, seed=cfg.seed,
-                           shards=cfg.shards)
-        try:
-            bound = aadr_lower_bound(cfg.airspace, consts, fbl)
-        except DistanceLimitError:
-            bound = math.nan
-        rows.append({
-            column: value,
-            "shannon_mc": shannon.mean,
-            "aadr_mc": mc.mean,
-            "aadr_mc_stderr": mc.std_error,
-            "aadr_gcq": aadr_gcq(cfg.airspace, consts, fbl, cfg.n_theta, cfg.n_dist),
-            "aadr_lb": bound,
-        })
-    return rows
+    space, q = cfg.airspace, np.array(q)
+    shannon = estimate_shannon(space, consts, n=cfg.n_samples, seed=cfg.seed, shards=cfg.shards)
+    mc_mean, mc_stderr = _aadr_rows(space, consts, q, cfg.n_samples, cfg.seed, cfg.shards)
+    bound, _ = _lower_bound_rows(space, consts, q)
+    gcq = _gcq_rows(space, consts, q, cfg.n_theta, cfg.n_dist)
+    columns = {column: values, "shannon_mc": [shannon.mean] * len(values),
+               "aadr_mc": mc_mean.tolist(), "aadr_mc_stderr": mc_stderr.tolist(),
+               "aadr_gcq": gcq.tolist(), "aadr_lb": bound.tolist()}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
@@ -67,7 +65,8 @@ def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
     for m in m_list:
         if int(m) != m or m < 1:
             raise ValueError(f"blocklength values must be positive integers, got {m}")
-    return _sweep(cfg, "M", [(int(m), replace(cfg.fbl, blocklength=int(m))) for m in m_list])
+    m_list = [int(m) for m in m_list]
+    return _sweep(cfg, "M", m_list, [_penalty(cfg.fbl.epsilon, m) for m in m_list])
 
 
 def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
@@ -78,7 +77,8 @@ def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
     for eps in eps_list:
         if not 0.0 < eps < 0.5:
             raise ValueError(f"epsilon values must lie in (0, 0.5), got {eps}")
-    return _sweep(cfg, "epsilon", [(eps, replace(cfg.fbl, epsilon=eps)) for eps in eps_list])
+    return _sweep(cfg, "epsilon", eps_list,
+                  [_penalty(eps, cfg.fbl.blocklength) for eps in eps_list])
 
 
 class PacketSize(NamedTuple):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import _check_out
+from .channel import _check_out, _scalar_or_array
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -44,7 +44,21 @@ class FblConfig:
         The value is kept in the instance dict, outside the dataclass fields,
         so equality, hashing and asdict are unaffected.
         """
-        return q_inverse(self.epsilon) / math.sqrt(self.blocklength)
+        return _penalty(self.epsilon, self.blocklength)
+
+
+def _penalty(epsilon: float, blocklength: int) -> float:
+    """Penalty coefficient q = Qinv(epsilon) / sqrt(M) of the normal approximation."""
+    return q_inverse(epsilon) / math.sqrt(blocklength)
+
+
+def _rate(s_terms, w_terms, q):
+    """R = S - (q / ln 2) W: the rate, or any average of it, from its q-free parts.
+
+    Elementwise over arrays of q, S or W, in the same operation order as
+    for scalars, so one row of an array call has the bits of a scalar call.
+    """
+    return s_terms - (q / _LN2) * w_terms
 
 
 def q_function(x: float) -> float:
@@ -115,10 +129,9 @@ def _dispersion(g, out, scratch):
 def dispersion(gamma):
     """Channel dispersion V = 1 - (1 + gamma)^-2, evaluated cancellation-free."""
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
+    if not np.all(g >= 0.0):
         raise ValueError("SNR must be nonnegative")
-    out = _dispersion(g, np.empty_like(g), np.empty_like(g))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_dispersion(g, np.empty_like(g), np.empty_like(g)))
 
 
 def q_free_terms(gamma, *, out=None):
@@ -131,7 +144,7 @@ def q_free_terms(gamma, *, out=None):
     out is returned; the values are the same bits as without it.
     """
     g = np.asarray(gamma, dtype=float)
-    if np.any(g <= 0.0):
+    if not np.all(g > 0.0):
         raise ValueError("SNR must be positive")
     if out is None:
         s_terms, w_terms = np.empty_like(g), np.empty_like(g)
@@ -152,15 +165,12 @@ def achievable_rate(gamma, cfg: FblConfig):
     bound.min_snr_for_valid_rate to locate the region where the rate is
     nonnegative and increasing.
     """
-    s_terms, w_terms = q_free_terms(gamma)
-    out = s_terms - (cfg.q / _LN2) * w_terms
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_rate(*q_free_terms(gamma), cfg.q))
 
 
 def shannon_rate(gamma):
     """Asymptotic rate log2(1 + gamma) in bits per channel use."""
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
+    if not np.all(g >= 0.0):
         raise ValueError("SNR must be nonnegative")
-    out = np.log1p(g) / _LN2
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(np.log1p(g) / _LN2)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _scalar_or_array
+
 
 @dataclass(frozen=True)
 class Airspace:
@@ -42,28 +44,25 @@ class Airspace:
 def cdf_distance(space: Airspace, x):
     """CDF of the station-to-UAV distance, (x^3 - r_min^3) / (r_max^3 - r_min^3)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < space.r_min_m) or np.any(x > space.r_max_m):
+    if not (np.all(x >= space.r_min_m) and np.all(x <= space.r_max_m)):
         raise ValueError(f"distance outside support [{space.r_min_m}, {space.r_max_m}] m")
-    out = (x**3 - space.r_min_m**3) / (space.r_max_m**3 - space.r_min_m**3)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array((x**3 - space.r_min_m**3) / (space.r_max_m**3 - space.r_min_m**3))
 
 
 def pdf_distance(space: Airspace, x):
     """Density of the distance, 3 x^2 / (r_max^3 - r_min^3), per meter."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < space.r_min_m) or np.any(x > space.r_max_m):
+    if not (np.all(x >= space.r_min_m) and np.all(x <= space.r_max_m)):
         raise ValueError(f"distance outside support [{space.r_min_m}, {space.r_max_m}] m")
-    out = 3.0 * x**2 / (space.r_max_m**3 - space.r_min_m**3)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(3.0 * x**2 / (space.r_max_m**3 - space.r_min_m**3))
 
 
 def pdf_elevation(space: Airspace, theta):
     """Density of the elevation angle, uniform 1/(90 - theta_min), per degree."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < space.theta_min_deg) or np.any(theta > 90.0):
+    if not (np.all(theta >= space.theta_min_deg) and np.all(theta <= 90.0)):
         raise ValueError(f"elevation outside support [{space.theta_min_deg}, 90] deg")
-    out = np.full_like(theta, 1.0 / (90.0 - space.theta_min_deg))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(np.full_like(theta, 1.0 / (90.0 - space.theta_min_deg)))
 
 
 def sample_positions(space: Airspace, rng: "np.random.Generator", n: int):

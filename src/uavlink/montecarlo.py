@@ -24,9 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import DerivedConstants, snr
+from .fbl_rate import _LN2, FblConfig, _rate, q_free_terms
 # achievable_rate and shannon_rate are no longer called here; bench/tracer.py
 # PROBES still looks them up in this module.
-from .fbl_rate import _LN2, FblConfig, achievable_rate, q_free_terms, shannon_rate  # noqa: F401
+from .fbl_rate import achievable_rate, shannon_rate  # noqa: F401
 from .geometry import Airspace, sample_positions
 
 # Samples per block of the SNR and rate chain: a block's handful of working
@@ -98,6 +99,19 @@ def _rate_terms(space: Airspace, consts: DerivedConstants, n: int, seed: int, sh
     return mean_s, mean_w, var_s, cov_sw, var_w
 
 
+def _aadr_rows(space: Airspace, consts: DerivedConstants, q, n: int, seed: int, shards: int):
+    """(mean, standard error) of the rate at q, a float or an array, from the cached moments.
+
+    The mean is E[S] - c E[W] and the standard error
+    sqrt(Var S - 2c Cov + c^2 Var W) / sqrt(n), with c = q / ln 2.
+    """
+    mean_s, mean_w, var_s, cov_sw, var_w = _rate_terms(space, consts, n, seed, shards)
+    c = q / _LN2
+    # Var(S - cW) can round below 0 when S - cW is nearly constant.
+    variance = np.maximum(var_s - 2.0 * c * cov_sw + c * c * var_w, 0.0)
+    return _rate(mean_s, mean_w, q), np.sqrt(variance) / math.sqrt(n)
+
+
 def estimate_aadr(
     space: Airspace,
     consts: DerivedConstants,
@@ -107,11 +121,8 @@ def estimate_aadr(
     shards: int = 1,
 ) -> McEstimate:
     """Mean finite-blocklength rate over n random UAV positions."""
-    mean_s, mean_w, var_s, cov_sw, var_w = _rate_terms(space, consts, n, seed, shards)
-    c = cfg.q / _LN2
-    # Var(S - cW) can round below 0 when S - cW is nearly constant.
-    variance = max(var_s - 2.0 * c * cov_sw + c * c * var_w, 0.0)
-    return McEstimate(mean=mean_s - c * mean_w, std_error=math.sqrt(variance) / math.sqrt(n))
+    mean, std_error = _aadr_rows(space, consts, cfg.q, n, seed, shards)
+    return McEstimate(mean=mean, std_error=float(std_error))
 
 
 def estimate_shannon(

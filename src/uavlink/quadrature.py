@@ -17,8 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import DerivedConstants, snr
+from .fbl_rate import FblConfig, _rate, q_free_terms
 # achievable_rate is no longer called here; bench/tracer.py PROBES still looks it up.
-from .fbl_rate import _LN2, FblConfig, achievable_rate, q_free_terms  # noqa: F401
+from .fbl_rate import achievable_rate  # noqa: F401
 from .geometry import Airspace
 
 _MAX_ORDER = 1000
@@ -107,6 +108,11 @@ def _node_terms(space: Airspace, consts: DerivedConstants, n_theta: int, n_dist:
                  for terms in q_free_terms(snr(consts, theta[None, :], dist[:, None])))
 
 
+def _gcq_rows(space: Airspace, consts: DerivedConstants, q, n_theta: int, n_dist: int):
+    """GCQ[S] - (q / ln 2) GCQ[W] at q, a float or an array, from the cached node sums."""
+    return _rate(*_node_terms(space, consts, n_theta, n_dist), q)
+
+
 def aadr_gcq(
     space: Airspace,
     consts: DerivedConstants,
@@ -121,5 +127,5 @@ def aadr_gcq(
     [r_min, r_max]; the position-density normalization collapses to the
     prefactor (3/4) (r_max - r_min) / (r_max^3 - r_min^3).
     """
-    gcq_s, gcq_w = _node_terms(space, consts, n_theta, n_dist)
-    return gcq_s - (cfg.q / _LN2) * gcq_w
+    return _gcq_rows(space, consts, cfg.q, n_theta, n_dist)
+

@@ -92,6 +92,18 @@ def test_g_inverse_domain_error():
         g_inverse(0.0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: f_penalized(math.nan, 0.5), "f_penalized needs x > 0"),
+    (lambda: f_penalized(1.0, math.nan), "f_penalized needs q > 0"),
+    (lambda: g_bound(np.array([1.0, math.nan])), "g_bound needs x > 0"),
+    (lambda: g1_threshold(math.nan), "g1_threshold needs x > 0"),
+    (lambda: g2_threshold(math.nan), "g2_threshold needs x > 1/sqrt"),
+])
+def test_a_nan_argument_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
 def test_g_inverse_rejects_non_finite_q(q):
     with pytest.raises(ValueError, match="q="):
@@ -145,9 +157,40 @@ def _pinned_q_values():
     return qs
 
 
-def test_g_inverse_is_bit_identical_to_the_array_bisection():
-    mismatches = [q for q in _pinned_q_values() if g_inverse(q) != _reference_g_inverse(q)]
+@pytest.fixture(scope="module")
+def pinned_roots():
+    qs = _pinned_q_values()
+    return qs, [_reference_g_inverse(q) for q in qs]
+
+
+def test_g_inverse_is_bit_identical_to_the_array_bisection(pinned_roots):
+    qs, roots = pinned_roots
+    mismatches = [q for q, root in zip(qs, roots) if g_inverse(q) != root]
     assert mismatches == []
+
+
+def test_g_inverse_of_an_array_is_bit_identical_to_the_scalar_bisection(pinned_roots):
+    # One call bisects every q at once; each element stops at its own width.
+    qs, roots = pinned_roots
+    got = g_inverse(np.array(qs))
+    assert got.shape == (len(qs),)
+    mismatches = [q for q, x, root in zip(qs, got.tolist(), roots) if x != root]
+    assert mismatches == []
+
+
+def test_g_inverse_keeps_the_shape_of_its_argument():
+    assert type(g_inverse(0.6)) is float
+    assert type(g_inverse(np.float64(0.6))) is float
+    assert g_inverse(np.array([[0.6, 0.2], [5.0, 1e-3]])).tolist() == [
+        [g_inverse(0.6), g_inverse(0.2)], [g_inverse(5.0), g_inverse(1e-3)]]
+    assert g_inverse(np.array([])).shape == (0,)
+
+
+def test_g_inverse_of_an_array_names_the_first_bad_q():
+    with pytest.raises(ValueError, match=r"got q=-1\.0$"):
+        g_inverse(np.array([0.6, -1.0, math.nan]))
+    with pytest.raises(ValueError, match=r"got q=nan$"):
+        g_inverse([0.6, math.nan, 0.0])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

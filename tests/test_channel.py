@@ -201,3 +201,20 @@ def test_snr_into_out_still_checks_its_inputs(theta, d, message):
     c = derive_constants(DENSE, LINK)
     with pytest.raises(ValueError, match=message):
         snr(c, np.array(theta), np.array(d), out=np.empty(2))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda c: snr(c, math.nan, 300.0), "elevation angle must lie in"),
+    (lambda c: snr(c, np.array([60.0, math.nan]), 300.0), "elevation angle must lie in"),
+    (lambda c: snr(c, 60.0, math.nan), "distance must be positive"),
+    (lambda c: snr(c, 60.0, np.array([300.0, math.nan]), out=np.empty(2)),
+     "distance must be positive"),
+    (lambda c: mean_path_loss_db(c, math.nan, 300.0), "elevation angle must lie in"),
+    (lambda c: mean_path_loss_db(c, 60.0, math.nan), "distance must be positive"),
+    (lambda c: los_probability(DENSE, math.nan), "elevation angle must lie in"),
+])
+def test_a_nan_position_is_rejected(call, message):
+    # Every comparison with NaN is false, so a range check must ask that all
+    # values lie inside, not that none lies outside.
+    with pytest.raises(ValueError, match=message):
+        call(derive_constants(DENSE, LINK))

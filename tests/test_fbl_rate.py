@@ -253,3 +253,17 @@ def test_q_free_terms_rejects_overlapping_outs():
 def test_q_free_terms_into_out_still_rejects_a_non_positive_snr(gamma):
     with pytest.raises(ValueError, match="SNR must be positive"):
         q_free_terms(np.array(gamma), out=(np.empty(2), np.empty(2)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: q_free_terms([math.nan, 1.0]), "SNR must be positive"),
+    (lambda: q_free_terms(np.array([1.0, math.nan]), out=(np.empty(2), np.empty(2))),
+     "SNR must be positive"),
+    (lambda: dispersion(math.nan), "SNR must be nonnegative"),
+    (lambda: shannon_rate([2.0, math.nan]), "SNR must be nonnegative"),
+    (lambda: achievable_rate(math.nan, FblConfig(blocklength=200, epsilon=1e-9)),
+     "SNR must be positive"),
+])
+def test_a_nan_snr_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

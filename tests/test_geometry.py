@@ -177,3 +177,13 @@ def test_sampler_distance_elevation_uncorrelated():
 def test_sample_positions_rejects_empty():
     with pytest.raises(ValueError):
         sample_positions(SPACE, np.random.default_rng(0), 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cdf_distance(SPACE, math.nan),
+    lambda: pdf_distance(SPACE, np.array([300.0, math.nan])),
+    lambda: pdf_elevation(SPACE, math.nan),
+])
+def test_a_nan_position_is_outside_the_support(call):
+    with pytest.raises(ValueError, match="outside support"):
+        call()

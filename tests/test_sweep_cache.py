@@ -23,9 +23,12 @@ import uavlink.bound
 import uavlink.fbl_rate
 import uavlink.montecarlo
 import uavlink.quadrature
-from uavlink.channel import snr
+from test_bound import _dense_sweep_eps
+from uavlink.bound import DistanceLimitError, aadr_lower_bound
+from uavlink.channel import derive_constants, snr
 from uavlink.cli import main, sweep_blocklength, sweep_epsilon
-from uavlink.config import config_from_dict, config_to_dict, preset_config
+from uavlink.config import (PRESET_NAMES, config_from_dict, config_to_dict, load_preset,
+                            preset_config)
 from uavlink.fbl_rate import FblConfig, achievable_rate, q_function, shannon_rate
 from uavlink.geometry import Airspace, sample_positions
 from uavlink.montecarlo import McEstimate, _rate_terms, estimate_aadr, estimate_shannon
@@ -184,6 +187,69 @@ def test_a_sweep_computes_q_once_per_row(monkeypatch):
     rows = sweep_epsilon(_sweep_config(), [1e-9, 1e-6, 1e-3])
     assert len(rows) == 3
     assert qinv.calls == 3
+
+
+def test_a_sweep_bisects_every_row_at_once(monkeypatch):
+    # The per-row bisection evaluated g 44 times a row (17,628 calls for
+    # these 400 rows); one array bisection takes as many steps as its
+    # slowest row.
+    g = _Counted(monkeypatch, uavlink.bound, "_g")
+    qinv = _Counted(monkeypatch, uavlink.fbl_rate, "q_inverse")
+    rows = sweep_epsilon(_sweep_config(), _dense_sweep_eps(1))
+    assert len(rows) == 400
+    assert qinv.calls == 400
+    assert g.calls <= 2 * 70
+
+
+def _per_row_composition(cfg, fbl):
+    # A row as the public per-config estimators give it.
+    space, consts = cfg.airspace, derive_constants(cfg.scenario, cfg.link)
+    draw = {"n": cfg.n_samples, "seed": cfg.seed, "shards": cfg.shards}
+    mc = estimate_aadr(space, consts, fbl, **draw)
+    try:
+        bound = aadr_lower_bound(space, consts, fbl)
+    except DistanceLimitError:
+        bound = math.nan
+    return {"shannon_mc": estimate_shannon(space, consts, **draw).mean, "aadr_mc": mc.mean,
+            "aadr_mc_stderr": mc.std_error,
+            "aadr_gcq": aadr_gcq(space, consts, fbl, cfg.n_theta, cfg.n_dist),
+            "aadr_lb": bound}
+
+
+def _bits(row):
+    return {key: value if key in ("M", "epsilon") else float.hex(value)
+            for key, value in row.items()}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("column,values", [
+    *[("epsilon", _dense_sweep_eps(seed)) for seed in (1, 2, 3)],
+    ("M", [1, 2, 50, 200, 1000]),
+])
+def test_sweep_rows_equal_the_public_estimators_row_by_row(name, column, values):
+    cfg = load_preset(name)
+    if column == "M":
+        rows = sweep_blocklength(cfg, values)
+        configs = [dataclasses.replace(cfg.fbl, blocklength=m) for m in values]
+    else:
+        rows = sweep_epsilon(cfg, values)
+        configs = [dataclasses.replace(cfg.fbl, epsilon=eps) for eps in values]
+    expected = [{column: value, **_per_row_composition(cfg, fbl)}
+                for value, fbl in zip(values, configs)]
+    assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+    assert all(type(row[key]) is float for row in rows for key in row if key != "M")
+
+
+def test_a_sweep_keeps_the_per_row_input_errors_and_the_q_zero_row(dense_urban, dense_consts):
+    above_half = dataclasses.replace(dense_urban, fbl=FblConfig(blocklength=200, epsilon=0.6))
+    with pytest.raises(ValueError, match=r"aadr_lower_bound needs epsilon <= 0\.5"):
+        sweep_blocklength(above_half, [100, 200])
+
+    half = dataclasses.replace(dense_urban, fbl=FblConfig(blocklength=200, epsilon=0.5))
+    rows = sweep_blocklength(half, [1, 100])
+    mean_inv = uavlink.bound.expected_inverse_snr(half.airspace, dense_consts)
+    assert [row["aadr_lb"] for row in rows] == [math.log1p(1.0 / mean_inv) / math.log(2.0)] * 2
+    assert rows[0]["aadr_lb"] == aadr_lower_bound(half.airspace, dense_consts, half.fbl)
 
 
 def test_q_is_cached_per_config_and_not_a_field(monkeypatch):

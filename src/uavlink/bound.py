@@ -25,15 +25,26 @@ _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
 # Unchecked formulas, shared by the validating array functions below, the
-# Jensen bound and g_inverse's bisection. numpy's log1p gives a Python float
-# and each element of an array the same bits; math.log1p rounds differently
-# at some points.
+# Jensen bound and g_inverse's Newton iteration. numpy's log1p gives a Python
+# float and each element of an array the same bits.
 def _f(x, q):
     return np.log1p(1.0 / x) - q * np.sqrt(2.0 * x + 1.0) / (x + 1.0)
 
 
 def _g(x):
     return (x + 1.0) * np.log1p(1.0 / x) / np.sqrt(2.0 * x + 1.0)
+
+
+def _x_dg(x):
+    # x g'(x) = (x (x ln(1 + 1/x) - 2) - 1) / (2x + 1)^1.5, the slope of g(e^u)
+    # in u = ln x; the numerator runs from -1 to about -x, free of cancellation.
+    return (x * (x * np.log1p(1.0 / x) - 2.0) - 1.0) / ((2.0 * x + 1.0) * np.sqrt(2.0 * x + 1.0))
+
+
+# g_inverse's q range, wider than any configuration reaches (q <= 38.5, as
+# eps >= 5e-324 and M >= 1); its roots, 1e-304 to 5e61, keep every term of g
+# and x g' a normal float.
+_G_INVERSE_DOMAIN = (1e-31, 700.0)
 
 
 def f_penalized(x, q):
@@ -55,64 +66,34 @@ def g_bound(x):
 
 
 def g_inverse(q):
-    """Solve g_bound(x) = q for x by bracketed bisection, elementwise over q.
+    """Solve g_bound(x) = q for x by Newton's method in u = ln x, elementwise.
 
-    g_bound decreases strictly from +inf to 0, so the root is unique. The
-    bracket starts at [1e-12, 1], the lower end divides by 8 until g is
-    above q and the upper end doubles until it crosses. Each element then
-    bisects until its bracket is narrower than 1e-11 + 1e-15 mid, and the
-    lower bracket end is returned, so g_bound(result) >= q up to rounding
-    and f_penalized stays nonnegative at the result. A finished element is
-    frozen while the others go on, so an array call gives every element
-    the bits of a scalar call. A float q gives a float, an array an array
-    of its shape.
-
-    The stopping width is absolute, so a small root is resolved only to
-    about 1e-11: the relative residual |g(x) - q| / q is 7.8e-13 at M=200,
-    eps=1e-9, 6.8e-10 at M=1, eps=1e-12 and 2.6e-2 at M=1, eps=1e-300.
+    phi(u) = g(e^u) - q is convex and decreasing, like -u as x -> 0 and like
+    e^(-u/2)/sqrt(2) as x -> inf. Newton starts on those asymptotes and, phi
+    being convex, every iterate after the first lies left of the root and
+    rises to it. An element is frozen once its step is at most
+    1e-10 max(1, |u|), which quadratic convergence makes final (a 1e-15 test
+    can cycle on g's rounding noise), so an array element has the bits of a
+    scalar call; a float q gives a float. Domain: q in [1e-31, 700], else
+    ValueError. There a call takes at most 5 steps, the relative root error
+    is below 1e-13 and the relative residual |g(x) - q| / q below 1e-14.
     """
     q = np.asarray(q, dtype=float)
     bad = ~(np.isfinite(q) & (q > 0.0))
     if bad.any():
         raise ValueError(f"g_inverse needs a finite q > 0, got q={float(q[bad][0])}")
-    qs = q.ravel()
-    # Every bracket point is positive, so g is evaluated without g_bound's
-    # checks. Each bracket end moves in lockstep for all elements that have
-    # not crossed yet, so one scalar g per step serves them all.
-    lo, x = np.full(qs.shape, 1e-12), 1e-12
-    rows = np.flatnonzero(_g(x) <= qs)
-    while rows.size:
-        x /= 8.0
-        if x < 1e-300:
-            raise RuntimeError(f"failed to bracket g_inverse({float(qs[rows[0]])}) from below")
-        lo[rows] = x
-        rows = rows[_g(x) <= qs[rows]]
-    hi, x, doublings = np.ones(qs.shape), 1.0, 0
-    rows = np.flatnonzero(_g(x) >= qs)
-    while rows.size:
-        x *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise RuntimeError(
-                f"failed to bracket g_inverse({float(qs[rows[0]])}) within 200 doublings")
-        hi[rows] = x
-        rows = rows[_g(x) >= qs[rows]]
-    # Bisect the unfinished elements, packed: a finished one leaves lo, hi
-    # and qs, and its lower end goes to root.
-    root, rows = np.empty(qs.size), np.arange(qs.size)
-    for _ in range(300):
-        if not rows.size:
-            break
-        mid = 0.5 * (lo + hi)
-        above = _g(mid) > qs
-        np.copyto(lo, mid, where=above)
-        np.copyto(hi, mid, where=~above)
-        going = hi - lo > 1e-11 + 1e-15 * mid
-        if not going.all():
-            root[rows[~going]] = lo[~going]
-            rows, lo, hi, qs = rows[going], lo[going], hi[going], qs[going]
-    root[rows] = lo
-    return _scalar_or_array(root.reshape(q.shape))
+    lo, hi = _G_INVERSE_DOMAIN
+    bad = (q < lo) | (q > hi)
+    if bad.any():
+        raise ValueError(f"g_inverse needs q in [{lo:g}, {hi:g}], got q={float(q[bad][0])}")
+    u = np.where(q >= 1.0, -q, -np.log(2.0 * q * q))
+    going = np.ones(q.shape, dtype=bool)
+    while going.any():
+        x = np.exp(u)
+        step = (_g(x) - q) / _x_dg(x)
+        u = np.where(going, u - step, u)
+        going &= np.abs(step) > 1e-10 * np.maximum(1.0, np.abs(u))
+    return _scalar_or_array(np.exp(u))
 
 
 def min_snr_for_valid_rate(cfg: FblConfig) -> float:

@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths under test: the Ei oracle is an
 extended-precision power series, the quantile oracle is plain bisection on
-the implemented tail probability, and root finding for the penalty
-threshold is bisection as well.
+the implemented tail probability, and the penalty threshold g and its root
+are evaluated in mpmath, the root by bisection in ln x.
 """
 
 import mpmath as mp
@@ -53,11 +53,20 @@ def q_inverse_oracle(p):
     return bisect_root(lambda x: q_function(x) - p, -40.0, 40.0)
 
 
-def g_inverse_oracle(q):
-    """Penalty-threshold root by bisection on the implemented g."""
-    from uavlink.bound import g_bound
+def g_oracle(x, dps=60):
+    """g(x) = (x + 1) ln(1 + 1/x) / sqrt(2x + 1) as an mpf at dps digits."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        return (x + 1) * mp.log1p(1 / x) / mp.sqrt(2 * x + 1)
 
-    hi = 1.0
-    while g_bound(hi) >= q:
-        hi *= 2.0
-    return bisect_root(lambda x: g_bound(x) - q, 1e-12, hi)
+
+def g_inverse_oracle(q, dps=60):
+    """Root of g(x) = q by bisection in u = ln x on the mpmath g, as a float.
+
+    The bracket u in [-720, 160] holds every root for q in [1e-32, 710], and
+    80 halvings narrow it below 1e-21 in u, far under a double's ulp of x.
+    """
+    with mp.workdps(dps):
+        u = bisect_root(lambda u: g_oracle(mp.exp(u), dps) - q, mp.mpf(-720), mp.mpf(160),
+                        iterations=80)
+        return float(mp.exp(u))

@@ -1,12 +1,14 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.special
 
-from oracles import ei_series_oracle, g_inverse_oracle
+import uavlink.bound
+from oracles import ei_series_oracle, g_inverse_oracle, g_oracle
 from uavlink.bound import (
     DistanceLimitError,
     aadr_lower_bound,
@@ -110,27 +112,6 @@ def test_g_inverse_rejects_non_finite_q(q):
         g_inverse(q)
 
 
-def _reference_g_inverse(q):
-    # The bisection as it ran on the validating 0-d array g_bound, kept to pin
-    # the scalar path's results bit for bit.
-    q = float(q)
-    lo = 1e-12
-    while g_bound(lo) <= q:
-        lo /= 8.0
-    hi = 1.0
-    while g_bound(hi) >= q:
-        hi *= 2.0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if g_bound(mid) > q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-11 + 1e-15 * mid:
-            break
-    return lo
-
-
 def _dense_sweep_eps(seed):
     # The eps grid of the dense-sweep benchmark workload: 400 log-uniform
     # values in [1e-12, 1e-3], rounded to 12 significant digits.
@@ -138,44 +119,60 @@ def _dense_sweep_eps(seed):
     return [float(f"{10.0 ** rng.uniform(-12.0, -3.0):.12g}") for _ in range(400)]
 
 
-def _pinned_q_values():
-    qs = [0.05, 0.2, 0.6]  # the verify defaults
-    for name in PRESET_NAMES:
-        fbl = load_preset(name).fbl
-        qs += [replace(fbl, blocklength=m).q for m in range(100, 1001, 100)]
-        qs += [replace(fbl, epsilon=10.0**k).q for k in range(-12, -2)]
-    for seed in range(1, 6):
-        for m in (100, 200, 1000):
-            qs += [FblConfig(m, eps).q for eps in _dense_sweep_eps(seed)]
-    qs += list(np.exp(np.random.default_rng(4).uniform(math.log(1e-4), math.log(30.0), 2000)))
-    # Roots that move when g is bisected with math.log1p instead of numpy's
-    # log1p (found on x86-64 with AVX-512, numpy 2.4, where the two log1p
-    # differ in the last bit at about 2% of arguments).
-    qs += [0.019101235970546908, 0.03434264142864626, 0.017693160192638877,
-           0.015370933326331916, 0.005675954852608689, 0.016796099820234268,
-           0.015284110032871496, 0.04371965666134508]
-    return qs
+# Penalties over the valid configurations, M in [1, 1e6] and eps in
+# [1e-300, 0.49], plus the ends of g_inverse's domain, the 5.6e-31 and 689
+# that an absolute-width bisection could still bracket, and q = 30, where
+# such a bisection missed the root 9.3576e-14 by 83%.
+DOMAIN_QS = [FblConfig(m, eps).q for m in (1, 10, 100, 10**3, 10**4, 10**5, 10**6)
+             for eps in np.geomspace(1e-300, 0.49, 30)] + [1e-31, 5.6e-31, 30.0, 689.0, 700.0]
+
+# Roots whose final Newton steps sit at g's rounding noise: a 1e-15 step test
+# cycles between two neighbouring iterates on them.
+NOISY_QS = [0.7002430011449055, 0.7199246964738155, 1.1446214449054908, 1.312540352751994]
 
 
 @pytest.fixture(scope="module")
-def pinned_roots():
-    qs = _pinned_q_values()
-    return qs, [_reference_g_inverse(q) for q in qs]
+def domain_roots():
+    return [g_inverse_oracle(q) for q in DOMAIN_QS]
 
 
-def test_g_inverse_is_bit_identical_to_the_array_bisection(pinned_roots):
-    qs, roots = pinned_roots
-    mismatches = [q for q, root in zip(qs, roots) if g_inverse(q) != root]
-    assert mismatches == []
+def test_g_inverse_is_accurate_to_the_oracle_over_the_valid_domain(domain_roots):
+    root_errors, residuals = [], []
+    for q, exact in zip(DOMAIN_QS, domain_roots):
+        x = g_inverse(q)
+        root_errors.append(abs(x - exact) / exact)
+        residuals.append(float(abs(g_oracle(x) - q) / q))
+    assert max(root_errors) <= 1e-13
+    assert max(residuals) <= 1e-14
 
 
-def test_g_inverse_of_an_array_is_bit_identical_to_the_scalar_bisection(pinned_roots):
-    # One call bisects every q at once; each element stops at its own width.
-    qs, roots = pinned_roots
-    got = g_inverse(np.array(qs))
-    assert got.shape == (len(qs),)
-    mismatches = [q for q, x, root in zip(qs, got.tolist(), roots) if x != root]
-    assert mismatches == []
+def test_g_inverse_of_an_array_is_bit_identical_to_its_scalar_calls():
+    qs = DOMAIN_QS + NOISY_QS
+    assert g_inverse(np.array(qs)).tolist() == [g_inverse(q) for q in qs]
+
+
+def test_g_inverse_evaluates_g_at_most_eight_times(monkeypatch):
+    calls, g = [], uavlink.bound._g
+
+    def counted(x):
+        calls.append(1)
+        return g(x)
+
+    monkeypatch.setattr(uavlink.bound, "_g", counted)
+    # Each element steps on its own, so an array call takes as many steps as
+    # its slowest element.
+    g_inverse(np.geomspace(1e-31, 700.0, 20_001))
+    assert len(calls) <= 8
+    for q in [1e-31, 1.0, 700.0, *NOISY_QS]:
+        calls.clear()
+        g_inverse(q)
+        assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("q", [9.99e-32, 700.5, 1000.0, 1e-300, 1e300])
+def test_g_inverse_rejects_q_outside_its_domain(q):
+    with pytest.raises(ValueError, match=re.escape(f"g_inverse needs q in [1e-31, 700], got q={q}")):
+        g_inverse(q)
 
 
 def test_g_inverse_keeps_the_shape_of_its_argument():

@@ -300,6 +300,11 @@ def test_cli_verify_rejects_non_finite_q(capsys, q):
     assert f"error: g_inverse needs a finite q > 0, got q={q}" in capsys.readouterr().err
 
 
+def test_cli_verify_rejects_q_outside_the_domain_of_g_inverse(capsys):
+    assert main(["verify", "--q-values", "1000"]) == 2
+    assert "error: g_inverse needs q in [1e-31, 700], got q=1000.0" in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_a_huge_grid_before_building_it(monkeypatch, capsys):
     def unreachable(q):
         raise AssertionError("the grid size must be checked before any grid is built")

@@ -12,7 +12,6 @@ maximum usable station-to-UAV distance d_max.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -211,12 +210,11 @@ def d_max(consts: DerivedConstants, cfg: FblConfig) -> float:
     return float(_distance_limit(consts, cfg.q))
 
 
-@lru_cache(maxsize=1)
 def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
     """Closed-form mean of 1/SNR over the airspace position distribution.
 
-    Independent of the blocklength and error probability, so the latest
-    value is cached: a sweep evaluates the four Ei terms once.
+    Independent of the blocklength and error probability: a sweep evaluates
+    it, and so its four Ei terms, once for all rows.
 
     Separates into the distance moment u = (r_max^5 - r_min^5)/5 and an
     elevation integral v expressed through Ei via the antiderivative

@@ -17,14 +17,14 @@ import numpy as np
 from .bound import _lower_bound_rows, d_max
 from .channel import derive_constants
 from .config import PRESET_NAMES, RunConfig, load_config, load_preset
-from .fbl_rate import FblConfig, _penalty
+from .fbl_rate import FblConfig, _penalty, _rate
 from .lemmas import run_lemma_suite
-from .montecarlo import _aadr_rows, estimate_shannon
-from .quadrature import _gcq_rows, aadr_gcq
-# The sweep computes these two estimators' columns through _lower_bound_rows
-# and _aadr_rows; bench/tracer.py PROBES still looks them up in this module.
+from .montecarlo import _aadr_rows, _rate_terms
+from .quadrature import _node_terms, aadr_gcq
+# The sweep computes these estimators' columns through _rate_terms, _aadr_rows
+# and _lower_bound_rows; bench/tracer.py PROBES still looks them up in this module.
 from .bound import aadr_lower_bound  # noqa: F401
-from .montecarlo import estimate_aadr  # noqa: F401
+from .montecarlo import estimate_aadr, estimate_shannon  # noqa: F401
 
 OUT_DIR_ENV = "UAVLINK_OUT_DIR"
 
@@ -41,17 +41,19 @@ DMAX_REFERENCE_NOTE = (
 def _sweep(cfg: RunConfig, column: str, values: list, q: list) -> list[dict]:
     """One row per (value, q) pair; value fills the given column.
 
-    Every estimator column is one array expression over q and the cached
-    q-free moments, with the bits of the per-config public estimators.
+    The sweep draws the Monte Carlo sample, evaluates the node grid and
+    E(1/SNR) once each; every estimator column is then one array expression
+    over q and those q-free sums, with the bits of the per-config public
+    estimators. The Shannon column is E[S], the first Monte Carlo moment.
     aadr_lb is nan in a row whose d_max is below the airspace radius.
     """
     consts = derive_constants(cfg.scenario, cfg.link)
     space, q = cfg.airspace, np.array(q)
-    shannon = estimate_shannon(space, consts, n=cfg.n_samples, seed=cfg.seed, shards=cfg.shards)
-    mc_mean, mc_stderr = _aadr_rows(space, consts, q, cfg.n_samples, cfg.seed, cfg.shards)
+    moments = _rate_terms(space, consts, cfg.n_samples, cfg.seed, cfg.shards)
+    mc_mean, mc_stderr = _aadr_rows(moments, q, cfg.n_samples)
     bound, _ = _lower_bound_rows(space, consts, q)
-    gcq = _gcq_rows(space, consts, q, cfg.n_theta, cfg.n_dist)
-    columns = {column: values, "shannon_mc": [shannon.mean] * len(values),
+    gcq = _rate(*_node_terms(space, consts, cfg.n_theta, cfg.n_dist), q)
+    columns = {column: values, "shannon_mc": [moments[0]] * len(values),
                "aadr_mc": mc_mean.tolist(), "aadr_mc_stderr": mc_stderr.tolist(),
                "aadr_gcq": gcq.tolist(), "aadr_lb": bound.tolist()}
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
@@ -276,6 +278,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
+    except (ValueError, OSError, RuntimeError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

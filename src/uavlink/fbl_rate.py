@@ -12,7 +12,6 @@ Q-function pair used by the penalty term lives here as well.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,13 +36,9 @@ class FblConfig:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
-    @cached_property
+    @property
     def q(self) -> float:
-        """Penalty coefficient Qinv(epsilon) / sqrt(M), computed once per config.
-
-        The value is kept in the instance dict, outside the dataclass fields,
-        so equality, hashing and asdict are unaffected.
-        """
+        """Penalty coefficient Qinv(epsilon) / sqrt(M)."""
         return _penalty(self.epsilon, self.blocklength)
 
 

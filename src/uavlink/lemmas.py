@@ -13,6 +13,9 @@ from .bound import _INV_SQRT3, f_penalized, g1_threshold, g2_threshold, g_bound,
 NONNEGATIVITY_TOLERANCE = -1e-12
 REL_STEP = 1e-4  # central-difference step, relative to x
 MAX_GRID_POINTS = 10**6  # several float arrays of this length are built per q
+# f'' is about 1/x^2 near 0, and the f grid reaches down to 1e-3 g_inverse(q),
+# about 1e-3 e^-q; from q = 348 on, its finite-difference f'' overflows.
+MAX_Q = 300.0
 
 
 def run_lemma_suite(
@@ -22,9 +25,10 @@ def run_lemma_suite(
 ) -> dict:
     """Run every lemma check and return a machine-readable report.
 
-    f_impl is a test hook replacing f_penalized; the default is the real
-    implementation. The report lists, per check, the grid, the tolerance
-    and the worst observed value; all_passed aggregates the verdicts.
+    Each q must lie in [1e-31, MAX_Q]. f_impl is a test hook replacing
+    f_penalized; the default is the real implementation. The report lists,
+    per check, the grid, the tolerance and the worst observed value;
+    all_passed aggregates the verdicts.
     """
     if not 2 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], got {grid_points}")
@@ -33,7 +37,12 @@ def run_lemma_suite(
 
     for q in q_values:
         x_hi = g_inverse(q)
-        xs = np.geomspace(1e-6, x_hi, grid_points)
+        if q > MAX_Q:
+            raise ValueError(f"the lemma suite needs q <= {MAX_Q:g}, got q={q}")
+        # The grid starts below the root: at 1e-6, or at a thousandth of the
+        # root where that is smaller (q above about 13.8).
+        x_lo = min(1e-6, 1e-3 * x_hi)
+        xs = np.geomspace(x_lo, x_hi, grid_points)
         h = xs * REL_STEP
         fx = f(xs, q)
         f_plus = f(xs + h, q)
@@ -42,16 +51,16 @@ def run_lemma_suite(
         d2 = (f_plus - 2.0 * fx + f_minus) / (h * h)
 
         checks.append(_check(
-            name="f_nonnegative", q=q, grid=(1e-6, x_hi), points=grid_points,
+            name="f_nonnegative", q=q, grid=(x_lo, x_hi), points=grid_points,
             tolerance=NONNEGATIVITY_TOLERANCE, worst=float(fx.min()),
             passed=bool(fx.min() >= NONNEGATIVITY_TOLERANCE),
         ))
         checks.append(_check(
-            name="f_decreasing", q=q, grid=(1e-6, x_hi), points=grid_points,
+            name="f_decreasing", q=q, grid=(x_lo, x_hi), points=grid_points,
             tolerance=0.0, worst=float(d1.max()), passed=bool(d1.max() < 0.0),
         ))
         checks.append(_check(
-            name="f_convex", q=q, grid=(1e-6, x_hi), points=grid_points,
+            name="f_convex", q=q, grid=(x_lo, x_hi), points=grid_points,
             tolerance=0.0, worst=float(d2.min()), passed=bool(d2.min() > 0.0),
         ))
 

@@ -6,9 +6,9 @@ jumped i times. The (seed, shards) pair is part of the reproducibility
 contract; identical inputs give bit-identical estimates.
 
 The rate is affine in q: R = S - (q/ln 2) W with the q-free terms
-S = log2(1 + SNR) and W = sqrt(V) (fbl_rate.q_free_terms). So the moments
-of S and W over the latest draw are cached, a sweep draws once, and each
-further row is one multiply-add.
+S = log2(1 + SNR) and W = sqrt(V) (fbl_rate.q_free_terms). So one draw's
+five moments of S and W give the mean rate and its standard error at every
+q: a sweep draws once and each row is one multiply-add.
 
 A draw holds S and W (n doubles each) and one shard's positions. The SNR
 and the rate terms are evaluated _BLOCK samples at a time through one
@@ -19,7 +19,6 @@ of n doubles: S, W and the positions, then S, W and the Cov(S, W) product.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,7 +75,6 @@ def _snr_blocks(space: Airspace, consts: DerivedConstants, seed: int, parts: lis
         del d, theta  # before the next shard draws its own
 
 
-@lru_cache(maxsize=1)
 def _rate_terms(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
     """(E[S], E[W], Var S, Cov(S, W), Var W) of one draw, as floats (ddof = 1).
 
@@ -99,13 +97,13 @@ def _rate_terms(space: Airspace, consts: DerivedConstants, n: int, seed: int, sh
     return mean_s, mean_w, var_s, cov_sw, var_w
 
 
-def _aadr_rows(space: Airspace, consts: DerivedConstants, q, n: int, seed: int, shards: int):
-    """(mean, standard error) of the rate at q, a float or an array, from the cached moments.
+def _aadr_rows(moments: tuple, q, n: int):
+    """(mean, standard error) of the rate at q, a float or an array, from _rate_terms' moments.
 
     The mean is E[S] - c E[W] and the standard error
     sqrt(Var S - 2c Cov + c^2 Var W) / sqrt(n), with c = q / ln 2.
     """
-    mean_s, mean_w, var_s, cov_sw, var_w = _rate_terms(space, consts, n, seed, shards)
+    mean_s, mean_w, var_s, cov_sw, var_w = moments
     c = q / _LN2
     # Var(S - cW) can round below 0 when S - cW is nearly constant.
     variance = np.maximum(var_s - 2.0 * c * cov_sw + c * c * var_w, 0.0)
@@ -121,7 +119,8 @@ def estimate_aadr(
     shards: int = 1,
 ) -> McEstimate:
     """Mean finite-blocklength rate over n random UAV positions."""
-    mean, std_error = _aadr_rows(space, consts, cfg.q, n, seed, shards)
+    moments = _rate_terms(space, consts, n, seed, shards)
+    mean, std_error = _aadr_rows(moments, cfg.q, n)
     return McEstimate(mean=mean, std_error=float(std_error))
 
 

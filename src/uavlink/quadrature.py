@@ -5,9 +5,8 @@ recurrence; the average achievable data rate over the airspace is the
 double integral of rate times position density, approximated by one rule
 in elevation nested inside one rule in distance (the "GCQ" method label
 used by the CLI). The rate is affine in q, R = S - (q/ln 2) W with the
-q-free terms of fbl_rate.q_free_terms, so the nested-rule sums of S and W
-on the latest node grid are cached and each further sweep row is one
-multiply-add.
+q-free terms of fbl_rate.q_free_terms, so a sweep evaluates the nested-rule
+sums of S and W on its node grid once and each row is one multiply-add.
 """
 
 import math
@@ -93,7 +92,6 @@ def integrate(rule: QuadratureRule, f, lo: float, hi: float) -> float:
     return float(half * np.sum(rule.weights * f(xm)))
 
 
-@lru_cache(maxsize=1)
 def _node_terms(space: Airspace, consts: DerivedConstants, n_theta: int, n_dist: int):
     """Nested-rule averages (GCQ[S], GCQ[W]) of the q-free terms, as floats."""
     rule_theta = legendre_rule(n_theta)
@@ -106,11 +104,6 @@ def _node_terms(space: Airspace, consts: DerivedConstants, n_theta: int, n_dist:
     prefactor = 0.75 * (d_hi - d_lo) / (d_hi**3 - d_lo**3)
     return tuple(float(prefactor * np.sum(dist_weights * (terms @ rule_theta.weights)))
                  for terms in q_free_terms(snr(consts, theta[None, :], dist[:, None])))
-
-
-def _gcq_rows(space: Airspace, consts: DerivedConstants, q, n_theta: int, n_dist: int):
-    """GCQ[S] - (q / ln 2) GCQ[W] at q, a float or an array, from the cached node sums."""
-    return _rate(*_node_terms(space, consts, n_theta, n_dist), q)
 
 
 def aadr_gcq(
@@ -127,5 +120,5 @@ def aadr_gcq(
     [r_min, r_max]; the position-density normalization collapses to the
     prefactor (3/4) (r_max - r_min) / (r_max^3 - r_min^3).
     """
-    return _gcq_rows(space, consts, cfg.q, n_theta, n_dist)
+    return _rate(*_node_terms(space, consts, n_theta, n_dist), cfg.q)
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -305,6 +306,25 @@ def test_cli_verify_rejects_q_outside_the_domain_of_g_inverse(capsys):
     assert "error: g_inverse needs q in [1e-31, 700], got q=1000.0" in capsys.readouterr().err
 
 
+def test_cli_verify_passes_where_the_root_is_below_the_fixed_grid_start(tmp_path):
+    # For q above about 13.8, g_inverse(q) < 1e-6; 38.5 is about the largest
+    # q a configuration reaches.
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--q-values", "14,30,38.5", "--out", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["all_passed"] is True
+
+
+def test_lemma_suite_runs_without_runtime_warnings_over_the_domain_of_g_inverse():
+    for q in np.geomspace(1e-31, 700.0, 41):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if q <= uavlink.lemmas.MAX_Q:
+                run_lemma_suite(q_values=(float(q),))
+            else:
+                with pytest.raises(ValueError, match="the lemma suite needs q <= 300"):
+                    run_lemma_suite(q_values=(float(q),))
+
+
 def test_cli_verify_rejects_a_huge_grid_before_building_it(monkeypatch, capsys):
     def unreachable(q):
         raise AssertionError("the grid size must be checked before any grid is built")
@@ -357,6 +377,15 @@ def test_cli_rejects_a_seed_outside_the_philox_key_range(tmp_path, capsys, comma
     assert main([command, "--seed", seed, "--out", str(out)]) == 2
     assert f"error: estimators.seed must lie in [0, 2**128), got {seed}" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reports_a_sample_count_too_large_to_allocate(tmp_path, capsys):
+    # 10^15 doubles (7 PiB) fail at the first allocation.
+    out = tmp_path / "o.csv"
+    assert main(["sweep-m", "--samples", str(10**15), "--m-values", "100",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not out.exists()
 
 

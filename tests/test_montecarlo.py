@@ -145,7 +145,6 @@ def _whole_array_rate_terms(space, consts, n, seed, shards):
 def test_blocked_chain_equals_the_whole_array_chain_bit_for_bit(preset, n, shards):
     cfg = load_preset(preset)
     consts = derive_constants(cfg.scenario, cfg.link)
-    _rate_terms.cache_clear()
     assert _rate_terms(cfg.airspace, consts, n, 11, shards) \
         == _whole_array_rate_terms(cfg.airspace, consts, n, 11, shards)
 
@@ -160,12 +159,10 @@ def test_a_draw_peaks_at_three_arrays_of_n_doubles(dense_urban, dense_consts):
     # covers the block buffers; the whole-array chain peaked at 4 x 8n here.
     n, shards = 200_001, 3
     _rate_terms(dense_urban.airspace, dense_consts, 100, 1, 1)  # imports numpy.random
-    _rate_terms.cache_clear()
     tracemalloc.start()
     try:
         _rate_terms(dense_urban.airspace, dense_consts, n, 1, shards)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _rate_terms.cache_clear()
     assert peak <= 3 * 8 * n + 2**20

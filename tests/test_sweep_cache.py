@@ -1,7 +1,7 @@
 """A sweep draws the Monte Carlo sample and evaluates the quadrature grid once.
 
 The golden CSVs under tests/data were written by the per-row estimators that
-re-drew every row; the rows built from the cached moments of S and W must
+re-drew every row; the rows built from one draw's moments of S and W must
 reproduce them byte for byte. sweep_eps_suburban_blocks3.csv was written
 by the whole-array Monte Carlo chain that the blocked one replaced. The
 golden dmax and packet-size stdout and verify report pin the outputs that do
@@ -40,12 +40,6 @@ M_VALUES = list(range(100, 1001, 100))
 # distinct q values through the per-row bound path.
 _rng = random.Random(1)
 DENSE_EPS = ",".join(repr(float(f"{10.0 ** _rng.uniform(-12.0, -3.0):.12g}")) for _ in range(40))
-
-
-@pytest.fixture(autouse=True)
-def _empty_caches():
-    for cached in (_rate_terms, _node_terms, uavlink.bound.expected_inverse_snr):
-        cached.cache_clear()
 
 
 # name: (preset, n_samples, shards). blocks3 gives each of its three shards
@@ -98,7 +92,7 @@ def test_verify_report_matches_golden_bytes(tmp_path):
 
 
 def _reference_mc(space, consts, n, seed, shards, rate):
-    # The per-row estimator the cache replaces: draw, then rate, per shard.
+    # The per-row estimator the moment form replaces: draw, then rate, per shard.
     base, rem = divmod(n, shards)
     chunks = []
     for i in range(shards):
@@ -179,7 +173,19 @@ def test_a_sweep_draws_once_per_shard_and_grid(monkeypatch):
     assert ei.calls == 4
 
     sweep_blocklength(cfg, M_VALUES)
-    assert (draws.calls, grids.calls, ei.calls) == (cfg.shards, 1, 4)
+    assert (draws.calls, grids.calls, ei.calls) == (2 * cfg.shards, 2, 8)
+
+
+def test_an_in_process_run_does_the_work_of_a_fresh_process(monkeypatch, tmp_path):
+    draws = _Counted(monkeypatch, uavlink.montecarlo, "sample_positions")
+    grids = _Counted(monkeypatch, uavlink.quadrature, "snr")
+    config = _estimator_configs(tmp_path)["shards2"]
+    outputs = []
+    for run in (1, 2):
+        outputs.append(tmp_path / f"run{run}.csv")
+        assert main(["sweep-m", "--config", str(config), "--out", str(outputs[-1])]) == 0
+        assert (draws.calls, grids.calls) == (2 * run, run)
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_a_sweep_computes_q_once_per_row(monkeypatch):
@@ -190,15 +196,15 @@ def test_a_sweep_computes_q_once_per_row(monkeypatch):
 
 
 def test_a_sweep_bisects_every_row_at_once(monkeypatch):
-    # The per-row bisection evaluated g 44 times a row (17,628 calls for
-    # these 400 rows); one array bisection takes as many steps as its
-    # slowest row.
+    # One g_inverse call solves every row: its Newton iteration takes as many
+    # steps as its slowest row, at most 8 (a per-row root finder would
+    # evaluate g at least once a row).
     g = _Counted(monkeypatch, uavlink.bound, "_g")
     qinv = _Counted(monkeypatch, uavlink.fbl_rate, "q_inverse")
     rows = sweep_epsilon(_sweep_config(), _dense_sweep_eps(1))
     assert len(rows) == 400
     assert qinv.calls == 400
-    assert g.calls <= 2 * 70
+    assert g.calls <= 8
 
 
 def _per_row_composition(cfg, fbl):
@@ -252,21 +258,15 @@ def test_a_sweep_keeps_the_per_row_input_errors_and_the_q_zero_row(dense_urban, 
     assert rows[0]["aadr_lb"] == aadr_lower_bound(half.airspace, dense_consts, half.fbl)
 
 
-def test_q_is_cached_per_config_and_not_a_field(monkeypatch):
-    qinv = _Counted(monkeypatch, uavlink.fbl_rate, "q_inverse")
+def test_q_is_not_a_field():
     fbl = FblConfig(blocklength=200, epsilon=1e-9)
     assert fbl.q == fbl.q
-    assert qinv.calls == 1
-    same = dataclasses.replace(fbl)
-    assert same.q == fbl.q
-    assert qinv.calls == 2
+    assert dataclasses.replace(fbl).q == fbl.q
     assert dataclasses.replace(fbl, epsilon=1e-6).q < fbl.q
-    assert qinv.calls == 3
 
     fresh, used = _sweep_config(), _sweep_config()
     digest = hashlib.sha256(json.dumps(config_to_dict(fresh), sort_keys=True).encode())
     assert used.fbl.q > 0.0
-    assert "q" in vars(used.fbl) and "q" not in vars(fresh.fbl)
     assert used == fresh and hash(used.fbl) == hash(fresh.fbl)
     assert dataclasses.asdict(used.fbl) == {"blocklength": 200, "epsilon": 1e-9}
     assert config_to_dict(used) == config_to_dict(fresh)
@@ -279,19 +279,11 @@ def test_q_is_cached_per_config_and_not_a_field(monkeypatch):
     {"estimators": {"n_samples": 2001}},
     {"airspace": {"r_max_m": 380.0}},
 ])
-def test_a_changed_input_gives_a_fresh_draw(monkeypatch, change):
-    draws = _Counted(monkeypatch, uavlink.montecarlo, "sample_positions")
-    grids = _Counted(monkeypatch, uavlink.quadrature, "snr")
-    base, changed = _sweep_config(), _sweep_config(**change)
-
-    first = sweep_blocklength(base, M_VALUES[:2])
+def test_a_changed_input_gives_a_fresh_draw(change):
+    changed = _sweep_config(**change)
+    first = sweep_blocklength(_sweep_config(), M_VALUES[:2])
     second = sweep_blocklength(changed, M_VALUES[:2])
-    assert draws.calls == 2 * base.shards
-    assert grids.calls == (2 if "airspace" in change else 1)
     assert [r["aadr_mc"] for r in first] != [r["aadr_mc"] for r in second]
-
-    for cached in (_rate_terms, _node_terms, uavlink.bound.expected_inverse_snr):
-        cached.cache_clear()
     assert sweep_blocklength(changed, M_VALUES[:2]) == second
 
 
@@ -332,7 +324,7 @@ def test_a_combined_variance_rounded_below_zero_gives_zero_std_error(monkeypatch
     assert est == McEstimate(mean=9.0 - c, std_error=0.0)
 
 
-def test_non_positive_snr_is_rejected_and_not_cached(monkeypatch, dense_urban, dense_consts):
+def test_non_positive_snr_is_rejected(monkeypatch, dense_urban, dense_consts):
     def underflowed(consts, theta, d, *, out=None):
         return np.zeros(np.broadcast(theta, d).shape)
 
@@ -343,5 +335,3 @@ def test_non_positive_snr_is_rejected_and_not_cached(monkeypatch, dense_urban, d
         estimate_shannon(dense_urban.airspace, dense_consts, n=10, seed=1)
     with pytest.raises(ValueError, match="SNR must be positive"):
         aadr_gcq(dense_urban.airspace, dense_consts, cfg, 4, 4)
-    assert _rate_terms.cache_info().currsize == 0
-    assert _node_terms.cache_info().currsize == 0

@@ -13,6 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_fields(obj, finite, positive):
+    """Raise ValueError naming the first field of obj that is not finite, or not positive.
+
+    The positive fields are checked first. Written so that NaN fails both.
+    """
+    for name in (*positive, *finite):
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and (value > 0.0 or name not in positive)):
+            need = "finite and positive" if name in positive else "finite"
+            raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Environment constants of the LoS-probability model."""
@@ -24,8 +36,7 @@ class Scenario:
     eta_nlos_db: float  # excess loss on NLoS links
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError(f"a and b must be positive, got a={self.a}, b={self.b}")
+        _check_fields(self, ("eta_los_db", "eta_nlos_db"), positive=("a", "b"))
         if self.eta_nlos_db <= self.eta_los_db:
             raise ValueError(
                 "NLoS excess loss must exceed LoS excess loss, got "
@@ -44,8 +55,8 @@ class LinkBudget:
     light_speed_m_s: float = 3e8
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0.0 or self.carrier_hz <= 0.0:
-            raise ValueError("bandwidth and carrier frequency must be positive")
+        _check_fields(self, ("tx_power_dbw", "noise_psd_dbm_hz"),
+                      positive=("bandwidth_hz", "carrier_hz", "light_speed_m_s"))
 
     @property
     def noise_power_dbw(self) -> float:

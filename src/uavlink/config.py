@@ -11,7 +11,7 @@ is idempotent.
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .channel import LinkBudget, Scenario
 from .fbl_rate import FblConfig
@@ -133,12 +133,19 @@ def config_from_dict(data: dict) -> RunConfig:
     elif unit != "dBW":
         raise ValueError(f"tx_power_unit must be 'dBW' or 'dBm', got {unit!r}")
 
-    noise_psd = float(li["noise_db"])
     nunit = li["noise_unit"]
-    if nunit == "dBm":  # total power over the bandwidth
-        noise_psd -= 10.0 * math.log10(float(li["bandwidth_hz"]))
-    elif nunit != "dBm_per_Hz":
+    if nunit not in ("dBm", "dBm_per_Hz"):
         raise ValueError(f"noise_unit must be 'dBm_per_Hz' or 'dBm', got {nunit!r}")
+    link = LinkBudget(
+        tx_power_dbw=tx_power_dbw,
+        noise_psd_dbm_hz=float(li["noise_db"]),
+        bandwidth_hz=float(li["bandwidth_hz"]),
+        carrier_hz=float(li["carrier_hz"]),
+        light_speed_m_s=float(li["light_speed_m_s"]),
+    )
+    if nunit == "dBm":  # total power over the (checked) bandwidth
+        link = replace(link, noise_psd_dbm_hz=link.noise_psd_dbm_hz
+                       - 10.0 * math.log10(link.bandwidth_hz))
 
     # The bound, d_max and the sweeps all assume eps < 0.5 (q > 0).
     epsilon = float(fb["epsilon"])
@@ -150,13 +157,7 @@ def config_from_dict(data: dict) -> RunConfig:
             name=str(sc["name"]), a=float(sc["a"]), b=float(sc["b"]),
             eta_los_db=float(sc["eta_los_db"]), eta_nlos_db=float(sc["eta_nlos_db"]),
         ),
-        link=LinkBudget(
-            tx_power_dbw=tx_power_dbw,
-            noise_psd_dbm_hz=noise_psd,
-            bandwidth_hz=float(li["bandwidth_hz"]),
-            carrier_hz=float(li["carrier_hz"]),
-            light_speed_m_s=float(li["light_speed_m_s"]),
-        ),
+        link=link,
         airspace=Airspace(
             r_min_m=float(ai["r_min_m"]), r_max_m=float(ai["r_max_m"]),
             theta_min_deg=float(ai["theta_min_deg"]),

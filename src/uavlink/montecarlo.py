@@ -10,11 +10,11 @@ S = log2(1 + SNR) and W = sqrt(V) (fbl_rate.q_free_terms). So one draw's
 five moments of S and W give the mean rate and its standard error at every
 q: a sweep draws once and each row is one multiply-add.
 
-A draw holds S and W (n doubles each) and one shard's positions. The SNR
-and the rate terms are evaluated _BLOCK samples at a time through one
-scratch block, straight into slices of S and W, with the same bits as a
-whole-array evaluation. With two or more shards a draw peaks at 3 arrays
-of n doubles: S, W and the positions, then S, W and the Cov(S, W) product.
+A draw holds one array of n doubles, the SNRs, plus block buffers. The
+positions are streamed _BLOCK at a time from two Philox streams per shard
+(distances and elevations) into that array; S, W and their products are
+evaluated a block at a time from it and summed in numpy's pairwise order
+(_pairwise). Every estimate has the bits of the whole-array evaluation.
 """
 
 import math
@@ -58,42 +58,88 @@ def _shard_slices(n: int, shards: int) -> list:
     return parts
 
 
-def _snr_blocks(space: Airspace, consts: DerivedConstants, seed: int, parts: list):
-    """Yield (slice of the n draws, their SNR) one block of at most _BLOCK samples at a time.
+class _Streams:
+    """Stand-in rng for sample_positions: its first random(k) reads the
+    distance stream, its second the elevation stream."""
 
-    Shard i draws its positions with Philox(seed) jumped i times. The SNR
-    array is one scratch buffer, reused by the next block.
+    def __init__(self, distance: "np.random.Generator", elevation: "np.random.Generator"):
+        self._next = iter((distance, elevation))
+
+    def random(self, k: int):
+        return next(self._next).random(k)
+
+
+def _draw_snr(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
+    """The SNR at n random positions, one array of n doubles filled a block at a time.
+
+    Shard i of m samples draws with Philox(seed) jumped i times: its m
+    distances from draw 0 on, its m elevations from draw m on. So the two
+    streams are read side by side, _BLOCK positions at a time, with the bits
+    of drawing all m distances and then all m elevations from one generator.
     """
-    scratch = np.empty(min(_BLOCK, parts[0].stop))
+    parts = _shard_slices(n, shards)
+    gamma = np.empty(n)
     for i, part in enumerate(parts):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-        d, theta = sample_positions(space, rng, part.stop - part.start)
-        for lo in range(0, d.size, _BLOCK):
-            hi = min(lo + _BLOCK, d.size)
-            gamma = snr(consts, theta[lo:hi], d[lo:hi], out=scratch[:hi - lo])
-            yield slice(part.start + lo, part.start + hi), gamma
-        del d, theta  # before the next shard draws its own
+        m = part.stop - part.start
+        distance = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        # One Philox step gives four doubles: m // 4 steps, then m % 4 doubles, reach draw m.
+        elevation = np.random.Philox(key=seed).jumped(i)
+        elevation.advance(m // 4)
+        elevation = np.random.Generator(elevation)
+        elevation.random(m % 4)
+        for lo in range(part.start, part.stop, _BLOCK):
+            hi = min(lo + _BLOCK, part.stop)
+            d, theta = sample_positions(space, _Streams(distance, elevation), hi - lo)
+            snr(consts, theta, d, out=gamma[lo:hi])
+    return gamma
+
+
+def _pairwise(n: int, leaf, lo: int = 0):
+    """Sum of leaf(lo, hi) over [lo, lo + n), split as numpy's pairwise add.reduce splits it.
+
+    numpy halves a range, rounding the first half down to a multiple of 8,
+    until a piece is short. Any piece of that tree, reduced on its own, has
+    the same bits. So if leaf(lo, hi) is the np.add.reduce of the values in
+    [lo, hi), the result has the bits of np.add.reduce over all n values,
+    which never need to exist at once: leaf sees at most _BLOCK of them.
+    leaf may return an array of several such sums, added elementwise.
+    """
+    if n <= _BLOCK:
+        return leaf(lo, lo + n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(half, leaf, lo) + _pairwise(n - half, leaf, lo + half)
 
 
 def _rate_terms(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
     """(E[S], E[W], Var S, Cov(S, W), Var W) of one draw, as floats (ddof = 1).
 
-    S and W are written block by block into two arrays of n doubles, then
-    centred in place. The moments are numpy's pairwise sums: Cov first,
-    through the one product array, then S and W squared in place (a BLAS dot
-    may sum in a thread-dependent order, and np.cov copies both arrays).
+    Only the n SNRs are kept. Two passes evaluate S and W block by block
+    into two block buffers: the first sums S and W, the second the centred
+    product and squares. Each sum is numpy's pairwise sum of the whole array
+    (_pairwise), so the moments have the bits of the two-pass whole-array
+    formulas (a BLAS dot may sum in a thread-dependent order, and np.cov
+    copies both arrays).
     """
-    parts = _shard_slices(n, shards)
-    s_terms = np.empty(n)
-    w_terms = np.empty(n)
-    for part, gamma in _snr_blocks(space, consts, seed, parts):
-        q_free_terms(gamma, out=(s_terms[part], w_terms[part]))
-    mean_s, mean_w = float(s_terms.mean()), float(w_terms.mean())
-    s_terms -= mean_s
-    w_terms -= mean_w
-    cov_sw = float(np.add.reduce(s_terms * w_terms)) / (n - 1)
-    var_s = float(np.add.reduce(np.square(s_terms, out=s_terms))) / (n - 1)
-    var_w = float(np.add.reduce(np.square(w_terms, out=w_terms))) / (n - 1)
+    gamma = _draw_snr(space, consts, n, seed, shards)
+    s_block, w_block, product = np.empty((3, min(n, _BLOCK)))
+
+    def terms(lo, hi):
+        return q_free_terms(gamma[lo:hi], out=(s_block[:hi - lo], w_block[:hi - lo]))
+
+    def sums(lo, hi):
+        return np.array([np.add.reduce(t) for t in terms(lo, hi)])
+
+    def centred_sums(lo, hi):
+        s_terms, w_terms = terms(lo, hi)
+        s_terms -= mean_s
+        w_terms -= mean_w
+        cross = np.multiply(s_terms, w_terms, out=product[:hi - lo])
+        return np.array([np.add.reduce(cross), np.add.reduce(np.square(s_terms, out=s_terms)),
+                         np.add.reduce(np.square(w_terms, out=w_terms))])
+
+    mean_s, mean_w = (_pairwise(n, sums) / n).tolist()
+    cov_sw, var_s, var_w = (_pairwise(n, centred_sums) / (n - 1)).tolist()
     return mean_s, mean_w, var_s, cov_sw, var_w
 
 
@@ -144,9 +190,18 @@ def estimate_inverse_snr(
     shards: int = 1,
 ) -> McEstimate:
     """Mean of 1/SNR over n random UAV positions (cross-check for the bound)."""
-    parts = _shard_slices(n, shards)
-    values = np.empty(n)
-    for part, gamma in _snr_blocks(space, consts, seed, parts):
-        np.divide(1.0, gamma, out=values[part])
-    return McEstimate(mean=float(values.mean()),
-                      std_error=float(values.std(ddof=1) / math.sqrt(n)))
+    gamma = _draw_snr(space, consts, n, seed, shards)
+    block = np.empty(min(n, _BLOCK))
+
+    def inverse(lo, hi):
+        return np.divide(1.0, gamma[lo:hi], out=block[:hi - lo])
+
+    # np.std's order: the pairwise mean, then the pairwise sum of centred squares.
+    mean = float(_pairwise(n, lambda lo, hi: np.add.reduce(inverse(lo, hi)))) / n
+
+    def centred_square(lo, hi):
+        centred = np.subtract(inverse(lo, hi), mean, out=block[:hi - lo])
+        return np.add.reduce(np.square(centred, out=centred))
+
+    variance = float(_pairwise(n, centred_square)) / (n - 1)
+    return McEstimate(mean=mean, std_error=math.sqrt(variance) / math.sqrt(n))

@@ -250,6 +250,29 @@ def test_cli_accepts_a_config_epsilon_inside_the_bound_domain(tmp_path, capsys, 
     assert "eps=0.1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["sweep-m", "dmax", "packet-size"])
+@pytest.mark.parametrize("key,value,message", [
+    ("light_speed_m_s", 0, "light_speed_m_s must be finite and positive, got 0.0"),
+    ("bandwidth_hz", math.nan, "bandwidth_hz must be finite and positive, got nan"),
+    ("tx_power_db", math.inf, "tx_power_dbw must be finite, got inf"),
+    ("carrier_hz", math.inf, "carrier_hz must be finite and positive, got inf"),
+])
+def test_cli_rejects_a_non_finite_channel_parameter(tmp_path, capsys, command, key, value,
+                                                    message):
+    # Each once gave a traceback (light speed 0) or a d_max of nan, inf or 0.
+    data = preset_config("dense_urban")
+    data["link"][key] = value
+    cfg_path = tmp_path / "link.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert main([*argv, "--t-max", "2e-4"] if command == "packet-size" else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep-m", "dmax"])
 def test_cli_rejects_airspace_too_large_for_floats(tmp_path, capsys, command):
     data = preset_config("dense_urban")

@@ -124,6 +124,48 @@ def test_infinite_airspace_rejected(tmp_path):
         load_config(path)
 
 
+# (section, config key, dataclass field named in the message)
+_CHANNEL_FIELDS = [
+    ("scenario", "a", "a"), ("scenario", "b", "b"),
+    ("scenario", "eta_los_db", "eta_los_db"), ("scenario", "eta_nlos_db", "eta_nlos_db"),
+    ("link", "tx_power_db", "tx_power_dbw"), ("link", "noise_db", "noise_psd_dbm_hz"),
+    ("link", "bandwidth_hz", "bandwidth_hz"), ("link", "carrier_hz", "carrier_hz"),
+    ("link", "light_speed_m_s", "light_speed_m_s"),
+]
+_POSITIVE = {"a", "b", "bandwidth_hz", "carrier_hz", "light_speed_m_s"}
+
+
+@pytest.mark.parametrize("section,key,field", _CHANNEL_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_channel_parameters_rejected(tmp_path, section, key, field, value):
+    data = preset_config("dense_urban")
+    data[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))  # written as the JSON extensions NaN and Infinity
+    need = "finite and positive" if field in _POSITIVE else "finite"
+    with pytest.raises(ValueError, match=f"^{field} must be {need}, got {value!r}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key", ["a", "b", "bandwidth_hz", "carrier_hz", "light_speed_m_s"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_non_positive_channel_parameters_rejected(key, value):
+    data = preset_config("dense_urban")
+    data["scenario" if key in ("a", "b") else "link"][key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be finite and positive, got {value!r}$"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1e6])
+def test_a_bad_bandwidth_is_named_before_the_noise_conversion_uses_it(value):
+    # noise_unit 'dBm' divides the noise power by the bandwidth: the bandwidth
+    # is checked first, not left to a math domain error or a NaN noise density.
+    data = preset_config("dense_urban")
+    data["link"].update(noise_unit="dBm", bandwidth_hz=value)
+    with pytest.raises(ValueError, match="^bandwidth_hz must be finite and positive"):
+        config_from_dict(data)
+
+
 def test_load_config_file(tmp_path):
     data = preset_config("suburban")
     path = tmp_path / "cfg.json"

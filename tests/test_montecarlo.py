@@ -11,6 +11,7 @@ from uavlink.geometry import Airspace
 from uavlink.montecarlo import (
     _BLOCK,
     McEstimate,
+    _pairwise,
     _rate_terms,
     estimate_aadr,
     estimate_inverse_snr,
@@ -139,9 +140,11 @@ def _whole_array_rate_terms(space, consts, n, seed, shards):
 
 @pytest.mark.parametrize("preset", ["dense_urban", "suburban"])
 @pytest.mark.parametrize("n,shards", [
-    (n, shards)
-    for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17, 200_001)
-    for shards in (1, 2, 3) if shards <= n])
+    *[(n, shards)
+      for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17, 200_001)
+      for shards in (1, 2, 3) if shards <= n],
+    (1_000_000, 2),  # the benchmark's draw
+])
 def test_blocked_chain_equals_the_whole_array_chain_bit_for_bit(preset, n, shards):
     cfg = load_preset(preset)
     consts = derive_constants(cfg.scenario, cfg.link)
@@ -153,16 +156,39 @@ def test_blocked_chain_equals_the_whole_array_chain_bit_for_bit(preset, n, shard
         mean=float(values.mean()), std_error=float(values.std(ddof=1) / math.sqrt(n)))
 
 
-def test_a_draw_peaks_at_three_arrays_of_n_doubles(dense_urban, dense_consts):
-    # S and W, then one product array for Cov(S, W); a shard's positions
-    # (2n/3 doubles) are dropped before the next shard draws. The 1 MiB
-    # covers the block buffers; the whole-array chain peaked at 4 x 8n here.
-    n, shards = 200_001, 3
+def test_pairwise_sums_in_the_order_of_numpy_add_reduce():
+    # Values over six decades of both signs, so that a sum in another order
+    # differs in its last bits; if numpy changes its summation tree, this
+    # test names the cause of the golden diffs that follow.
+    rng = np.random.default_rng(5)
+    lengths = [*range(1, 301), _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 8, 3 * _BLOCK + 17,
+               1_000_003]
+    for n in lengths:
+        data = rng.standard_normal(n + 7) * 10.0 ** rng.uniform(-3.0, 3.0, n + 7)
+        for offset in (0, 1, 3, 7):
+            x = data[offset:offset + n]
+            assert _pairwise(n, lambda lo, hi: np.add.reduce(x[lo:hi])) \
+                == np.add.reduce(x), (n, offset)
+        # Several sums at once, as an array per leaf, keep each sum's bits.
+        y = data[::-1][:n]
+        pair = _pairwise(n, lambda lo, hi: np.array([np.add.reduce(data[lo:hi]),
+                                                     np.add.reduce(y[lo:hi])]))
+        assert pair.tolist() == [np.add.reduce(data[:n]), np.add.reduce(y)], n
+    assert np.cumsum(x)[-1] != np.add.reduce(x)  # the order shows in these values
+
+
+def test_a_draw_peaks_at_one_array_of_n_doubles(dense_urban, dense_consts):
+    # The n SNRs; positions, S, W and the centred products live in block
+    # buffers, which the 1 MiB covers. A draw that kept S and W peaked at
+    # 3 x 8n with three shards and at 4 x 8n with one.
+    n = 200_001
     _rate_terms(dense_urban.airspace, dense_consts, 100, 1, 1)  # imports numpy.random
-    tracemalloc.start()
-    try:
-        _rate_terms(dense_urban.airspace, dense_consts, n, 1, shards)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * n + 2**20
+    for estimate in (_rate_terms, estimate_inverse_snr):
+        for shards in (1, 3):
+            tracemalloc.start()
+            try:
+                estimate(dense_urban.airspace, dense_consts, n, 1, shards)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * n + 2**20, (estimate.__name__, shards, peak)

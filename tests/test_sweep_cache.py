@@ -3,7 +3,9 @@
 The golden CSVs under tests/data were written by the per-row estimators that
 re-drew every row; the rows built from one draw's moments of S and W must
 reproduce them byte for byte. sweep_eps_suburban_blocks3.csv was written
-by the whole-array Monte Carlo chain that the blocked one replaced. The
+by the whole-array Monte Carlo chain that the blocked one replaced, and
+sweep_m_dense_urban_large.csv (1e6 samples in two shards) by the chain that
+kept S and W before the positions were streamed. The
 golden dmax and packet-size stdout and verify report pin the outputs that do
 not go through a sweep.
 """
@@ -43,9 +45,11 @@ DENSE_EPS = ",".join(repr(float(f"{10.0 ** _rng.uniform(-12.0, -3.0):.12g}")) fo
 
 
 # name: (preset, n_samples, shards). blocks3 gives each of its three shards
-# one full Monte Carlo block and a partial one.
+# one full Monte Carlo block and a partial one; large is the benchmark's
+# Monte Carlo draw.
 _ESTIMATOR_CONFIGS = {"shards2": ("dense_urban", 2001, 2),
-                      "blocks3": ("suburban", 3 * uavlink.montecarlo._BLOCK + 17, 3)}
+                      "blocks3": ("suburban", 3 * uavlink.montecarlo._BLOCK + 17, 3),
+                      "large": ("dense_urban", 1_000_000, 2)}
 
 
 def _estimator_configs(tmp_path) -> dict:
@@ -66,6 +70,7 @@ def _estimator_configs(tmp_path) -> dict:
     ("sweep_eps_suburban_dense.csv", ["sweep-eps", "--scenario", "suburban", "--seed", "1",
                                       "--n1", "60", "--n2", "60", "--eps-values", DENSE_EPS]),
     ("sweep_eps_suburban_blocks3.csv", ["sweep-eps", "--config", "{blocks3}"]),
+    ("sweep_m_dense_urban_large.csv", ["sweep-m", "--config", "{large}"]),
 ])
 def test_sweep_csv_matches_golden_bytes(tmp_path, golden, argv):
     configs = _estimator_configs(tmp_path)
@@ -326,7 +331,10 @@ def test_a_combined_variance_rounded_below_zero_gives_zero_std_error(monkeypatch
 
 def test_non_positive_snr_is_rejected(monkeypatch, dense_urban, dense_consts):
     def underflowed(consts, theta, d, *, out=None):
-        return np.zeros(np.broadcast(theta, d).shape)
+        # Like snr, writes into out when given: the Monte Carlo draw keeps it.
+        out = np.empty(np.broadcast(theta, d).shape) if out is None else out
+        out.fill(0.0)
+        return out
 
     monkeypatch.setattr(uavlink.montecarlo, "snr", underflowed)
     monkeypatch.setattr(uavlink.quadrature, "snr", underflowed)

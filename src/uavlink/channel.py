@@ -88,7 +88,15 @@ def derive_constants(s: Scenario, link: LinkBudget) -> DerivedConstants:
     c_db += s.eta_nlos_db
     a_tilde = -a_db * math.log(10.0) / 10.0
     snr_0_db = link.tx_power_dbw - link.noise_power_dbw  # SNR before path loss
-    c_tilde = 10.0 ** ((snr_0_db - c_db) / 10.0)
+    try:  # finite fields can still overflow 4 pi f / c, or over- or underflow the SNR scale
+        c_tilde = 10.0 ** ((snr_0_db - c_db) / 10.0)
+    except OverflowError:
+        c_tilde = math.inf
+    if not (math.isfinite(a_tilde) and math.isfinite(c_db) and 0.0 < c_tilde < math.inf):
+        raise ValueError(
+            "the link fields (tx_power_dbw, noise_psd_dbm_hz, bandwidth_hz, carrier_hz, "
+            f"light_speed_m_s) and eta_los_db, eta_nlos_db give a_tilde={a_tilde!r}, "
+            f"c_db={c_db!r} and c_tilde={c_tilde!r}; need them finite and c_tilde > 0")
     return DerivedConstants(
         a_env=s.a, b_env=s.b, a_db=a_db, c_db=c_db, a_tilde=a_tilde, c_tilde=c_tilde
     )
@@ -115,20 +123,9 @@ def _scalar_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_out(out, shape, *inputs):
-    """Validate a caller's output buffer: float64, the result's shape, no input overlap."""
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != shape:
-        got = (f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
-               else type(out).__name__)
-        raise ValueError(f"out must be a float64 array of shape {shape}, got {got}")
-    if any(np.may_share_memory(out, x) for x in inputs):
-        raise ValueError("out must not overlap the inputs")
-    return out
-
-
-def _sigmoid(a, b, theta, out=None):
-    """1 / (1 + a exp(-b (theta - a))), evaluated in place in out (new if None)."""
-    out = np.subtract(theta, a, out=np.empty(theta.shape) if out is None else out)
+def _sigmoid(a, b, theta):
+    """1 / (1 + a exp(-b (theta - a))), evaluated in place in one new array."""
+    out = np.subtract(theta, a, out=np.empty(theta.shape))
     np.multiply(-b, out, out=out)
     np.exp(out, out=out)
     np.multiply(a, out, out=out)
@@ -152,22 +149,15 @@ def mean_path_loss_db(c: DerivedConstants, theta, d):
     return _scalar_or_array(c.a_db * p_los + 20.0 * np.log10(d) + c.c_db)
 
 
-def snr(c: DerivedConstants, theta, d, *, out=None):
-    """Linear SNR at the UAV, c_tilde * d^-2 * exp(a_tilde * P_los(theta)).
-
-    With out, a float64 array of the broadcast shape of theta and d that
-    overlaps neither, the SNR is written there and out is returned; the
-    values are the same bits as without it.
-    """
+def snr(c: DerivedConstants, theta, d):
+    """Linear SNR at the UAV, c_tilde * d^-2 * exp(a_tilde * P_los(theta))."""
     theta = _check_theta(theta)
     d = _check_distance(d)
-    shape = np.broadcast_shapes(theta.shape, d.shape)
-    given = out is not None
-    out = _check_out(out, shape, theta, d) if given else np.empty(shape)
-    # The elevation factor exp(a_tilde P_los) at theta's shape, in out when it fits.
-    elevation = out if theta.shape == shape else np.empty(theta.shape)
-    _sigmoid(c.a_env, c.b_env, theta, out=elevation)
+    # The elevation factor exp(a_tilde P_los) at theta's shape, reused for the SNR when it fits.
+    elevation = _sigmoid(c.a_env, c.b_env, theta)
     np.multiply(c.a_tilde, elevation, out=elevation)
     np.exp(elevation, out=elevation)
-    np.multiply(c.c_tilde * d**-2.0, elevation, out=out)
-    return out if given else _scalar_or_array(out)
+    scale = np.power(d, -2.0, out=np.empty(d.shape))
+    np.multiply(c.c_tilde, scale, out=scale)
+    out = elevation if theta.shape == np.broadcast_shapes(theta.shape, d.shape) else None
+    return _scalar_or_array(np.multiply(scale, elevation, out=out))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_out, _scalar_or_array
+from .channel import _scalar_or_array
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -112,11 +112,11 @@ def q_inverse(p: float) -> float:
     return x
 
 
-def _dispersion(g, out, scratch):
-    """out = g (g + 2) / (1 + g)^2 in that operation order; scratch is overwritten."""
-    np.add(g, 2.0, out=out)
+def _dispersion(g):
+    """g (g + 2) / (1 + g)^2 in that operation order, in place in two new arrays."""
+    out = np.add(g, 2.0, out=np.empty_like(g))
     np.multiply(g, out, out=out)
-    np.add(1.0, g, out=scratch)
+    scratch = np.add(1.0, g, out=np.empty_like(g))
     np.square(scratch, out=scratch)
     return np.divide(out, scratch, out=out)
 
@@ -126,29 +126,22 @@ def dispersion(gamma):
     g = np.asarray(gamma, dtype=float)
     if not np.all(g >= 0.0):
         raise ValueError("SNR must be nonnegative")
-    return _scalar_or_array(_dispersion(g, np.empty_like(g), np.empty_like(g)))
+    return _scalar_or_array(_dispersion(g))
 
 
-def q_free_terms(gamma, *, out=None):
+def q_free_terms(gamma):
     """Arrays (S, W) = (log2(1 + gamma), sqrt(V(gamma))) for gamma > 0.
 
     The rate is R = S - (q / ln 2) W: only q = Qinv(eps)/sqrt(M) depends on
     the blocklength and error probability, so averages of S and W serve
-    every (M, eps) pair. With out, a pair of float64 arrays of gamma's shape
-    that overlap neither gamma nor each other, S and W are written there and
-    out is returned; the values are the same bits as without it.
+    every (M, eps) pair.
     """
     g = np.asarray(gamma, dtype=float)
     if not np.all(g > 0.0):
         raise ValueError("SNR must be positive")
-    if out is None:
-        s_terms, w_terms = np.empty_like(g), np.empty_like(g)
-    else:
-        s_terms, w_terms = out
-        _check_out(s_terms, g.shape, g)
-        _check_out(w_terms, g.shape, g, s_terms)
-    np.sqrt(_dispersion(g, w_terms, scratch=s_terms), out=w_terms)
-    np.log1p(g, out=s_terms)
+    w_terms = _dispersion(g)
+    np.sqrt(w_terms, out=w_terms)
+    s_terms = np.log1p(g, out=np.empty_like(g))
     np.divide(s_terms, _LN2, out=s_terms)
     return s_terms, w_terms
 

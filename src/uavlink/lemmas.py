@@ -36,9 +36,10 @@ def run_lemma_suite(
     checks = []
 
     for q in q_values:
-        x_hi = g_inverse(q)
-        if q > MAX_Q:
+        # Checked before g_inverse, which would report its own wider domain; it names NaN and inf.
+        if np.isfinite(q) and q > MAX_Q:
             raise ValueError(f"the lemma suite needs q <= {MAX_Q:g}, got q={q}")
+        x_hi = g_inverse(q)
         # The grid starts below the root: at 1e-6, or at a thousandth of the
         # root where that is smaller (q above about 13.8).
         x_lo = min(1e-6, 1e-3 * x_hi)

@@ -10,11 +10,11 @@ S = log2(1 + SNR) and W = sqrt(V) (fbl_rate.q_free_terms). So one draw's
 five moments of S and W give the mean rate and its standard error at every
 q: a sweep draws once and each row is one multiply-add.
 
-A draw holds one array of n doubles, the SNRs, plus block buffers. The
-positions are streamed _BLOCK at a time from two Philox streams per shard
-(distances and elevations) into that array; S, W and their products are
-evaluated a block at a time from it and summed in numpy's pairwise order
-(_pairwise). Every estimate has the bits of the whole-array evaluation.
+A draw holds one array of n doubles, the SNRs, filled _BLOCK positions at
+a time from two Philox streams per shard (distances and elevations). Every
+estimate is a set of moments of functions of the SNR (_moments), evaluated
+a block at a time and summed in numpy's pairwise order (_pairwise): the
+bits of the whole-array evaluation. Only this module works in blocks.
 """
 
 import math
@@ -77,9 +77,8 @@ def _draw_snr(space: Airspace, consts: DerivedConstants, n: int, seed: int, shar
     streams are read side by side, _BLOCK positions at a time, with the bits
     of drawing all m distances and then all m elevations from one generator.
     """
-    parts = _shard_slices(n, shards)
     gamma = np.empty(n)
-    for i, part in enumerate(parts):
+    for i, part in enumerate(_shard_slices(n, shards)):
         m = part.stop - part.start
         distance = np.random.Generator(np.random.Philox(key=seed).jumped(i))
         # One Philox step gives four doubles: m // 4 steps, then m % 4 doubles, reach draw m.
@@ -90,7 +89,7 @@ def _draw_snr(space: Airspace, consts: DerivedConstants, n: int, seed: int, shar
         for lo in range(part.start, part.stop, _BLOCK):
             hi = min(lo + _BLOCK, part.stop)
             d, theta = sample_positions(space, _Streams(distance, elevation), hi - lo)
-            snr(consts, theta, d, out=gamma[lo:hi])
+            gamma[lo:hi] = snr(consts, theta, d)
     return gamma
 
 
@@ -111,36 +110,31 @@ def _pairwise(n: int, leaf, lo: int = 0):
     return _pairwise(half, leaf, lo) + _pairwise(n - half, leaf, lo + half)
 
 
-def _rate_terms(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
-    """(E[S], E[W], Var S, Cov(S, W), Var W) of one draw, as floats (ddof = 1).
+def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int, columns):
+    """Means, then upper-triangle covariances row by row (ddof = 1), of k columns of one draw.
 
-    Only the n SNRs are kept. Two passes evaluate S and W block by block
-    into two block buffers: the first sums S and W, the second the centred
-    product and squares. Each sum is numpy's pairwise sum of the whole array
-    (_pairwise), so the moments have the bits of the two-pass whole-array
-    formulas (a BLAS dot may sum in a thread-dependent order, and np.cov
-    copies both arrays).
+    columns(gamma) maps a block of SNRs to k arrays of its shape. Two passes
+    sum the columns, then their centred products, a block at a time in numpy's
+    pairwise order (_pairwise): the bits of the two-pass whole-array formulas,
+    which a BLAS dot (thread-dependent order) or np.cov (copies) would not give.
     """
     gamma = _draw_snr(space, consts, n, seed, shards)
-    s_block, w_block, product = np.empty((3, min(n, _BLOCK)))
-
-    def terms(lo, hi):
-        return q_free_terms(gamma[lo:hi], out=(s_block[:hi - lo], w_block[:hi - lo]))
 
     def sums(lo, hi):
-        return np.array([np.add.reduce(t) for t in terms(lo, hi)])
+        return np.array([np.add.reduce(c) for c in columns(gamma[lo:hi])])
+
+    means = (_pairwise(n, sums) / n).tolist()
 
     def centred_sums(lo, hi):
-        s_terms, w_terms = terms(lo, hi)
-        s_terms -= mean_s
-        w_terms -= mean_w
-        cross = np.multiply(s_terms, w_terms, out=product[:hi - lo])
-        return np.array([np.add.reduce(cross), np.add.reduce(np.square(s_terms, out=s_terms)),
-                         np.add.reduce(np.square(w_terms, out=w_terms))])
+        centred = [c - m for c, m in zip(columns(gamma[lo:hi]), means)]
+        return np.array([np.add.reduce(a * b) for i, a in enumerate(centred) for b in centred[i:]])
 
-    mean_s, mean_w = (_pairwise(n, sums) / n).tolist()
-    cov_sw, var_s, var_w = (_pairwise(n, centred_sums) / (n - 1)).tolist()
-    return mean_s, mean_w, var_s, cov_sw, var_w
+    return (*means, *(_pairwise(n, centred_sums) / (n - 1)).tolist())
+
+
+def _rate_terms(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
+    """(E[S], E[W], Var S, Cov(S, W), Var W) of one draw, as floats (ddof = 1)."""
+    return _moments(space, consts, n, seed, shards, q_free_terms)
 
 
 def _aadr_rows(moments: tuple, q, n: int):
@@ -190,18 +184,5 @@ def estimate_inverse_snr(
     shards: int = 1,
 ) -> McEstimate:
     """Mean of 1/SNR over n random UAV positions (cross-check for the bound)."""
-    gamma = _draw_snr(space, consts, n, seed, shards)
-    block = np.empty(min(n, _BLOCK))
-
-    def inverse(lo, hi):
-        return np.divide(1.0, gamma[lo:hi], out=block[:hi - lo])
-
-    # np.std's order: the pairwise mean, then the pairwise sum of centred squares.
-    mean = float(_pairwise(n, lambda lo, hi: np.add.reduce(inverse(lo, hi)))) / n
-
-    def centred_square(lo, hi):
-        centred = np.subtract(inverse(lo, hi), mean, out=block[:hi - lo])
-        return np.add.reduce(np.square(centred, out=centred))
-
-    variance = float(_pairwise(n, centred_square)) / (n - 1)
+    mean, variance = _moments(space, consts, n, seed, shards, lambda g: (1.0 / g,))
     return McEstimate(mean=mean, std_error=math.sqrt(variance) / math.sqrt(n))

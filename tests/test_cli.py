@@ -250,16 +250,24 @@ def test_cli_accepts_a_config_epsilon_inside_the_bound_domain(tmp_path, capsys, 
     assert "eps=0.1" in capsys.readouterr().out
 
 
+_LINK_CONSTANTS = ("the link fields (tx_power_dbw, noise_psd_dbm_hz, bandwidth_hz, carrier_hz, "
+                   "light_speed_m_s) and eta_los_db, eta_nlos_db give a_tilde=4.927532099007258, "
+                   "c_db={} and c_tilde={}; need them finite and c_tilde > 0")
+
+
 @pytest.mark.parametrize("command", ["sweep-m", "dmax", "packet-size"])
 @pytest.mark.parametrize("key,value,message", [
     ("light_speed_m_s", 0, "light_speed_m_s must be finite and positive, got 0.0"),
     ("bandwidth_hz", math.nan, "bandwidth_hz must be finite and positive, got nan"),
     ("tx_power_db", math.inf, "tx_power_dbw must be finite, got inf"),
     ("carrier_hz", math.inf, "carrier_hz must be finite and positive, got inf"),
+    ("carrier_hz", 1e300, _LINK_CONSTANTS.format(5875.441772186048, 0.0)),
+    ("tx_power_db", 1e300, _LINK_CONSTANTS.format(63.40057235948943, math.inf)),
 ])
 def test_cli_rejects_a_non_finite_channel_parameter(tmp_path, capsys, command, key, value,
                                                     message):
-    # Each once gave a traceback (light speed 0) or a d_max of nan, inf or 0.
+    # Each once gave a traceback (light speed 0) or a d_max of nan, inf or 0; the
+    # finite 1e300 values a d_max of 0 or an OverflowError naming no field.
     data = preset_config("dense_urban")
     data["link"][key] = value
     cfg_path = tmp_path / "link.json"
@@ -326,7 +334,7 @@ def test_cli_verify_rejects_non_finite_q(capsys, q):
 
 def test_cli_verify_rejects_q_outside_the_domain_of_g_inverse(capsys):
     assert main(["verify", "--q-values", "1000"]) == 2
-    assert "error: g_inverse needs q in [1e-31, 700], got q=1000.0" in capsys.readouterr().err
+    assert "error: the lemma suite needs q <= 300, got q=1000.0" in capsys.readouterr().err
 
 
 def test_cli_verify_passes_where_the_root_is_below_the_fixed_grid_start(tmp_path):
@@ -338,7 +346,8 @@ def test_cli_verify_passes_where_the_root_is_below_the_fixed_grid_start(tmp_path
 
 
 def test_lemma_suite_runs_without_runtime_warnings_over_the_domain_of_g_inverse():
-    for q in np.geomspace(1e-31, 700.0, 41):
+    # 1000 lies beyond g_inverse's domain too: the suite's own limit is reported.
+    for q in [*np.geomspace(1e-31, 700.0, 41), 1000.0]:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             if q <= uavlink.lemmas.MAX_Q:

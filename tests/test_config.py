@@ -166,6 +166,28 @@ def test_a_bad_bandwidth_is_named_before_the_noise_conversion_uses_it(value):
         config_from_dict(data)
 
 
+_LINK_FIELDS = ("the link fields (tx_power_dbw, noise_psd_dbm_hz, bandwidth_hz, carrier_hz, "
+                "light_speed_m_s) and eta_los_db, eta_nlos_db give ")
+
+
+@pytest.mark.parametrize("section,changes,derived", [
+    ("link", {"carrier_hz": 1e300}, "c_tilde=0.0"),          # the SNR scale underflows
+    ("link", {"light_speed_m_s": 1e-300}, "c_db=inf"),       # 4 pi f / c overflows
+    ("link", {"tx_power_db": 1e300}, "c_tilde=inf"),         # the SNR scale overflows
+    ("link", {"bandwidth_hz": 1e-300}, "c_tilde=inf"),
+    ("link", {"noise_db": -1e300}, "c_tilde=inf"),
+    ("scenario", {"eta_los_db": -1e308, "eta_nlos_db": 1e308}, "a_tilde=inf"),
+])
+def test_finite_fields_whose_constants_leave_the_doubles_are_named(section, changes, derived):
+    data = preset_config("dense_urban")
+    data[section].update(changes)
+    cfg = config_from_dict(data)
+    with pytest.raises(ValueError) as info:
+        derive_constants(cfg.scenario, cfg.link)
+    message = str(info.value)
+    assert message.startswith(_LINK_FIELDS) and derived in message
+
+
 def test_load_config_file(tmp_path):
     data = preset_config("suburban")
     path = tmp_path / "cfg.json"

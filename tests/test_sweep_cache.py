@@ -330,11 +330,8 @@ def test_a_combined_variance_rounded_below_zero_gives_zero_std_error(monkeypatch
 
 
 def test_non_positive_snr_is_rejected(monkeypatch, dense_urban, dense_consts):
-    def underflowed(consts, theta, d, *, out=None):
-        # Like snr, writes into out when given: the Monte Carlo draw keeps it.
-        out = np.empty(np.broadcast(theta, d).shape) if out is None else out
-        out.fill(0.0)
-        return out
+    def underflowed(consts, theta, d):
+        return np.zeros(np.broadcast(theta, d).shape)
 
     monkeypatch.setattr(uavlink.montecarlo, "snr", underflowed)
     monkeypatch.setattr(uavlink.quadrature, "snr", underflowed)

@@ -10,11 +10,13 @@ S = log2(1 + SNR) and W = sqrt(V) (fbl_rate.q_free_terms). So one draw's
 five moments of S and W give the mean rate and its standard error at every
 q: a sweep draws once and each row is one multiply-add.
 
-A draw holds one array of n doubles, the SNRs, filled _BLOCK positions at
-a time from two Philox streams per shard (distances and elevations). Every
-estimate is a set of moments of functions of the SNR (_moments), evaluated
-a block at a time and summed in numpy's pairwise order (_pairwise): the
-bits of the whole-array evaluation. Only this module works in blocks.
+A draw holds no array of n values: it is one pass over numpy's pairwise
+summation tree (_pairwise), whose leaves of at most _BLOCK positions are
+drawn in index order from two Philox streams per shard (distances and
+elevations), so its memory does not grow with n (at most MAX_SAMPLES).
+Every estimate is a set of moments of functions of the SNR (_moments):
+means with the bits of the whole-array evaluation, and covariances from
+shifted sums. Only this module works in blocks.
 """
 
 import math
@@ -34,6 +36,10 @@ from .geometry import Airspace, sample_positions
 # 1e6 samples fastest on a 2-core Xeon (4K pays per-call overhead).
 _BLOCK = 16_384
 
+# Largest sample count a draw accepts: a draw's memory does not grow with n,
+# but its time does, about 25 s per 1e9 samples on a 2-core Xeon.
+MAX_SAMPLES = 10**9
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -43,19 +49,19 @@ class McEstimate:
     std_error: float
 
 
-def _shard_slices(n: int, shards: int) -> list:
-    """Validated split of n samples into shards whose sizes differ by at most one."""
+def _shard_sizes(n: int, shards: int):
+    """Sizes of the shards of n samples, which differ by at most one, as an iterator.
+
+    n and shards are checked here, before anything is drawn.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"need at most {MAX_SAMPLES:,} samples, got {n:,}")
     if shards < 1 or shards > n:
         raise ValueError(f"shards must lie in [1, n], got {shards}")
     base, rem = divmod(n, shards)
-    parts, start = [], 0
-    for i in range(shards):
-        count = base + 1 if i < rem else base
-        parts.append(slice(start, start + count))
-        start += count
-    return parts
+    return (base + 1 if i < rem else base for i in range(shards))
 
 
 class _Streams:
@@ -69,28 +75,40 @@ class _Streams:
         return next(self._next).random(k)
 
 
-def _draw_snr(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
-    """The SNR at n random positions, one array of n doubles filled a block at a time.
+def _snr_reader(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
+    """read(k): the SNRs at the draw's next k positions, in index order.
 
     Shard i of m samples draws with Philox(seed) jumped i times: its m
     distances from draw 0 on, its m elevations from draw m on. So the two
-    streams are read side by side, _BLOCK positions at a time, with the bits
-    of drawing all m distances and then all m elevations from one generator.
+    streams are read side by side, k positions at a time, with the bits of
+    drawing all m distances and then all m elevations from one generator.
+    A read that runs past the end of a shard goes on in the next one.
     """
-    gamma = np.empty(n)
-    for i, part in enumerate(_shard_slices(n, shards)):
-        m = part.stop - part.start
-        distance = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-        # One Philox step gives four doubles: m // 4 steps, then m % 4 doubles, reach draw m.
-        elevation = np.random.Philox(key=seed).jumped(i)
-        elevation.advance(m // 4)
-        elevation = np.random.Generator(elevation)
-        elevation.random(m % 4)
-        for lo in range(part.start, part.stop, _BLOCK):
-            hi = min(lo + _BLOCK, part.stop)
-            d, theta = sample_positions(space, _Streams(distance, elevation), hi - lo)
-            gamma[lo:hi] = snr(consts, theta, d)
-    return gamma
+    sizes = enumerate(_shard_sizes(n, shards))
+    streams, left = None, 0
+
+    def read(k: int):
+        nonlocal streams, left
+        pieces = []
+        while k:
+            if not left:
+                i, left = next(sizes)
+                distance = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+                # The elevations start at draw m = left. One Philox step gives
+                # four doubles: m // 4 steps, then m % 4 doubles, reach draw m.
+                elevation = np.random.Philox(key=seed).jumped(i)
+                elevation.advance(left // 4)
+                elevation = np.random.Generator(elevation)
+                elevation.random(left % 4)
+                streams = distance, elevation
+            take = min(k, left)
+            d, theta = sample_positions(space, _Streams(*streams), take)
+            pieces.append(snr(consts, theta, d))
+            k -= take
+            left -= take
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    return read
 
 
 def _pairwise(n: int, leaf, lo: int = 0):
@@ -101,6 +119,7 @@ def _pairwise(n: int, leaf, lo: int = 0):
     the same bits. So if leaf(lo, hi) is the np.add.reduce of the values in
     [lo, hi), the result has the bits of np.add.reduce over all n values,
     which never need to exist at once: leaf sees at most _BLOCK of them.
+    The leaves are called in index order.
     leaf may return an array of several such sums, added elementwise.
     """
     if n <= _BLOCK:
@@ -113,23 +132,36 @@ def _pairwise(n: int, leaf, lo: int = 0):
 def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int, columns):
     """Means, then upper-triangle covariances row by row (ddof = 1), of k columns of one draw.
 
-    columns(gamma) maps a block of SNRs to k arrays of its shape. Two passes
-    sum the columns, then their centred products, a block at a time in numpy's
-    pairwise order (_pairwise): the bits of the two-pass whole-array formulas,
-    which a BLAS dot (thread-dependent order) or np.cov (copies) would not give.
+    columns(gamma) maps a block of SNRs to k arrays of its shape. One pass
+    draws each of _pairwise's leaves in turn and sums its columns c, the
+    shifted columns c - K and their products, where the shift K is the
+    first leaf's column means (the shifted-data algorithm of Chan, Golub and
+    LeVeque, 1983). The means have the bits of np.add.reduce over the whole
+    columns. A covariance is (sum (c - K)(c' - K') - sum (c - K) sum (c' - K') / n)
+    / (n - 1), within about 1e-15 of the exact value relative to it on the
+    presets: K lies near the mean, so the correction term is small. Merging
+    per-leaf means and centred sums instead cancels in their differences
+    when a column barely varies (W = 1 - 1e-7 on suburban).
     """
-    gamma = _draw_snr(space, consts, n, seed, shards)
+    read = _snr_reader(space, consts, n, seed, shards)
+    shift = None
 
     def sums(lo, hi):
-        return np.array([np.add.reduce(c) for c in columns(gamma[lo:hi])])
+        nonlocal shift
+        cols = columns(read(hi - lo))
+        plain = [np.add.reduce(c) for c in cols]
+        if shift is None:
+            shift = [s / (hi - lo) for s in plain]
+        shifted = [c - s for c, s in zip(cols, shift)]
+        products = (np.add.reduce(a * b) for i, a in enumerate(shifted) for b in shifted[i:])
+        return np.array([*plain, *(np.add.reduce(c) for c in shifted), *products])
 
-    means = (_pairwise(n, sums) / n).tolist()
-
-    def centred_sums(lo, hi):
-        centred = [c - m for c, m in zip(columns(gamma[lo:hi]), means)]
-        return np.array([np.add.reduce(a * b) for i, a in enumerate(centred) for b in centred[i:]])
-
-    return (*means, *(_pairwise(n, centred_sums) / (n - 1)).tolist())
+    total = _pairwise(n, sums)
+    k = len(shift)
+    means, offsets, products = total[:k] / n, total[k:2 * k], total[2 * k:]
+    row, col = np.triu_indices(k)
+    covariances = (products - offsets[row] * offsets[col] / n) / (n - 1)
+    return (*means.tolist(), *covariances.tolist())
 
 
 def _rate_terms(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):

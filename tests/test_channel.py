@@ -158,7 +158,7 @@ def _positions(n=1001):
 
 
 @pytest.mark.parametrize("scenario", [DENSE, SUBURBAN])
-def test_snr_into_out_equals_the_allocating_form_bit_for_bit(scenario):
+def test_snr_equals_its_expression_bit_for_bit(scenario):
     c = derive_constants(scenario, LINK)
     theta, d = _positions()
     gamma = snr(c, theta, d)
@@ -179,7 +179,7 @@ def test_snr_into_out_equals_the_allocating_form_bit_for_bit(scenario):
     ([60.0, 60.0], [300.0, 0.0], "distance must be positive"),
     ([60.0, 60.0], [-1.0, 300.0], "distance must be positive"),
 ])
-def test_snr_into_out_still_checks_its_inputs(theta, d, message):
+def test_snr_checks_array_inputs(theta, d, message):
     c = derive_constants(DENSE, LINK)
     with pytest.raises(ValueError, match=message):
         snr(c, np.array(theta), np.array(d))

@@ -412,12 +412,19 @@ def test_cli_rejects_a_seed_outside_the_philox_key_range(tmp_path, capsys, comma
     assert not out.exists()
 
 
-def test_cli_reports_a_sample_count_too_large_to_allocate(tmp_path, capsys):
-    # 10^15 doubles (7 PiB) fail at the first allocation.
+def test_cli_rejects_a_sample_count_above_the_ceiling(tmp_path, capsys, monkeypatch):
+    # A draw's memory does not grow with n, so 10^15 samples would not fail
+    # at an allocation: they would run for about a year. The stub fails the
+    # test at once if anything is drawn.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew positions")
+
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", no_draw)
     out = tmp_path / "o.csv"
     assert main(["sweep-m", "--samples", str(10**15), "--m-values", "100",
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert capsys.readouterr().err == (
+        "error: need at most 1,000,000,000 samples, got 1,000,000,000,000,000\n")
     assert not out.exists()
 
 

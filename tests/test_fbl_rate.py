@@ -219,7 +219,7 @@ def _gammas():
     return 10.0 ** np.random.default_rng(6).uniform(-8.0, 8.0, 1001)
 
 
-def test_q_free_terms_into_out_equal_the_allocating_form_bit_for_bit():
+def test_q_free_terms_equal_their_expressions_bit_for_bit():
     g = _gammas()
     s_terms, w_terms = q_free_terms(g)
     assert np.array_equal(g, _gammas())  # it works in place only in its own arrays
@@ -235,7 +235,7 @@ def test_q_free_terms_into_out_equal_the_allocating_form_bit_for_bit():
 
 
 @pytest.mark.parametrize("gamma", [[2.0, 0.0], [-1e-300, 2.0]])
-def test_q_free_terms_into_out_still_rejects_a_non_positive_snr(gamma):
+def test_q_free_terms_reject_a_non_positive_snr(gamma):
     with pytest.raises(ValueError, match="SNR must be positive"):
         q_free_terms(np.array(gamma))
 

@@ -1,16 +1,24 @@
+import json
 import math
+import operator
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uavlink
 from uavlink.channel import derive_constants, snr
-from uavlink.config import load_preset
+from uavlink.config import load_preset, preset_config
 from uavlink.fbl_rate import FblConfig, achievable_rate
 from uavlink.geometry import Airspace
 from uavlink.montecarlo import (
     _BLOCK,
-    McEstimate,
+    MAX_SAMPLES,
     _pairwise,
     _rate_terms,
     estimate_aadr,
@@ -104,12 +112,25 @@ def test_estimate_validation(dense_urban, dense_consts):
         estimate_aadr(space, dense_consts, CFG, n=10, seed=1, shards=11)
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("drew positions")
+
+
+@pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10**15])
+def test_a_sample_count_above_the_ceiling_is_rejected_before_drawing(dense_urban, dense_consts,
+                                                                     monkeypatch, n):
+    # Without the check, 1e9 samples would draw for about half a minute.
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", _no_draw)
+    with pytest.raises(ValueError, match=f"need at most 1,000,000,000 samples, got {n:,}"):
+        estimate_aadr(dense_urban.airspace, dense_consts, CFG, n=n, seed=1, shards=2)
+
+
 _LN2 = math.log(2.0)
 
 
-# The whole-array chain that the blocked one replaced, formula for formula:
+# The whole-array chain that the streamed one replaced, formula for formula:
 # sample_positions, snr and q_free_terms over a shard at once, then the
-# moments through three product arrays.
+# moments in two passes through three product arrays.
 def _whole_array_snr(space, consts, n, seed, shards):
     base, rem = divmod(n, shards)
     chunks = []
@@ -126,34 +147,63 @@ def _whole_array_snr(space, consts, n, seed, shards):
     return np.concatenate(chunks)
 
 
-def _whole_array_rate_terms(space, consts, n, seed, shards):
-    g = _whole_array_snr(space, consts, n, seed, shards)
-    s_terms = np.log1p(g) / _LN2
-    w_terms = np.sqrt(g * (g + 2.0) / (1.0 + g) ** 2)
-    mean_s, mean_w = float(s_terms.mean()), float(w_terms.mean())
-    s_terms -= mean_s
-    w_terms -= mean_w
-    var_s, cov_sw, var_w = (float(np.add.reduce(a * b)) / (n - 1) for a, b in
-                            ((s_terms, s_terms), (s_terms, w_terms), (w_terms, w_terms)))
-    return mean_s, mean_w, var_s, cov_sw, var_w
+def _two_pass_covariances(columns):
+    n = len(columns[0])
+    centred = [c - c.mean() for c in columns]
+    return [float(np.add.reduce(a * b)) / (n - 1)
+            for i, a in enumerate(centred) for b in centred[i:]]
+
+
+def _exact_covariances(columns):
+    """Upper-triangle covariances (ddof = 1) of float columns, exact, then rounded once."""
+    n = len(columns[0])
+    scaled = []  # each column as integers over one power of two
+    for column in columns:
+        ratios = [x.as_integer_ratio() for x in column.tolist()]
+        scale = max(den for _, den in ratios)
+        scaled.append(([num * (scale // den) for num, den in ratios], scale))
+    return [float(Fraction(n * sum(map(operator.mul, a, b)) - sum(a) * sum(b),
+                           n * (n - 1) * scale_a * scale_b))
+            for i, (a, scale_a) in enumerate(scaled) for b, scale_b in scaled[i:]]
+
+
+def _assert_relative(actual, reference, bound=1e-15):
+    for x, ref in zip(actual, reference, strict=True):
+        assert abs(x - ref) <= bound * abs(ref), (x, ref, abs(x - ref) / abs(ref))
+
+
+_EXACT_UP_TO = 3 * _BLOCK + 17
 
 
 @pytest.mark.parametrize("preset", ["dense_urban", "suburban"])
 @pytest.mark.parametrize("n,shards", [
     *[(n, shards)
-      for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17, 200_001)
+      for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, _EXACT_UP_TO, 200_001)
       for shards in (1, 2, 3) if shards <= n],
     (1_000_000, 2),  # the benchmark's draw
 ])
-def test_blocked_chain_equals_the_whole_array_chain_bit_for_bit(preset, n, shards):
+def test_streamed_chain_keeps_the_means_bits_and_bounds_the_covariances(preset, n, shards):
+    # Means: the bits of the whole-array chain. Covariances: within 1e-15 of
+    # the exact value relative to it, or of the whole-array two-pass where
+    # the exact sums would be slow. On suburban at n = 3 _BLOCK + 17, W lies
+    # within about 1e-7 of 1: merging per-leaf means and centred sums (Chan's
+    # update) misses this bound there by orders of magnitude.
     cfg = load_preset(preset)
     consts = derive_constants(cfg.scenario, cfg.link)
-    assert _rate_terms(cfg.airspace, consts, n, 11, shards) \
-        == _whole_array_rate_terms(cfg.airspace, consts, n, 11, shards)
+    gamma = _whole_array_snr(cfg.airspace, consts, n, 11, shards)
+    s_terms = np.log1p(gamma) / _LN2
+    w_terms = np.sqrt(gamma * (gamma + 2.0) / (1.0 + gamma) ** 2)
+    inverse = 1.0 / gamma
+    covariances = _exact_covariances if n <= _EXACT_UP_TO else _two_pass_covariances
 
-    values = 1.0 / _whole_array_snr(cfg.airspace, consts, n, 11, shards)
-    assert estimate_inverse_snr(cfg.airspace, consts, n, 11, shards) == McEstimate(
-        mean=float(values.mean()), std_error=float(values.std(ddof=1) / math.sqrt(n)))
+    mean_s, mean_w, *rate_covariances = _rate_terms(cfg.airspace, consts, n, 11, shards)
+    assert (mean_s, mean_w) == (float(s_terms.mean()), float(w_terms.mean()))
+    _assert_relative(rate_covariances, covariances((s_terms, w_terms)))
+
+    estimate = estimate_inverse_snr(cfg.airspace, consts, n, 11, shards)
+    assert estimate.mean == float(inverse.mean())
+    _assert_relative([estimate.std_error],
+                     [math.sqrt(covariances((inverse,))[0]) / math.sqrt(n)])
 
 
 def test_pairwise_sums_in_the_order_of_numpy_add_reduce():
@@ -177,18 +227,56 @@ def test_pairwise_sums_in_the_order_of_numpy_add_reduce():
     assert np.cumsum(x)[-1] != np.add.reduce(x)  # the order shows in these values
 
 
-def test_a_draw_peaks_at_one_array_of_n_doubles(dense_urban, dense_consts):
-    # The n SNRs; positions, S, W and the centred products live in block
-    # buffers, which the 1 MiB covers. A draw that kept S and W peaked at
-    # 3 x 8n with three shards and at 4 x 8n with one.
-    n = 200_001
+def test_a_draw_peaks_below_one_mebibyte_at_any_n(dense_urban, dense_consts):
+    # Positions, SNRs, columns and products live only as long as a leaf of
+    # at most _BLOCK samples. A draw that kept the n SNRs peaked at 8n.
     _rate_terms(dense_urban.airspace, dense_consts, 100, 1, 1)  # imports numpy.random
     for estimate in (_rate_terms, estimate_inverse_snr):
-        for shards in (1, 3):
+        for n, shards in ((200_001, 1), (200_001, 3), (4_000_000, 1)):
             tracemalloc.start()
             try:
                 estimate(dense_urban.airspace, dense_consts, n, 1, shards)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * n + 2**20, (estimate.__name__, shards, peak)
+            assert peak <= 2**20, (estimate.__name__, n, shards, peak)
+
+
+# Linux carries the high-water mark of the memory a process had before exec
+# into its ru_maxrss, so a child spawned from this test process reads at
+# least this process's peak. The sweep is spawned from a small interpreter
+# instead, which reports the sweep's own ru_maxrss from os.wait4.
+_REPORT_CHILD_RSS = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(proc.returncode, usage.ru_maxrss)\n"
+)
+
+
+def _sweep_peak_rss_kib(tmp_path, n):
+    """ru_maxrss (KiB) of a fresh `python -m uavlink sweep-m` process that draws n samples."""
+    data = preset_config("dense_urban")
+    data["estimators"]["n_samples"] = n
+    config = tmp_path / f"n{n}.json"
+    config.write_text(json.dumps(data))
+    env = dict(os.environ)
+    src = str(Path(uavlink.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_CHILD_RSS, sys.executable, "-m", "uavlink", "sweep-m",
+         "--config", str(config), "--m-values", "200", "--out", str(tmp_path / f"n{n}.csv")],
+        env=env, capture_output=True, text=True, timeout=300)
+    returncode, peak = map(int, proc.stdout.split())
+    assert returncode == 0, proc.stderr[-2000:]
+    return peak
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
+                    reason="reads a child's ru_maxrss in KiB through os.wait4")
+def test_a_sweep_process_peak_rss_does_not_grow_with_the_sample_count(tmp_path):
+    # A draw that kept the 4e6 SNRs (32 MB) as one array raised the peak by about 30 MB.
+    small = _sweep_peak_rss_kib(tmp_path, 10_000)
+    large = _sweep_peak_rss_kib(tmp_path, 4_000_000)
+    assert abs(large - small) < 2 * 1024, (small, large)

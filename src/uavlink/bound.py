@@ -127,7 +127,8 @@ def g2_threshold(x):
 
 def _ei_series(x: float) -> float:
     # Convergent series gamma + ln|x| + sum x^k / (k k!). For x < 0 the terms
-    # alternate; cancellation stays below ~1e-12 relative only for |x| <= 5.
+    # alternate; cancellation stays below ~5e-15 relative only for |x| <= 2
+    # (at x = -5 it reaches ~1e-12).
     total = _EULER_GAMMA + math.log(abs(x))
     term = 1.0
     for k in range(1, 1000):
@@ -176,9 +177,10 @@ def _e1_continued_fraction(z: float) -> float:
 def exp_integral_ei(x: float) -> float:
     """Exponential integral Ei(x); principal value for x > 0.
 
-    Series for moderate arguments, continued fraction for x < -5 (where the
+    Series for moderate arguments, continued fraction for x < -2 (where the
     alternating series loses precision) and the optimally truncated
-    asymptotic expansion for x >= 40.
+    asymptotic expansion for x >= 40. For x < 0 the relative error stays
+    below about 1e-14 (checked against mpmath on [-50, -0.01]).
     """
     x = float(x)
     if x == 0.0:
@@ -187,7 +189,7 @@ def exp_integral_ei(x: float) -> float:
         raise OverflowError("Ei overflows double precision for x > 700")
     if x >= 40.0:
         return _ei_asymptotic(x)
-    if x >= -5.0:
+    if x >= -2.0:
         return _ei_series(x)
     return -_e1_continued_fraction(-x)
 

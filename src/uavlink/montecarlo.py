@@ -10,13 +10,11 @@ S = log2(1 + SNR) and W = sqrt(V) (fbl_rate.q_free_terms). So one draw's
 five moments of S and W give the mean rate and its standard error at every
 q: a sweep draws once and each row is one multiply-add.
 
-A draw holds no array of n values: it is one pass over numpy's pairwise
-summation tree (_pairwise), whose leaves of at most _BLOCK positions are
-drawn in index order from two Philox streams per shard (distances and
-elevations), so its memory does not grow with n (at most MAX_SAMPLES).
-Every estimate is a set of moments of functions of the SNR (_moments):
-means with the bits of the whole-array evaluation, and covariances from
-shifted sums. Only this module works in blocks.
+A draw holds no array of n values: each shard is drawn in index order as
+blocks of at most _BLOCK positions, so its memory does not grow with n.
+Every estimate is a set of moments of functions of the SNR (_moments),
+and the blocks' sums are added by Neumaier's compensated summation. Only
+this module works in blocks.
 """
 
 import math
@@ -36,9 +34,11 @@ from .geometry import Airspace, sample_positions
 # 1e6 samples fastest on a 2-core Xeon (4K pays per-call overhead).
 _BLOCK = 16_384
 
-# Largest sample count a draw accepts: a draw's memory does not grow with n,
-# but its time does, about 25 s per 1e9 samples on a 2-core Xeon.
+# Largest sample and shard counts a draw accepts: a draw's memory does not
+# grow with n, but its time does, about 25 s per 1e9 samples on a 2-core
+# Xeon, and each shard adds two Philox jumps and a block (0.25 s for 1024).
 MAX_SAMPLES = 10**9
+MAX_SHARDS = 1024
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def _shard_sizes(n: int, shards: int):
         raise ValueError(f"need at least 2 samples, got {n}")
     if n > MAX_SAMPLES:
         raise ValueError(f"need at most {MAX_SAMPLES:,} samples, got {n:,}")
-    if shards < 1 or shards > n:
-        raise ValueError(f"shards must lie in [1, n], got {shards}")
+    if not 1 <= shards <= min(n, MAX_SHARDS):
+        raise ValueError(f"shards must lie in [1, min(n, {MAX_SHARDS:,})], got {shards:,}")
     base, rem = divmod(n, shards)
     return (base + 1 if i < rem else base for i in range(shards))
 
@@ -75,88 +75,58 @@ class _Streams:
         return next(self._next).random(k)
 
 
-def _snr_reader(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
-    """read(k): the SNRs at the draw's next k positions, in index order.
+def _snr_blocks(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int):
+    """The draw's SNRs in index order, as blocks of at most _BLOCK within one shard each.
 
-    Shard i of m samples draws with Philox(seed) jumped i times: its m
-    distances from draw 0 on, its m elevations from draw m on. So the two
-    streams are read side by side, k positions at a time, with the bits of
-    drawing all m distances and then all m elevations from one generator.
-    A read that runs past the end of a shard goes on in the next one.
+    Shard i of m samples draws with Philox(seed) jumped i times: m distances
+    from draw 0 on and m elevations from draw m on, read side by side.
     """
-    sizes = enumerate(_shard_sizes(n, shards))
-    streams, left = None, 0
-
-    def read(k: int):
-        nonlocal streams, left
-        pieces = []
-        while k:
-            if not left:
-                i, left = next(sizes)
-                distance = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-                # The elevations start at draw m = left. One Philox step gives
-                # four doubles: m // 4 steps, then m % 4 doubles, reach draw m.
-                elevation = np.random.Philox(key=seed).jumped(i)
-                elevation.advance(left // 4)
-                elevation = np.random.Generator(elevation)
-                elevation.random(left % 4)
-                streams = distance, elevation
-            take = min(k, left)
-            d, theta = sample_positions(space, _Streams(*streams), take)
-            pieces.append(snr(consts, theta, d))
-            k -= take
-            left -= take
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-    return read
-
-
-def _pairwise(n: int, leaf, lo: int = 0):
-    """Sum of leaf(lo, hi) over [lo, lo + n), split as numpy's pairwise add.reduce splits it.
-
-    numpy halves a range, rounding the first half down to a multiple of 8,
-    until a piece is short. Any piece of that tree, reduced on its own, has
-    the same bits. So if leaf(lo, hi) is the np.add.reduce of the values in
-    [lo, hi), the result has the bits of np.add.reduce over all n values,
-    which never need to exist at once: leaf sees at most _BLOCK of them.
-    The leaves are called in index order.
-    leaf may return an array of several such sums, added elementwise.
-    """
-    if n <= _BLOCK:
-        return leaf(lo, lo + n)
-    half = n // 2
-    half -= half % 8
-    return _pairwise(half, leaf, lo) + _pairwise(n - half, leaf, lo + half)
+    for i, m in enumerate(_shard_sizes(n, shards)):
+        distance = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        # One Philox step gives four doubles: m // 4 steps, then m % 4 doubles, reach draw m.
+        elevation = np.random.Generator(np.random.Philox(key=seed).jumped(i).advance(m // 4))
+        elevation.random(m % 4)
+        for lo in range(0, m, _BLOCK):
+            d, theta = sample_positions(space, _Streams(distance, elevation), min(_BLOCK, m - lo))
+            gamma = snr(consts, theta, d)
+            del d, theta  # the positions are not kept while the block is used
+            yield gamma
 
 
 def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int, columns):
     """Means, then upper-triangle covariances row by row (ddof = 1), of k columns of one draw.
 
-    columns(gamma) maps a block of SNRs to k arrays of its shape. One pass
-    draws each of _pairwise's leaves in turn and sums its columns c, the
-    shifted columns c - K and their products, where the shift K is the
-    first leaf's column means (the shifted-data algorithm of Chan, Golub and
-    LeVeque, 1983). The means have the bits of np.add.reduce over the whole
-    columns. A covariance is (sum (c - K)(c' - K') - sum (c - K) sum (c' - K') / n)
-    / (n - 1), within about 1e-15 of the exact value relative to it on the
-    presets: K lies near the mean, so the correction term is small. Merging
-    per-leaf means and centred sums instead cancels in their differences
-    when a column barely varies (W = 1 - 1e-7 on suburban).
+    columns(gamma) maps a block of SNRs to k arrays of its shape. Each block
+    gives the sums of its columns c, of the shifted columns c - K and of
+    their products, where K is the first block's column means (the
+    shifted-data algorithm of Chan, Golub and LeVeque, 1983). The blocks'
+    sums are added by Neumaier's compensated summation (1974). A one-block
+    draw keeps the bits of np.add.reduce; otherwise the means lie within
+    5e-16 of the correctly rounded mean, relative to it. A covariance is
+    (sum (c - K)(c' - K') - sum (c - K) sum (c' - K') / n) / (n - 1), within
+    1e-15 of the exact value relative to it on the presets (merging centred
+    per-block sums cancels when W = 1 - 1e-7, as on suburban).
     """
-    read = _snr_reader(space, consts, n, seed, shards)
     shift = None
 
-    def sums(lo, hi):
+    def sums(gamma):
         nonlocal shift
-        cols = columns(read(hi - lo))
+        cols = columns(gamma)
         plain = [np.add.reduce(c) for c in cols]
         if shift is None:
-            shift = [s / (hi - lo) for s in plain]
+            shift = [s / len(gamma) for s in plain]
         shifted = [c - s for c, s in zip(cols, shift)]
         products = (np.add.reduce(a * b) for i, a in enumerate(shifted) for b in shifted[i:])
         return np.array([*plain, *(np.add.reduce(c) for c in shifted), *products])
 
-    total = _pairwise(n, sums)
+    # map, not a loop over the blocks, so that no block is kept while the next is drawn.
+    total = compensation = 0.0
+    for block_sums in map(sums, _snr_blocks(space, consts, n, seed, shards)):
+        partial = total + block_sums
+        compensation += np.where(np.abs(total) >= np.abs(block_sums),
+                                 (total - partial) + block_sums, (block_sums - partial) + total)
+        total = partial
+    total = total + compensation
     k = len(shift)
     means, offsets, products = total[:k] / n, total[k:2 * k], total[2 * k:]
     row, col = np.triu_indices(k)

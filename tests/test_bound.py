@@ -3,6 +3,7 @@ import random
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -256,6 +257,16 @@ def test_ei_against_series_oracle_grid():
 def test_ei_against_scipy_wide_range():
     for x in (-600.0, -120.0, -40.0, -5.5, -1e-6, 1e-6, 0.2, 39.0, 41.0, 300.0, 690.0):
         assert exp_integral_ei(x) == pytest.approx(scipy.special.expi(x), rel=1e-11), x
+
+
+def test_ei_matches_mpmath_on_the_negative_axis():
+    # The alternating series lost up to 1e-12 relative on [-5, -2], where the
+    # presets' arguments (-3.72, -4.92, -4.81) lie; the continued fraction
+    # takes over below -2.
+    with mpmath.workdps(30):
+        for x in (*np.linspace(-50.0, -0.01, 1999), -5.0, -2.0, -3.72, -4.92, -4.81):
+            expected = float(mpmath.ei(x))
+            assert abs(exp_integral_ei(x) - expected) <= 1e-14 * abs(expected), x
 
 
 def test_ei_derivative_identity():

@@ -412,19 +412,35 @@ def test_cli_rejects_a_seed_outside_the_philox_key_range(tmp_path, capsys, comma
     assert not out.exists()
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("drew positions")
+
+
 def test_cli_rejects_a_sample_count_above_the_ceiling(tmp_path, capsys, monkeypatch):
     # A draw's memory does not grow with n, so 10^15 samples would not fail
     # at an allocation: they would run for about a year. The stub fails the
     # test at once if anything is drawn.
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew positions")
-
-    monkeypatch.setattr("uavlink.montecarlo.sample_positions", no_draw)
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", _no_draw)
     out = tmp_path / "o.csv"
     assert main(["sweep-m", "--samples", str(10**15), "--m-values", "100",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: need at most 1,000,000,000 samples, got 1,000,000,000,000,000\n")
+    assert not out.exists()
+
+
+def test_cli_rejects_a_config_shard_count_above_the_ceiling(tmp_path, capsys, monkeypatch):
+    # Each shard costs two Philox jumps and a block, so n_samples = shards =
+    # 1e9 would draw for hours; the check comes before anything is drawn.
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", _no_draw)
+    data = preset_config("dense_urban")
+    data["estimators"]["shards"] = 2000
+    cfg_path = tmp_path / "shards.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    assert main(["sweep-m", "--config", str(cfg_path), "--m-values", "100",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: shards must lie in [1, min(n, 1,024)], got 2,000\n"
     assert not out.exists()
 
 

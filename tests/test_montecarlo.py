@@ -2,6 +2,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,11 +16,11 @@ import uavlink
 from uavlink.channel import derive_constants, snr
 from uavlink.config import load_preset, preset_config
 from uavlink.fbl_rate import FblConfig, achievable_rate
-from uavlink.geometry import Airspace
+from uavlink.geometry import Airspace, sample_positions
 from uavlink.montecarlo import (
     _BLOCK,
     MAX_SAMPLES,
-    _pairwise,
+    MAX_SHARDS,
     _rate_terms,
     estimate_aadr,
     estimate_inverse_snr,
@@ -125,6 +126,37 @@ def test_a_sample_count_above_the_ceiling_is_rejected_before_drawing(dense_urban
         estimate_aadr(dense_urban.airspace, dense_consts, CFG, n=n, seed=1, shards=2)
 
 
+@pytest.mark.parametrize("shards", [MAX_SHARDS + 1, 10**9])
+def test_a_shard_count_above_the_ceiling_is_rejected_before_drawing(dense_urban, dense_consts,
+                                                                    monkeypatch, shards):
+    # Each shard costs two Philox jumps and a block: 1e9 shards would draw for hours.
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", _no_draw)
+    with pytest.raises(ValueError, match=re.escape(
+            f"shards must lie in [1, min(n, 1,024)], got {shards:,}")):
+        estimate_aadr(dense_urban.airspace, dense_consts, CFG, n=10**9, seed=1, shards=shards)
+
+
+def test_a_draw_takes_its_blocks_within_shards(dense_urban, dense_consts, monkeypatch):
+    n, shards = 3 * _BLOCK + 17, 3
+    calls = []
+
+    def recording(space, rng, k):
+        calls.append(k)
+        return sample_positions(space, rng, k)
+
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", recording)
+    _rate_terms(dense_urban.airspace, dense_consts, n, 1, shards)
+    assert max(calls) <= _BLOCK
+    remaining = iter(calls)
+    for m in (n // shards + (i < n % shards) for i in range(shards)):
+        taken, count = 0, 0
+        while taken < m:
+            taken, count = taken + next(remaining), count + 1
+        assert taken == m  # no call spans two shards
+        assert count == math.ceil(m / _BLOCK)
+    assert next(remaining, None) is None  # the calls add up to n samples
+
+
 _LN2 = math.log(2.0)
 
 
@@ -172,6 +204,10 @@ def _assert_relative(actual, reference, bound=1e-15):
         assert abs(x - ref) <= bound * abs(ref), (x, ref, abs(x - ref) / abs(ref))
 
 
+def _exact_mean(column):
+    return math.fsum(column.tolist()) / len(column)
+
+
 _EXACT_UP_TO = 3 * _BLOCK + 17
 
 
@@ -182,12 +218,13 @@ _EXACT_UP_TO = 3 * _BLOCK + 17
       for shards in (1, 2, 3) if shards <= n],
     (1_000_000, 2),  # the benchmark's draw
 ])
-def test_streamed_chain_keeps_the_means_bits_and_bounds_the_covariances(preset, n, shards):
-    # Means: the bits of the whole-array chain. Covariances: within 1e-15 of
-    # the exact value relative to it, or of the whole-array two-pass where
-    # the exact sums would be slow. On suburban at n = 3 _BLOCK + 17, W lies
-    # within about 1e-7 of 1: merging per-leaf means and centred sums (Chan's
-    # update) misses this bound there by orders of magnitude.
+def test_streamed_chain_bounds_the_means_and_the_covariances(preset, n, shards):
+    # Means: within 5e-16 of the correctly rounded mean of the whole-array
+    # chain, relative to it. Covariances: within 1e-15 of the exact value
+    # relative to it, or of the whole-array two-pass where the exact sums
+    # would be slow. On suburban at n = 3 _BLOCK + 17, W lies within about
+    # 1e-7 of 1: merging per-block means and centred sums (Chan's update)
+    # misses this bound there by orders of magnitude.
     cfg = load_preset(preset)
     consts = derive_constants(cfg.scenario, cfg.link)
     gamma = _whole_array_snr(cfg.airspace, consts, n, 11, shards)
@@ -197,38 +234,17 @@ def test_streamed_chain_keeps_the_means_bits_and_bounds_the_covariances(preset, 
     covariances = _exact_covariances if n <= _EXACT_UP_TO else _two_pass_covariances
 
     mean_s, mean_w, *rate_covariances = _rate_terms(cfg.airspace, consts, n, 11, shards)
-    assert (mean_s, mean_w) == (float(s_terms.mean()), float(w_terms.mean()))
+    _assert_relative([mean_s, mean_w], [_exact_mean(s_terms), _exact_mean(w_terms)], 5e-16)
     _assert_relative(rate_covariances, covariances((s_terms, w_terms)))
 
     estimate = estimate_inverse_snr(cfg.airspace, consts, n, 11, shards)
-    assert estimate.mean == float(inverse.mean())
+    _assert_relative([estimate.mean], [_exact_mean(inverse)], 5e-16)
     _assert_relative([estimate.std_error],
                      [math.sqrt(covariances((inverse,))[0]) / math.sqrt(n)])
 
 
-def test_pairwise_sums_in_the_order_of_numpy_add_reduce():
-    # Values over six decades of both signs, so that a sum in another order
-    # differs in its last bits; if numpy changes its summation tree, this
-    # test names the cause of the golden diffs that follow.
-    rng = np.random.default_rng(5)
-    lengths = [*range(1, 301), _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 8, 3 * _BLOCK + 17,
-               1_000_003]
-    for n in lengths:
-        data = rng.standard_normal(n + 7) * 10.0 ** rng.uniform(-3.0, 3.0, n + 7)
-        for offset in (0, 1, 3, 7):
-            x = data[offset:offset + n]
-            assert _pairwise(n, lambda lo, hi: np.add.reduce(x[lo:hi])) \
-                == np.add.reduce(x), (n, offset)
-        # Several sums at once, as an array per leaf, keep each sum's bits.
-        y = data[::-1][:n]
-        pair = _pairwise(n, lambda lo, hi: np.array([np.add.reduce(data[lo:hi]),
-                                                     np.add.reduce(y[lo:hi])]))
-        assert pair.tolist() == [np.add.reduce(data[:n]), np.add.reduce(y)], n
-    assert np.cumsum(x)[-1] != np.add.reduce(x)  # the order shows in these values
-
-
 def test_a_draw_peaks_below_one_mebibyte_at_any_n(dense_urban, dense_consts):
-    # Positions, SNRs, columns and products live only as long as a leaf of
+    # Positions, SNRs, columns and products live only as long as a block of
     # at most _BLOCK samples. A draw that kept the n SNRs peaked at 8n.
     _rate_terms(dense_urban.airspace, dense_consts, 100, 1, 1)  # imports numpy.random
     for estimate in (_rate_terms, estimate_inverse_snr):

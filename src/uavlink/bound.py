@@ -15,12 +15,20 @@ import math
 
 import numpy as np
 
-from .channel import DerivedConstants, _scalar_or_array
+from .channel import DerivedConstants, _scalar_or_array, _sigmoid
 from .fbl_rate import _LN2, FblConfig
 from .geometry import Airspace
+from .quadrature import legendre_rule
 
 _EULER_GAMMA = 0.5772156649015328606
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
+
+# expected_inverse_snr's elevation integral. Against mpmath over random scenarios,
+# a 16-point Gauss rule in theta is within 5e-16 relative once the Bernstein
+# ellipse parameter of the integrand's nearest singularity is 4 or more, and the
+# Ei antiderivative within 2e-15 while it is below 8; the switch sits at 6.
+_GAUSS_ORDER = 16
+_GAUSS_ELLIPSE = 6.0
 
 
 # Unchecked formulas, shared by the validating array functions below, the
@@ -221,6 +229,11 @@ def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
     Separates into the distance moment u = (r_max^5 - r_min^5)/5 and an
     elevation integral v expressed through Ei via the antiderivative
     t(x) = (e^-a_tilde Ei(a_tilde - 1/x) - Ei(-1/x)) / a_tilde.
+    Where the elevation range is narrow, or lies far above the sigmoid's
+    transition, the two ends of t nearly cancel (1e-11 relative at theta_min
+    = 89.999), and v is a Gauss-Legendre rule in theta instead. Against mpmath
+    quadrature over random scenarios and theta_min in [0, 90), the relative
+    error stays below 2e-15.
     """
     at = consts.a_tilde
     a, b = consts.a_env, consts.b_env
@@ -235,10 +248,22 @@ def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
                 - exp_integral_ei(-at / (1.0 + s))) / at
 
     u = (big_d**5 - r**5) / 5.0
-    s1 = a * math.exp(-b * (th_min - a))
-    s2 = a * math.exp(-b * (90.0 - a))
-    v = (at / b) * (t_of_sigmoid(s1) - t_of_sigmoid(s2))
-    norm = 3.0 / consts.c_tilde / ((90.0 - th_min) * (big_d**3 - r**3))
+    width = 90.0 - th_min
+    # exp(-a_tilde P_los(theta)) is singular where 1 + a exp(-b (theta - a)) = 0,
+    # nearest at theta = pole + i pi/b. The ellipse with foci theta_min and 90
+    # through that point has semi-major axis `axis` half-widths, and Bernstein
+    # parameter axis + sqrt(axis^2 - 1).
+    pole = a + math.log(a) / b
+    axis = (math.hypot(pole - th_min, math.pi / b) + math.hypot(90.0 - pole, math.pi / b)) / width
+    if axis + math.sqrt(axis * axis - 1.0) >= _GAUSS_ELLIPSE:
+        rule = legendre_rule(_GAUSS_ORDER)
+        theta = 0.5 * width * (rule.nodes + 1.0) + th_min
+        v = 0.5 * width * float(rule.weights @ np.exp(-at * _sigmoid(a, b, theta)))
+    else:
+        s1 = a * math.exp(-b * (th_min - a))
+        s2 = a * math.exp(-b * (90.0 - a))
+        v = (at / b) * (t_of_sigmoid(s1) - t_of_sigmoid(s2))
+    norm = 3.0 / consts.c_tilde / (width * (big_d**3 - r**3))
     return norm * u * v
 
 

@@ -11,6 +11,7 @@ Q-function pair used by the penalty term lives here as well.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .channel import _scalar_or_array
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN_SQRT_2PI = math.log(_SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,8 @@ def q_function(x: float) -> float:
 
 
 # Rational initial guess for the normal quantile (Acklam's approximation,
-# |relative error| < 1.15e-9), polished below by Newton steps on Q.
+# |relative error| < 1.15e-9), polished below by Newton steps on Q, or on ln Q
+# where Q is subnormal.
 _ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -89,12 +92,30 @@ def _norm_ppf_approx(p: float) -> float:
            (((((b[0] * t + b[1]) * t + b[2]) * t + b[3]) * t + b[4]) * t + 1.0)
 
 
+def _mills_ratio(x: float) -> float:
+    """Q(x) / phi(x) for x >= 37 from its asymptotic series (1 - 1/x^2 + 3/x^4 - ...) / x.
+
+    There the terms shrink by (2k - 1) / x^2 < 1/50 each and eight reach 1e-17.
+    """
+    inv_x2 = 1.0 / (x * x)
+    total = term = 1.0
+    k = 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * inv_x2
+        total += term
+        k += 1
+    return total / x
+
+
 def q_inverse(p: float) -> float:
     """Inverse of q_function, accurate to a few ulp over p in (0, 1).
 
     Acklam's rational approximation refined by two Newton steps against
     q_function. The upper tail goes through the symmetric lower tail, where
-    the erfc evaluation keeps full relative precision.
+    the erfc evaluation keeps full relative precision. Below the smallest
+    normal float Q(x) is subnormal and has lost relative precision, so the
+    steps solve ln Q(x) = ln p instead, with ln Q = -x^2/2 - ln sqrt(2 pi)
+    + ln of the Mills ratio.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -104,6 +125,12 @@ def q_inverse(p: float) -> float:
     if p > 0.5:
         return -q_inverse(1.0 - p)
     x = -_norm_ppf_approx(p)  # Q decreasing: Qinv(p) = -Phi^-1(p)
+    if p < sys.float_info.min:
+        log_p = math.log(p)
+        for _ in range(2):
+            mills = _mills_ratio(x)
+            x += (math.log(mills) - 0.5 * x * x - _LN_SQRT_2PI - log_p) * mills
+        return x
     for _ in range(2):
         pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
         if pdf == 0.0:

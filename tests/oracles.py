@@ -1,9 +1,10 @@
 """Independent reference implementations used to pin expected test values.
 
 These deliberately avoid the code paths under test: the Ei oracle is an
-extended-precision power series, the quantile oracle is plain bisection on
-the implemented tail probability, and the penalty threshold g and its root
-are evaluated in mpmath, the root by bisection in ln x.
+extended-precision power series, one quantile oracle is plain bisection on
+the implemented tail probability and the other an mpmath root of ln Q, the
+penalty threshold g and its root are evaluated in mpmath, the root by
+bisection in ln x, and E(1/SNR) is mpmath quadrature.
 """
 
 import mpmath as mp
@@ -51,6 +52,35 @@ def q_inverse_oracle(p):
     from uavlink.fbl_rate import q_function
 
     return bisect_root(lambda x: q_function(x) - p, -40.0, 40.0)
+
+
+def log_q_inverse_oracle(p, dps=50):
+    """Root of ln Q(x) = ln p in mpmath at dps digits, as an mpf.
+
+    Unlike q_inverse_oracle it never forms Q(x) in floating point, so it
+    stays exact where Q(x) is a subnormal double.
+    """
+    with mp.workdps(dps):
+        log_p = mp.log(mp.mpf(p))
+        return mp.findroot(lambda x: mp.log(mp.erfc(x / mp.sqrt(2)) / 2) - log_p,
+                           mp.sqrt(-2 * log_p))
+
+
+def inverse_snr_oracle(space, consts, dps=40):
+    """E(1/SNR) over the airspace by mpmath quadrature of its elevation factor, an mpf.
+
+    1/SNR = d^2 exp(-a_tilde P_los(theta)) / c_tilde with independent
+    distance and elevation, so the mean is E(d^2) times the mean of
+    exp(-a_tilde P_los) over theta uniform on [theta_min, 90], over c_tilde.
+    """
+    with mp.workdps(dps):
+        at, a, b = (mp.mpf(v) for v in (consts.a_tilde, consts.a_env, consts.b_env))
+        th_min, r, big_d = (mp.mpf(v) for v in (space.theta_min_deg, space.r_min_m,
+                                                   space.r_max_m))
+        elevation = mp.quad(lambda th: mp.exp(-at / (1 + a * mp.exp(-b * (th - a)))),
+                            [th_min, 90]) / (90 - th_min)
+        mean_d2 = 3 * (big_d**5 - r**5) / (5 * (big_d**3 - r**3))
+        return mean_d2 * elevation / mp.mpf(consts.c_tilde)
 
 
 def g_oracle(x, dps=60):

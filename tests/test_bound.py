@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 
 import uavlink.bound
-from oracles import ei_series_oracle, g_inverse_oracle, g_oracle
+from oracles import ei_series_oracle, g_inverse_oracle, g_oracle, inverse_snr_oracle
 from uavlink.bound import (
     DistanceLimitError,
     aadr_lower_bound,
@@ -22,7 +22,7 @@ from uavlink.bound import (
     g_bound,
     g_inverse,
 )
-from uavlink.channel import derive_constants, snr
+from uavlink.channel import DerivedConstants, derive_constants, snr
 from uavlink.config import PRESET_NAMES, load_preset
 from uavlink.fbl_rate import _LN2, FblConfig, achievable_rate
 from uavlink.geometry import Airspace, pdf_distance, pdf_elevation
@@ -315,6 +315,41 @@ def test_expected_inverse_snr_frozen_values(dense_urban, dense_consts,
         0.0012733382099371815, rel=1e-12)
     assert expected_inverse_snr(suburban.airspace, suburban_consts) == pytest.approx(
         0.00064620116386209603, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, bits", [("dense_urban", "0x1.4dcc47dfab6d5p-10"),
+                                        ("suburban", "0x1.52cba6ec63dc0p-11")])
+def test_expected_inverse_snr_preset_bits(name, bits):
+    cfg = load_preset(name)
+    consts = derive_constants(cfg.scenario, cfg.link)
+    assert expected_inverse_snr(cfg.airspace, consts).hex() == bits
+
+
+@pytest.mark.parametrize("theta_min", [0.0, 45.0, 89.0, 89.9, 89.99, 89.999])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_expected_inverse_snr_is_accurate_up_to_vertical(name, theta_min):
+    # the Ei antiderivative cancels as theta_min nears 90: 1.3e-11 off at 89.999
+    cfg = load_preset(name)
+    consts = derive_constants(cfg.scenario, cfg.link)
+    space = replace(cfg.airspace, theta_min_deg=theta_min)
+    assert abs(expected_inverse_snr(space, consts) / inverse_snr_oracle(space, consts) - 1) \
+        <= 1e-14
+
+
+def test_expected_inverse_snr_is_accurate_over_random_scenarios():
+    # Both branches and the switch between them: narrow ranges, ranges far
+    # above the sigmoid's transition (where the Ei form cancelled to 1e-10)
+    # and wide ones.
+    rng = random.Random(20)
+    for _ in range(40):
+        consts = DerivedConstants(a_env=rng.uniform(0.3, 30.0), b_env=rng.uniform(0.03, 2.5),
+                                  a_db=0.0, c_db=0.0, a_tilde=rng.uniform(0.2, 12.0),
+                                  c_tilde=1e6)
+        theta_min = max(0.0, rng.choice([rng.uniform(0.0, 90.0),
+                                         90.0 - 10.0 ** rng.uniform(-4.0, 1.9)]))
+        space = Airspace(10.0, 500.0, theta_min)
+        assert abs(expected_inverse_snr(space, consts) / inverse_snr_oracle(space, consts)
+                   - 1) <= 1e-14, (consts, theta_min)
 
 
 def test_expected_inverse_snr_matches_quadrature(dense_urban, dense_consts):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import q_inverse_oracle
+from oracles import log_q_inverse_oracle, q_inverse_oracle
 from uavlink.bound import min_snr_for_valid_rate
 from uavlink.fbl_rate import (
     FblConfig,
@@ -52,6 +52,13 @@ def test_q_inverse_matches_bisection_oracle():
     # points are covered by the symmetry test instead
     for p in (1e-12, 1e-9, 1e-6, 0.01, 0.3, 0.49, 0.7):
         assert q_inverse(p) == pytest.approx(q_inverse_oracle(p), abs=1e-11)
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-323, 2.5e-320, 1e-310])
+def test_q_inverse_is_accurate_at_subnormal_p(p):
+    # Q(x) is a subnormal there, so Newton on Q alone stalled about 1.8e-9 off
+    x = q_inverse(p)
+    assert abs(x / log_q_inverse_oracle(p) - 1) <= 1e-15
 
 
 def test_q_inverse_tail_symmetry():

@@ -1,11 +1,15 @@
-"""A uavlink process imports only what it runs.
+"""A uavlink process imports only what it runs, and ends once its output is out.
 
 `import uavlink` is lazy and leaves the environment alone; the CLI entry
 defaults OpenBLAS to one thread before numpy loads, and the thread count
-cannot change a single output bit.
+cannot change a single output bit. `python -m uavlink` skips the
+interpreter's teardown, with the exit status and bytes of an ordinary exit.
 """
 
+import atexit
+import copy
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -15,15 +19,20 @@ import pytest
 
 import uavlink
 import uavlink.__main__
+from uavlink.config import preset_config
 
 SRC = Path(uavlink.__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 THREADS = "OPENBLAS_NUM_THREADS"
+UNBUFFERED = "PYTHONUNBUFFERED"
+
+ORDINARY_EXIT = ["-c", "import sys, uavlink.cli; sys.exit(uavlink.cli.main())"]
+FAST_EXIT = ["-m", "uavlink"]
 
 
-def _python(code_or_args, env_changes=None) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on these sources; env_changes maps a variable to a value,
-    or to None to unset it."""
+def _env(env_changes=None) -> dict:
+    """This environment with these sources first on the path; env_changes maps a
+    variable to a value, or to None to unset it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for key, value in (env_changes or {}).items():
@@ -31,9 +40,14 @@ def _python(code_or_args, env_changes=None) -> subprocess.CompletedProcess:
             env.pop(key, None)
         else:
             env[key] = value
+    return env
+
+
+def _python(code_or_args, env_changes=None, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on these sources and require exit status 0."""
     args = ["-c", code_or_args] if isinstance(code_or_args, str) else code_or_args
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, *args], env=_env(env_changes), cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc
 
@@ -112,3 +126,117 @@ def test_openblas_thread_count_does_not_change_a_bit(tmp_path):
     assert len(outputs["unset"].splitlines()) == len(rows) + 1
     assert outputs["1"] == outputs["unset"]
     assert outputs["2"] == outputs["unset"]
+
+
+# Every subcommand at small sizes, and each way out of the CLI. Paths are relative
+# to the run's own directory, so both entries print the same bytes.
+SMALL = ["--samples", "2000", "--n1", "8", "--n2", "8"]
+CLI_CASES = {
+    "sweep-m": (["sweep-m", *SMALL, "--m-values", "100,300", "--out", "result"], 0),
+    "sweep-eps": (["sweep-eps", *SMALL, "--eps-values", "1e-9,1e-5", "--out", "result"], 0),
+    "dmax": (["dmax"], 0),
+    "packet-size": (["packet-size", "--t-max", "2e-4", "--n1", "8", "--n2", "8"], 0),
+    "verify": (["verify", "--grid-points", "20"], 0),
+    "verify-out": (["verify", "--grid-points", "20", "--out", "result"], 0),
+    "dmax-beyond-limit": (["dmax", "--config", "big.json"], 1),
+    "bad-config": (["dmax", "--config", "missing.json"], 2),
+    "usage-error": (["no-such-command"], 2),
+    "help": (["--help"], 0),
+}
+SUBCOMMANDS = ["sweep-m", "sweep-eps", "dmax", "packet-size", "verify", "verify-out"]
+OUTPUT_MODES = [("pipe", None), ("pipe", "1"), ("file", None), ("file", "1")]
+
+
+def _start_cli(entry, argv, workdir: Path, stdout_to: str, unbuffered):
+    """Start the CLI in workdir; stdout goes to a pipe or to the regular file workdir/stdout."""
+    workdir.mkdir()
+    data = copy.deepcopy(preset_config("dense_urban"))
+    data["airspace"]["r_max_m"] = 5000.0  # beyond dense_urban's d_max of about 1.8 km
+    (workdir / "big.json").write_text(json.dumps(data), encoding="utf-8")
+    stdout = subprocess.PIPE if stdout_to == "pipe" else open(workdir / "stdout", "wb")
+    try:
+        return subprocess.Popen([sys.executable, *entry, *argv], cwd=workdir,
+                                env=_env({THREADS: "1", UNBUFFERED: unbuffered}),
+                                stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE)
+    finally:
+        if stdout is not subprocess.PIPE:
+            stdout.close()
+
+
+def _finish_cli(proc, workdir: Path):
+    """(exit status, stdout, stderr, output file or None) of a process from _start_cli."""
+    out, err = proc.communicate(timeout=120)
+    if out is None:
+        out = (workdir / "stdout").read_bytes()
+    result = workdir / "result"
+    return proc.returncode, out, err, result.read_bytes() if result.exists() else None
+
+
+def _both_exits(tmp_path, argv, stdout_to, unbuffered):
+    """Run the ordinary and the fast exit side by side; their (status, stdout, stderr, file)."""
+    started = [(_start_cli(entry, argv, tmp_path / label, stdout_to, unbuffered),
+                tmp_path / label)
+               for label, entry in (("ordinary", ORDINARY_EXIT), ("fast", FAST_EXIT))]
+    return [_finish_cli(proc, workdir) for proc, workdir in started]
+
+
+@pytest.mark.parametrize("stdout_to, unbuffered", OUTPUT_MODES)
+@pytest.mark.parametrize("case", SUBCOMMANDS)
+def test_fast_exit_matches_an_ordinary_exit(tmp_path, case, stdout_to, unbuffered):
+    argv, status = CLI_CASES[case]
+    ordinary, fast = _both_exits(tmp_path, argv, stdout_to, unbuffered)
+    assert fast == ordinary
+    assert fast[0] == status and fast[1] and not fast[2]
+    assert (fast[3] is not None) == ("--out" in argv)
+
+
+@pytest.mark.parametrize("stdout_to, unbuffered", [("file", None), ("pipe", "1")])
+@pytest.mark.parametrize("case, stderr_start", [
+    ("dmax-beyond-limit", b""), ("bad-config", b"error: "), ("usage-error", b"usage: "),
+    ("help", b""),
+])
+def test_every_way_out_keeps_its_status_and_bytes(tmp_path, case, stderr_start, stdout_to,
+                                                   unbuffered):
+    argv, status = CLI_CASES[case]
+    ordinary, fast = _both_exits(tmp_path, argv, stdout_to, unbuffered)
+    assert fast == ordinary
+    assert fast[0] == status
+    assert fast[2].startswith(stderr_start) and bool(fast[2]) == bool(stderr_start)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_final_flush_takes_the_ordinary_exit():
+    # With stdout buffered, dmax's lines first reach the full device at the
+    # final flush; the interpreter's exit reports it and returns 120.
+    runs = []
+    for entry in (ORDINARY_EXIT, FAST_EXIT):
+        with open("/dev/full", "wb") as full:
+            runs.append(subprocess.run([sys.executable, *entry, "dmax"], stdout=full,
+                                       stderr=subprocess.PIPE, timeout=120,
+                                       env=_env({THREADS: "1", UNBUFFERED: None})))
+    ordinary, fast = runs
+    assert (fast.returncode, fast.stderr) == (ordinary.returncode, ordinary.stderr)
+    assert fast.returncode == 120
+    assert b"No space left on device" in fast.stderr
+
+
+@pytest.mark.skipif(not hasattr(atexit, "_ncallbacks"), reason="needs CPython's atexit")
+def test_the_cli_registers_no_exit_handler_for_the_fast_exit_to_skip(tmp_path):
+    argv = [CLI_CASES[case][0] for case in SUBCOMMANDS]
+    _python("import atexit, sys\n"
+            "before = atexit._ncallbacks()\n"
+            "import uavlink.cli\n"
+            f"for argv in {argv!r}:\n"
+            "    assert uavlink.cli.main(argv) == 0, argv\n"
+            "assert atexit._ncallbacks() == before, (before, atexit._ncallbacks())\n",
+            cwd=tmp_path)
+
+
+def test_the_installed_script_takes_the_fast_exit():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("not a source checkout")
+    spec = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["uavlink"]
+    module, _, name = spec.partition(":")
+    assert getattr(importlib.import_module(module), name) is uavlink.__main__.run

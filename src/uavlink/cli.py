@@ -278,6 +278,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # stdout's reader has gone: not a usage error; see __main__.run
     except (ValueError, OSError, RuntimeError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -271,22 +271,27 @@ _REPORT_CHILD_RSS = (
 )
 
 
+def _cli_peak_rss_kib(*argv):
+    """ru_maxrss (KiB) of a fresh `python -m uavlink` process run on argv."""
+    env = dict(os.environ)
+    src = str(Path(uavlink.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_CHILD_RSS, sys.executable, "-m", "uavlink", *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    returncode, peak = map(int, proc.stdout.split())
+    assert returncode == 0, proc.stderr[-2000:]
+    return peak
+
+
 def _sweep_peak_rss_kib(tmp_path, n):
     """ru_maxrss (KiB) of a fresh `python -m uavlink sweep-m` process that draws n samples."""
     data = preset_config("dense_urban")
     data["estimators"]["n_samples"] = n
     config = tmp_path / f"n{n}.json"
     config.write_text(json.dumps(data))
-    env = dict(os.environ)
-    src = str(Path(uavlink.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _REPORT_CHILD_RSS, sys.executable, "-m", "uavlink", "sweep-m",
-         "--config", str(config), "--m-values", "200", "--out", str(tmp_path / f"n{n}.csv")],
-        env=env, capture_output=True, text=True, timeout=300)
-    returncode, peak = map(int, proc.stdout.split())
-    assert returncode == 0, proc.stderr[-2000:]
-    return peak
+    return _cli_peak_rss_kib("sweep-m", "--config", str(config), "--m-values", "200",
+                             "--out", str(tmp_path / f"n{n}.csv"))
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
@@ -296,3 +301,15 @@ def test_a_sweep_process_peak_rss_does_not_grow_with_the_sample_count(tmp_path):
     small = _sweep_peak_rss_kib(tmp_path, 10_000)
     large = _sweep_peak_rss_kib(tmp_path, 4_000_000)
     assert abs(large - small) < 2 * 1024, (small, large)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
+                    reason="reads a child's ru_maxrss in KiB through os.wait4")
+def test_a_sweep_process_peaks_within_5_mib_of_a_dmax_process(tmp_path):
+    # Both load the interpreter, numpy and uavlink; a sweep adds numpy.random
+    # and its draw, about 3.3 MB on a 2-core Xeon. OpenSSL's libcrypto, which
+    # numpy.random's `secrets` pulls in unless the CLI entry blocks `_hashlib`,
+    # added 3.4 MB more.
+    dmax = _cli_peak_rss_kib("dmax")
+    sweep = _sweep_peak_rss_kib(tmp_path, 10_000)
+    assert sweep - dmax < 5 * 1024, (dmax, sweep)

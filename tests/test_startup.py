@@ -8,11 +8,15 @@ interpreter's teardown, with the exit status and bytes of an ordinary exit.
 
 import atexit
 import copy
+import hashlib
+import hmac
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -218,6 +222,117 @@ def test_a_failed_final_flush_takes_the_ordinary_exit():
     assert (fast.returncode, fast.stderr) == (ordinary.returncode, ordinary.stderr)
     assert fast.returncode == 120
     assert b"No space left on device" in fast.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("case", SUBCOMMANDS)
+def test_a_closed_stdout_pipe_ends_the_process_quietly_with_status_1(tmp_path, case, unbuffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails: inside the command when unbuffered, at the final flush when not.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *FAST_EXIT, *CLI_CASES[case][0]], cwd=tmp_path,
+                              env=_env({THREADS: "1", UNBUFFERED: unbuffered}),
+                              stdin=subprocess.DEVNULL, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# `python -v` names every module the import system loads. A `_hashlib` blocked
+# through sys.modules is never loaded, but `-X importtime` would still list the
+# failed attempt.
+OPENSSL_LOADED = "import '_hashlib'"
+SHARDED = ["sweep-m", "--config", "shards.json", "--m-values", "100,300", "--out", "result"]
+MC_CASES = {"sweep-m", "sweep-eps", "sharded-sweep"}
+
+
+def _write_sharded_config(workdir: Path) -> None:
+    data = copy.deepcopy(preset_config("dense_urban"))
+    data["estimators"].update(n_samples=4000, shards=2)
+    (workdir / "shards.json").write_text(json.dumps(data), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["sweep-m", "sweep-eps", "dmax", "packet-size", "verify-out",
+                                  "sharded-sweep"])
+def test_a_cli_process_never_loads_openssl(tmp_path, case):
+    argv = SHARDED if case == "sharded-sweep" else CLI_CASES[case][0]
+    _write_sharded_config(tmp_path)
+    err = _python(["-v", *FAST_EXIT, *argv], {THREADS: "1"}, cwd=tmp_path).stderr
+    assert OPENSSL_LOADED not in err
+    # The sweeps do import hashlib and hmac, through numpy.random's `secrets`.
+    assert ("import 'hmac'" in err) == (case in MC_CASES)
+
+
+def test_in_process_callers_keep_openssl(tmp_path):
+    # Only run() blocks `_hashlib`: importing uavlink and calling either main()
+    # do not, and a sweep loads the real binding where the build has one.
+    has_openssl = importlib.util.find_spec("_hashlib") is not None
+    _write_sharded_config(tmp_path)
+    _python("import sys\n"
+            "import uavlink\n"
+            "assert '_hashlib' not in sys.modules, 'import uavlink'\n"
+            "import uavlink.cli, uavlink.__main__\n"
+            "assert '_hashlib' not in sys.modules, 'import uavlink.cli'\n"
+            f"for argv in {[CLI_CASES[c][0] for c in ('dmax', 'packet-size', 'verify-out')]!r}:\n"
+            "    assert uavlink.__main__.main(argv) == 0, argv\n"
+            "    assert uavlink.cli.main(argv) == 0, argv\n"
+            "    assert '_hashlib' not in sys.modules, argv\n"
+            f"assert uavlink.__main__.main({SHARDED!r}) == 0\n"
+            f"assert uavlink.cli.main({SHARDED!r}) == 0\n"
+            f"assert ('_hashlib' in sys.modules) == {has_openssl}, 'sweep'\n"
+            "assert sys.modules.get('_hashlib', 'absent') is not None, 'sweep'\n",
+            cwd=tmp_path)
+
+
+def _sharded_sweep(workdir: Path, entry) -> tuple:
+    """(stdout, result file) of the SHARDED sweep run through entry in a new workdir."""
+    workdir.mkdir()
+    _write_sharded_config(workdir)
+    proc = _python([*entry, *SHARDED], {THREADS: "1"}, cwd=workdir)
+    return proc.stdout, (workdir / "result").read_bytes()
+
+
+def _run_then(code_after_main: str, code_before_run: str = "") -> list:
+    """An entry that calls run(), with code_after_main executed once main() has returned."""
+    return ["-c", f"{code_before_run}"
+                  "import sys\n"
+                  "import uavlink.__main__ as entry\n"
+                  "command = entry.main\n"
+                  "def main():\n"
+                  "    status = command()\n"
+                  f"{textwrap.indent(code_after_main, '    ')}"
+                  "    return status\n"
+                  "entry.main = main\n"
+                  "entry.run()\n"]
+
+
+HASHES = ("md5", "sha1", "sha256", "sha512", "sha3_256", "blake2b", "blake2s")
+
+
+def test_a_cli_process_hashes_with_the_builtin_fallbacks(tmp_path):
+    check = ("import hashlib, hmac, secrets\n"
+             "assert sys.modules['_hashlib'] is None\n"
+             f"for name in {HASHES!r}:\n"
+             "    print(name, hashlib.new(name, b'uavlink').hexdigest())\n"
+             "print('hmac', hmac.new(b'key', b'uavlink', 'sha256').hexdigest())\n"
+             "assert hmac.compare_digest(b'uavlink', b'uavlink')\n"
+             "assert len(secrets.token_hex(8)) == 16\n")
+    stdout, _ = _sharded_sweep(tmp_path / "run", _run_then(check))
+    expected = [f"{name} {hashlib.new(name, b'uavlink').hexdigest()}" for name in HASHES]
+    expected.append(f"hmac {hmac.new(b'key', b'uavlink', 'sha256').hexdigest()}")
+    assert stdout.splitlines()[-len(expected):] == expected
+
+
+def test_a_hashlib_binding_imported_before_run_is_kept(tmp_path):
+    pytest.importorskip("_hashlib")
+    check = "print('kept' if sys.modules['_hashlib'] is _hashlib else 'replaced')\n"
+    kept = _sharded_sweep(tmp_path / "kept", _run_then(check, "import _hashlib\n"))
+    plain = _sharded_sweep(tmp_path / "plain", FAST_EXIT)
+    assert kept[0].splitlines() == [*plain[0].splitlines(), "kept"]
+    assert kept[1] == plain[1]
 
 
 @pytest.mark.skipif(not hasattr(atexit, "_ncallbacks"), reason="needs CPython's atexit")

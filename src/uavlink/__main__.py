@@ -1,9 +1,10 @@
 """Command-line entry point: `uavlink ...` and `python -m uavlink ...`.
 
 numpy's OpenBLAS starts its worker threads when numpy is first imported, and
-uavlink's one BLAS call (the quadrature's matrix-vector product) is too small
-to gain from them, so the CLI defaults to one thread before anything imports
-numpy. An OPENBLAS_NUM_THREADS already set in the environment wins.
+uavlink's one BLAS call (the bound's 16-point dot product) is too small to
+gain from them, so the CLI defaults to one thread before anything imports
+numpy, which saves starting them. An OPENBLAS_NUM_THREADS already set in the
+environment wins.
 
 A CLI process does not load OpenSSL. numpy.random imports `secrets`, which
 imports `hmac` and `hashlib`, and both import `_hashlib`, the binding to
@@ -24,8 +25,9 @@ are closed before main() returns, and importing the CLI registers no atexit
 handler that this would skip. `--help`, usage errors, uncaught exceptions and
 a final flush that fails (stdout on a full disk, or closed) leave through the
 ordinary interpreter exit, with its messages and exit status. When stdout's
-reader has gone (`uavlink verify | head -1`), the process ends quietly with
-status 1 instead, as the "Note on SIGPIPE" in Python's `signal` docs does.
+reader has gone (`uavlink verify | head -1`, or `uavlink --help | head -1`),
+the process ends quietly with status 1 instead, as the "Note on SIGPIPE" in
+Python's `signal` docs does.
 main() itself returns normally, for in-process callers.
 """
 
@@ -59,7 +61,13 @@ def run() -> None:
     # fallbacks, and no command hashes anything (see the module docstring).
     sys.modules.setdefault("_hashlib", None)
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit:
+            # --help and usage errors leave main() through sys.exit: flush
+            # here, so that a closed stdout pipe ends them as it ends a command.
+            _flushed()
+            raise
         flushed = _flushed()
     except BrokenPipeError:
         # stdout's reader has gone. Point stdout at os.devnull, so the exit

@@ -149,6 +149,13 @@ def mean_path_loss_db(c: DerivedConstants, theta, d):
     return _scalar_or_array(c.a_db * p_los + 20.0 * np.log10(d) + c.c_db)
 
 
+# Points per block of the SNR and rate chain, for the Monte Carlo draw and the
+# quadrature's node grid alike: a block's handful of working arrays (128 KiB
+# each) stay in a core's L2 cache. Of 4K to 64K, 16K drew 1e6 samples fastest
+# on a 2-core Xeon (4K pays per-call overhead).
+_BLOCK = 16_384
+
+
 def snr(c: DerivedConstants, theta, d):
     """Linear SNR at the UAV, c_tilde * d^-2 * exp(a_tilde * P_los(theta))."""
     theta = _check_theta(theta)

@@ -234,8 +234,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of the help raises.
+
+    argparse ignores it, which would hide a closed stdout pipe from
+    __main__.run; the subcommands' parsers are of this class too.
+    """
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        if file is not None:  # a closed stdout: nothing to write to, as in argparse
+            file.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uavlink",
         description="Average achievable data rate of a short-packet ground-to-UAV "
                     "control link: Monte Carlo, nested quadrature (GCQ) and a "
@@ -275,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         raise  # stdout's reader has gone: not a usage error; see __main__.run

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, replace
 from .channel import LinkBudget, Scenario
 from .fbl_rate import FblConfig
 from .geometry import Airspace
+from .quadrature import _MAX_ORDER
 
 PRESET_NAMES = ("dense_urban", "suburban")
 
@@ -47,6 +48,12 @@ class RunConfig:
         # with dataclasses.replace are checked too.
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"estimators.seed must lie in [0, 2**128), got {self.seed!r}")
+        # Checked here, not only by legendre_rule: a sweep draws, for up to
+        # seconds, before it evaluates the node grid.
+        for name in ("n_theta", "n_dist"):
+            order = getattr(self, name)
+            if not 1 <= order <= _MAX_ORDER:
+                raise ValueError(f"estimators.{name} must lie in [1, {_MAX_ORDER}], got {order!r}")
 
 
 def preset_config(name: str) -> dict:

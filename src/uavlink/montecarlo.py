@@ -13,8 +13,9 @@ q: a sweep draws once and each row is one multiply-add.
 A draw holds no array of n values: each shard is drawn in index order as
 blocks of at most _BLOCK positions, so its memory does not grow with n.
 Every estimate is a set of moments of functions of the SNR (_moments),
-and the blocks' sums are added by Neumaier's compensated summation. Only
-this module works in blocks.
+and the blocks' sums are added by Neumaier's compensated summation. A block
+holds at most four arrays of its size: the SNRs, S, W and one product.
+The quadrature's node grid is evaluated in blocks of the same size.
 """
 
 import math
@@ -22,17 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DerivedConstants, snr
+from .channel import _BLOCK, DerivedConstants, snr
 from .fbl_rate import _LN2, FblConfig, _rate, q_free_terms
 # achievable_rate and shannon_rate are no longer called here; bench/tracer.py
 # PROBES still looks them up in this module.
 from .fbl_rate import achievable_rate, shannon_rate  # noqa: F401
 from .geometry import Airspace, sample_positions
-
-# Samples per block of the SNR and rate chain: a block's handful of working
-# arrays (128 KiB each) stay in a core's L2 cache. Of 4K to 64K, 16K drew
-# 1e6 samples fastest on a 2-core Xeon (4K pays per-call overhead).
-_BLOCK = 16_384
 
 # Largest sample and shard counts a draw accepts: a draw's memory does not
 # grow with n, but its time does, about 25 s per 1e9 samples on a 2-core
@@ -105,7 +101,8 @@ def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shard
     5e-16 of the correctly rounded mean, relative to it. A covariance is
     (sum (c - K)(c' - K') - sum (c - K) sum (c' - K') / n) / (n - 1), within
     1e-15 of the exact value relative to it on the presets (merging centred
-    per-block sums cancels when W = 1 - 1e-7, as on suburban).
+    per-block sums cancels when W = 1 - 1e-7, as on suburban). The columns
+    must be new arrays: they are shifted in place.
     """
     shift = None
 
@@ -115,9 +112,10 @@ def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shard
         plain = [np.add.reduce(c) for c in cols]
         if shift is None:
             shift = [s / len(gamma) for s in plain]
-        shifted = [c - s for c, s in zip(cols, shift)]
-        products = (np.add.reduce(a * b) for i, a in enumerate(shifted) for b in shifted[i:])
-        return np.array([*plain, *(np.add.reduce(c) for c in shifted), *products])
+        for c, s in zip(cols, shift):
+            np.subtract(c, s, out=c)  # in place: the columns are now c - K
+        products = (np.add.reduce(a * b) for i, a in enumerate(cols) for b in cols[i:])
+        return np.array([*plain, *(np.add.reduce(c) for c in cols), *products])
 
     # map, not a loop over the blocks, so that no block is kept while the next is drawn.
     total = compensation = 0.0

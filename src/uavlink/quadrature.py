@@ -7,6 +7,9 @@ in elevation nested inside one rule in distance (the "GCQ" method label
 used by the CLI). The rate is affine in q, R = S - (q/ln 2) W with the
 q-free terms of fbl_rate.q_free_terms, so a sweep evaluates the nested-rule
 sums of S and W on its node grid once and each row is one multiply-add.
+
+The node grid is evaluated in blocks of at most the Monte Carlo draw's
+block size (_node_terms), so its memory does not grow with the orders.
 """
 
 import math
@@ -15,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import DerivedConstants, snr
+from .channel import _BLOCK, DerivedConstants, snr
 from .fbl_rate import FblConfig, _rate, q_free_terms
 # achievable_rate is no longer called here; bench/tracer.py PROBES still looks it up.
 from .fbl_rate import achievable_rate  # noqa: F401
@@ -93,7 +96,13 @@ def integrate(rule: QuadratureRule, f, lo: float, hi: float) -> float:
 
 
 def _node_terms(space: Airspace, consts: DerivedConstants, n_theta: int, n_dist: int):
-    """Nested-rule averages (GCQ[S], GCQ[W]) of the q-free terms, as floats."""
+    """Nested-rule averages (GCQ[S], GCQ[W]) of the q-free terms, as floats.
+
+    The grid is evaluated in blocks of whole distance rows, at most _BLOCK
+    nodes each, and only the rows' elevation sums of S and W are kept. Each
+    row is summed on its own (pairwise, by np.add.reduce), so the sums do not
+    depend on where the blocks end.
+    """
     rule_theta = legendre_rule(n_theta)
     rule_dist = legendre_rule(n_dist)
     th_lo, th_hi = space.theta_min_deg, 90.0
@@ -102,8 +111,15 @@ def _node_terms(space: Airspace, consts: DerivedConstants, n_theta: int, n_dist:
     dist = 0.5 * (d_hi - d_lo) * rule_dist.nodes + 0.5 * (d_hi + d_lo)
     dist_weights = rule_dist.weights * dist**2
     prefactor = 0.75 * (d_hi - d_lo) / (d_hi**3 - d_lo**3)
-    return tuple(float(prefactor * np.sum(dist_weights * (terms @ rule_theta.weights)))
-                 for terms in q_free_terms(snr(consts, theta[None, :], dist[:, None])))
+    row_sums = np.empty((2, n_dist))
+    rows = _BLOCK // n_theta
+    for lo in range(0, n_dist, rows):
+        block = q_free_terms(snr(consts, theta[None, :], dist[lo:lo + rows, None]))
+        for terms, sums in zip(block, row_sums[:, lo:lo + rows]):
+            np.multiply(terms, rule_theta.weights, out=terms)
+            np.add.reduce(terms, axis=1, out=sums)
+        del block, terms  # the block is not kept while the next is evaluated
+    return tuple(float(prefactor * np.sum(dist_weights * sums)) for sums in row_sums)
 
 
 def aadr_gcq(

@@ -444,6 +444,33 @@ def test_cli_rejects_a_config_shard_count_above_the_ceiling(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, key", [("--n1", "n_theta"), ("--n2", "n_dist")])
+def test_cli_rejects_a_quadrature_order_before_drawing(tmp_path, capsys, monkeypatch, flag, key):
+    # The sweep draws before it evaluates the node grid: 2e7 samples took
+    # about 1.4 s before a bad order was reported.
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", _no_draw)
+    out = tmp_path / "o.csv"
+    assert main(["sweep-m", "--samples", str(2 * 10**7), flag, "0", "--m-values", "100",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: estimators.{key} must lie in [1, 1000], got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n_theta", "n_dist"])
+def test_cli_rejects_a_config_quadrature_order_before_drawing(tmp_path, capsys, monkeypatch,
+                                                              key):
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", _no_draw)
+    data = preset_config("dense_urban")
+    data["estimators"].update(n_samples=2 * 10**7, **{key: 1001})
+    cfg_path = tmp_path / "orders.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    assert main(["sweep-eps", "--config", str(cfg_path), "--eps-values", "1e-9",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: estimators.{key} must lie in [1, 1000], got 1001\n"
+    assert not out.exists()
+
+
 def test_cli_accepts_the_largest_seed(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["sweep-m", "--seed", str(2**128 - 1), "--samples", "100",

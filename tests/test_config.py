@@ -253,3 +253,24 @@ def test_seed_at_the_ends_of_the_philox_key_range_accepted(seed):
     data["estimators"]["seed"] = seed
     assert config_from_dict(data).seed == seed
     assert dataclasses.replace(load_preset("dense_urban"), seed=seed).seed == seed
+
+
+@pytest.mark.parametrize("key", ["n_theta", "n_dist"])
+@pytest.mark.parametrize("order", [0, -1, 1001])
+def test_quadrature_order_outside_the_rule_range_rejected(key, order):
+    data = preset_config("dense_urban")
+    data["estimators"][key] = order
+    match = rf"estimators\.{key} must lie in \[1, 1000\], got {order}$"
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(data)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(load_preset("dense_urban"), **{key: order})
+
+
+@pytest.mark.parametrize("key", ["n_theta", "n_dist"])
+@pytest.mark.parametrize("order", [1, 1000])
+def test_quadrature_order_at_the_ends_of_the_rule_range_accepted(key, order):
+    data = preset_config("dense_urban")
+    data["estimators"][key] = order
+    assert getattr(config_from_dict(data), key) == order
+    assert getattr(dataclasses.replace(load_preset("dense_urban"), **{key: order}), key) == order

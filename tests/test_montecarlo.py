@@ -305,6 +305,16 @@ def test_a_sweep_process_peak_rss_does_not_grow_with_the_sample_count(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
                     reason="reads a child's ru_maxrss in KiB through os.wait4")
+def test_a_sweep_process_peak_rss_does_not_grow_with_the_quadrature_orders(tmp_path):
+    # A node grid evaluated whole raised the peak by about 23 MB at 1000x1000.
+    small, large = (_cli_peak_rss_kib("sweep-eps", "--n1", order, "--n2", order,
+                                      "--eps-values", "1e-9", "--out", str(tmp_path / order))
+                    for order in ("30", "1000"))
+    assert abs(large - small) < 2 * 1024, (small, large)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
+                    reason="reads a child's ru_maxrss in KiB through os.wait4")
 def test_a_sweep_process_peaks_within_5_mib_of_a_dmax_process(tmp_path):
     # Both load the interpreter, numpy and uavlink; a sweep adds numpy.random
     # and its draw, about 3.3 MB on a 2-core Xeon. OpenSSL's libcrypto, which

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from uavlink.channel import snr
-from uavlink.fbl_rate import FblConfig, shannon_rate
+from uavlink.fbl_rate import FblConfig, q_free_terms, shannon_rate
 from uavlink.geometry import pdf_distance, pdf_elevation
 from uavlink.montecarlo import estimate_aadr
-from uavlink.quadrature import aadr_gcq, integrate, legendre_rule
+from uavlink.quadrature import _node_terms, aadr_gcq, integrate, legendre_rule
 
 
 def test_order_one_is_midpoint_rule():
@@ -157,3 +159,54 @@ def test_gcq_monotone_in_blocklength_and_epsilon(dense_urban, dense_consts):
         values = [aadr_gcq(space, dense_consts, FblConfig(m, eps)) for eps in
                   (1e-12, 1e-9, 1e-6, 1e-3)]
         assert np.all(np.diff(values) > 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4, 81])
+def test_node_terms_do_not_depend_on_the_block_size(suburban, suburban_consts, monkeypatch, rows):
+    # Blocks of `rows` distance rows, then a tail of none or up to 5 rows,
+    # against the whole grid as one block.
+    space = suburban.airspace
+    for n_theta in (7, 30):
+        for n_dist in {5 * rows, *(2 * rows + tail for tail in range(min(rows, 6)))}:
+            monkeypatch.setattr("uavlink.quadrature._BLOCK", n_theta * n_dist)
+            whole = _node_terms(space, suburban_consts, n_theta, n_dist)
+            monkeypatch.setattr("uavlink.quadrature._BLOCK", rows * n_theta + n_theta - 1)
+            assert _node_terms(space, suburban_consts, n_theta, n_dist) == whole, (n_theta, n_dist)
+
+
+def _exact_node_terms(space, consts, n_theta: int, n_dist: int):
+    """(GCQ[S], GCQ[W]) as the exact nested sums over the whole grid of the
+    float node terms and weights, rounded once."""
+    rule_theta, rule_dist = legendre_rule(n_theta), legendre_rule(n_dist)
+    th_lo, d_lo, d_hi = space.theta_min_deg, space.r_min_m, space.r_max_m
+    theta = 0.5 * (90.0 - th_lo) * rule_theta.nodes + 0.5 * (90.0 + th_lo)
+    dist = 0.5 * (d_hi - d_lo) * rule_dist.nodes + 0.5 * (d_hi + d_lo)
+    dist_weights = rule_dist.weights * dist**2
+    prefactor = Fraction(0.75 * (d_hi - d_lo) / (d_hi**3 - d_lo**3))
+    weights = [Fraction(w) for w in rule_theta.weights.tolist()]
+    return tuple(
+        float(prefactor * sum(Fraction(dw) * sum(map(Fraction.__mul__, map(Fraction, row), weights))
+                              for dw, row in zip(dist_weights.tolist(), terms.tolist())))
+        for terms in q_free_terms(snr(consts, theta[None, :], dist[:, None])))
+
+
+@pytest.mark.parametrize("n_theta, n_dist", [(30, 30), (7, 86), (200, 200)])
+def test_node_terms_lie_within_1e_15_of_the_exact_grid_sums(dense_urban, dense_consts, suburban,
+                                                             suburban_consts, n_theta, n_dist):
+    for cfg, consts in ((dense_urban, dense_consts), (suburban, suburban_consts)):
+        got = _node_terms(cfg.airspace, consts, n_theta, n_dist)
+        for x, ref in zip(got, _exact_node_terms(cfg.airspace, consts, n_theta, n_dist)):
+            assert abs(x - ref) <= 1e-15 * abs(ref), (x, ref, abs(x - ref) / abs(ref))
+
+
+@pytest.mark.parametrize("order", [200, 1000])
+def test_node_terms_peak_below_one_mebibyte(suburban, suburban_consts, order):
+    # Only a block of at most _BLOCK nodes is evaluated at a time. The whole
+    # 1000x1000 grid, evaluated at once, peaked at about 23 MB.
+    tracemalloc.start()
+    try:
+        _node_terms(suburban.airspace, suburban_consts, order, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, (order, peak)

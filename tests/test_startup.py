@@ -110,8 +110,9 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_openblas_thread_count_does_not_change_a_bit(tmp_path):
-    # The quadrature's `terms @ weights` is uavlink's only BLAS call, one
-    # OpenBLAS may split across its threads at 200x200 nodes. The first run goes in
+    # bound.expected_inverse_snr's 16-point dot product is uavlink's only
+    # BLAS call, too small for OpenBLAS to split across threads; the
+    # quadrature sums its 200x200 nodes without BLAS. The first run goes in
     # through uavlink.cli so an unset variable keeps OpenBLAS's own default
     # (`python -m uavlink` would set it to 1).
     rows = (DATA / "sweep_eps_suburban_dense.csv").read_text(encoding="utf-8").splitlines()[1:]
@@ -146,6 +147,7 @@ CLI_CASES = {
     "bad-config": (["dmax", "--config", "missing.json"], 2),
     "usage-error": (["no-such-command"], 2),
     "help": (["--help"], 0),
+    "subcommand-help": (["sweep-m", "--help"], 0),
 }
 SUBCOMMANDS = ["sweep-m", "sweep-eps", "dmax", "packet-size", "verify", "verify-out"]
 OUTPUT_MODES = [("pipe", None), ("pipe", "1"), ("file", None), ("file", "1")]
@@ -225,10 +227,19 @@ def test_a_failed_final_flush_takes_the_ordinary_exit():
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"])
-@pytest.mark.parametrize("case", SUBCOMMANDS)
+@pytest.mark.parametrize("case", ["help", "subcommand-help"])
+def test_help_into_a_live_pipe_exits_0_with_the_usage(tmp_path, case, unbuffered):
+    ordinary, fast = _both_exits(tmp_path, CLI_CASES[case][0], "pipe", unbuffered)
+    assert fast == ordinary
+    assert fast[0] == 0 and fast[1].startswith(b"usage: uavlink") and not fast[2]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("case", [*SUBCOMMANDS, "help", "subcommand-help"])
 def test_a_closed_stdout_pipe_ends_the_process_quietly_with_status_1(tmp_path, case, unbuffered):
     # The read end is closed before the child starts, so its first write to
-    # stdout fails: inside the command when unbuffered, at the final flush when not.
+    # stdout fails: inside the command or the help when unbuffered, and when
+    # not, at the flush after the command returns or after the help's sys.exit.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

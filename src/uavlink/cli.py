@@ -148,7 +148,8 @@ def _parse_values(text: str, kind):
 
 def _cmd_sweep_m(args) -> int:
     cfg = _resolve_config(args)
-    m_values = _parse_values(args.m_values, int) if args.m_values else list(range(100, 1001, 100))
+    m_values = (_parse_values(args.m_values, int) if args.m_values is not None
+                else list(range(100, 1001, 100)))
     rows = sweep_blocklength(cfg, m_values)
     path = _out_path(args, cfg, "sweep_m.csv")
     write_csv(path, SWEEP_M_COLUMNS, rows)
@@ -159,7 +160,7 @@ def _cmd_sweep_m(args) -> int:
 
 def _cmd_sweep_eps(args) -> int:
     cfg = _resolve_config(args)
-    eps_values = (_parse_values(args.eps_values, float) if args.eps_values
+    eps_values = (_parse_values(args.eps_values, float) if args.eps_values is not None
                   else [10.0**k for k in range(-12, -2)])
     rows = sweep_epsilon(cfg, eps_values)
     path = _out_path(args, cfg, "sweep_eps.csv")
@@ -207,7 +208,8 @@ def _cmd_packet_size(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q_values = _parse_values(args.q_values, float) if args.q_values else (0.05, 0.2, 0.6)
+    q_values = (_parse_values(args.q_values, float) if args.q_values is not None
+                else (0.05, 0.2, 0.6))
     report = run_lemma_suite(q_values=tuple(q_values), grid_points=args.grid_points)
     text = json.dumps(report, indent=2)
     if args.out:

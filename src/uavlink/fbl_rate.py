@@ -11,7 +11,6 @@ Q-function pair used by the penalty term lives here as well.
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from .channel import _scalar_or_array
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LN_SQRT_2PI = math.log(_SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -63,80 +60,68 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(float(x) / _SQRT2)
 
 
-# Rational initial guess for the normal quantile (Acklam's approximation,
-# |relative error| < 1.15e-9), polished below by Newton steps on Q, or on ln Q
-# where Q is subnormal.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+# Wichura's AS241 (Applied Statistics 37, 1988): (numerator, denominator)
+# coefficients, highest power first, of the central rational function for
+# |p - 1/2| <= 0.425, the tail one for r = sqrt(-ln p) <= 5 and the far-tail one.
+_AS241 = (
+    ((2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+      4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+      1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+     (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+      2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+      4.23133_30701_60091_1252e+1, 1.0)),
+    ((7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+      1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+      4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+     (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+      1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+      2.05319_16266_37758_82187e+0, 1.0)),
+    ((2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+      2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+      5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+     (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+      7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+      5.99832_20655_58879_37690e-1, 1.0)),
+)
 
 
-def _norm_ppf_approx(p: float) -> float:
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    if p < 0.02425:
-        t = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / \
-               ((((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0)
-    if p > 1.0 - 0.02425:
-        t = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / \
-                ((((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0)
-    u = p - 0.5
-    t = u * u
-    return (((((a[0] * t + a[1]) * t + a[2]) * t + a[3]) * t + a[4]) * t + a[5]) * u / \
-           (((((b[0] * t + b[1]) * t + b[2]) * t + b[3]) * t + b[4]) * t + 1.0)
-
-
-def _mills_ratio(x: float) -> float:
-    """Q(x) / phi(x) for x >= 37 from its asymptotic series (1 - 1/x^2 + 3/x^4 - ...) / x.
-
-    There the terms shrink by (2k - 1) / x^2 < 1/50 each and eight reach 1e-17.
-    """
-    inv_x2 = 1.0 / (x * x)
-    total = term = 1.0
-    k = 1
-    while abs(term) > 1e-17:
-        term *= -(2 * k - 1) * inv_x2
-        total += term
-        k += 1
-    return total / x
+def _poly(coeffs, x: float) -> float:
+    """Horner evaluation of the polynomial with these coefficients, highest power first."""
+    total = coeffs[0]
+    for c in coeffs[1:]:
+        total = total * x + c
+    return total
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of q_function, accurate to a few ulp over p in (0, 1).
+    """Inverse of q_function over p in (0, 1), by Wichura's algorithm AS241.
 
-    Acklam's rational approximation refined by two Newton steps against
-    q_function. The upper tail goes through the symmetric lower tail, where
-    the erfc evaluation keeps full relative precision. Below the smallest
-    normal float Q(x) is subnormal and has lost relative precision, so the
-    steps solve ln Q(x) = ln p instead, with ln Q = -x^2/2 - ln sqrt(2 pi)
-    + ln of the Mills ratio.
+    A direct rational approximation with no iteration: its relative error
+    against a 50-digit root stays below 1e-15 from the smallest subnormal p
+    up to 0.5. It is the algorithm, and the operation order, of
+    statistics.NormalDist.inv_cdf, so q_inverse(p) == -inv_cdf(p) bit for
+    bit; the port avoids importing statistics, which loads fractions and
+    decimal into every process that computes a rate. The upper tail goes
+    through the symmetric lower tail.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_inverse needs 0 < p < 1, got {p}")
-    if p == 0.5:
-        return 0.0
     if p > 0.5:
         return -q_inverse(1.0 - p)
-    x = -_norm_ppf_approx(p)  # Q decreasing: Qinv(p) = -Phi^-1(p)
-    if p < sys.float_info.min:
-        log_p = math.log(p)
-        for _ in range(2):
-            mills = _mills_ratio(x)
-            x += (math.log(mills) - 0.5 * x * x - _LN_SQRT_2PI - log_p) * mills
-        return x
-    for _ in range(2):
-        pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-        if pdf == 0.0:
-            break
-        x += (q_function(x) - p) / pdf
-    return x
+    q = 0.5 - p
+    if q <= 0.425:
+        num, den = _AS241[0]
+        r = 0.180625 - q * q
+        return _poly(num, r) * q / _poly(den, r)
+    r = math.sqrt(-math.log(p))
+    if r <= 5.0:
+        num, den = _AS241[1]
+        r -= 1.6
+    else:
+        num, den = _AS241[2]
+        r -= 5.0
+    return _poly(num, r) / _poly(den, r)
 
 
 def _dispersion(g):

@@ -25,13 +25,16 @@ def run_lemma_suite(
 ) -> dict:
     """Run every lemma check and return a machine-readable report.
 
-    Each q must lie in [1e-31, MAX_Q]. f_impl is a test hook replacing
-    f_penalized; the default is the real implementation. The report lists,
-    per check, the grid, the tolerance and the worst observed value;
-    all_passed aggregates the verdicts.
+    q_values must be nonempty and each q lie in [1e-31, MAX_Q]. f_impl is a
+    test hook replacing f_penalized; the default is the real implementation.
+    The report lists, per check, the grid, the tolerance and the worst
+    observed value; all_passed aggregates the verdicts.
     """
     if not 2 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], got {grid_points}")
+    q_values = list(q_values)
+    if not q_values:
+        raise ValueError("q_values must be nonempty")
     f = f_penalized if f_impl is None else f_impl
     checks = []
 
@@ -88,7 +91,7 @@ def run_lemma_suite(
     ))
 
     return {
-        "q_values": list(q_values),
+        "q_values": q_values,
         "grid_points": grid_points,
         "rel_step": REL_STEP,
         "checks": checks,

@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths under test: the Ei oracle is an
 extended-precision power series, one quantile oracle is plain bisection on
-the implemented tail probability and the other an mpmath root of ln Q, the
-penalty threshold g and its root are evaluated in mpmath, the root by
-bisection in ln x, and E(1/SNR) is mpmath quadrature.
+the implemented tail probability, one an mpmath root of ln Q and one
+mpmath's inverse error function, the penalty threshold g and its root are
+evaluated in mpmath, the root by bisection in ln x, and E(1/SNR) is mpmath
+quadrature.
 """
 
 import mpmath as mp
@@ -64,6 +65,17 @@ def log_q_inverse_oracle(p, dps=50):
         log_p = mp.log(mp.mpf(p))
         return mp.findroot(lambda x: mp.log(mp.erfc(x / mp.sqrt(2)) / 2) - log_p,
                            mp.sqrt(-2 * log_p))
+
+
+def erfinv_q_inverse_oracle(p, dps=50):
+    """Qinv(p) = -sqrt(2) erfinv(2p - 1) in mpmath at dps digits, as an mpf.
+
+    Simpler than log_q_inverse_oracle's root search, and as exact wherever
+    2p - 1 is not rounded to -1 at dps digits, which holds for p in the
+    central bands.
+    """
+    with mp.workdps(dps):
+        return -mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1)
 
 
 def inverse_snr_oracle(space, consts, dps=40):

@@ -337,6 +337,24 @@ def test_cli_verify_rejects_q_outside_the_domain_of_g_inverse(capsys):
     assert "error: the lemma suite needs q <= 300, got q=1000.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, message", [
+    ("sweep-m", "--m-values", "m_values must be nonempty"),
+    ("sweep-eps", "--eps-values", "eps_values must be nonempty"),
+    ("verify", "--q-values", "q_values must be nonempty"),
+])
+@pytest.mark.parametrize("value", ["", ","])
+def test_cli_rejects_an_empty_value_list(tmp_path, capsys, command, flag, message, value):
+    out = tmp_path / "o.csv"
+    assert main([command, f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lemma_suite_rejects_no_q_values():
+    with pytest.raises(ValueError, match="q_values must be nonempty"):
+        run_lemma_suite(q_values=())
+
+
 def test_cli_verify_passes_where_the_root_is_below_the_fixed_grid_start(tmp_path):
     # For q above about 13.8, g_inverse(q) < 1e-6; 38.5 is about the largest
     # q a configuration reaches.

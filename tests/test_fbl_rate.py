@@ -1,9 +1,12 @@
 import math
+import statistics
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import log_q_inverse_oracle, q_inverse_oracle
+from oracles import erfinv_q_inverse_oracle, log_q_inverse_oracle, q_inverse_oracle
 from uavlink.bound import min_snr_for_valid_rate
 from uavlink.fbl_rate import (
     FblConfig,
@@ -56,9 +59,57 @@ def test_q_inverse_matches_bisection_oracle():
 
 @pytest.mark.parametrize("p", [5e-324, 1e-323, 2.5e-320, 1e-310])
 def test_q_inverse_is_accurate_at_subnormal_p(p):
-    # Q(x) is a subnormal there, so Newton on Q alone stalled about 1.8e-9 off
+    # Q(x) is a subnormal there, so no method that forms Q(x) in doubles can
+    # hold this bound; AS241 never evaluates Q
     x = q_inverse(p)
     assert abs(x / log_q_inverse_oracle(p) - 1) <= 1e-15
+
+
+def _ulps_around(x, n=50):
+    """x and the n doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    return below[:0:-1] + above
+
+
+# AS241 switches rational function at |p - 1/2| = 0.425 and at sqrt(-ln p) = 5.
+_BRANCH_SWITCHES = [*_ulps_around(0.075), *_ulps_around(math.exp(-25.0))]
+_NEAR_HALF = [0.5 - 10.0**-k for k in range(2, 16)]
+
+
+def test_q_inverse_is_bit_identical_to_the_stdlib_normal_quantile():
+    # CPython's NormalDist.inv_cdf runs AS241 in C in the same operation order,
+    # so a mistyped coefficient among the 48 shows as a mismatch here.
+    inv_cdf = statistics.NormalDist().inv_cdf
+    upper = [0.5 + 10.0**-k for k in range(2, 16)] + [0.6, 0.925, 0.99, 1.0 - 1e-9, 1.0 - 2.0**-53]
+    ps = [*np.geomspace(5e-324, 0.5, 2000).tolist(), *_BRANCH_SWITCHES, *_NEAR_HALF, *upper]
+    mismatches = [p for p in ps if q_inverse(p) != -inv_cdf(p)]
+    assert not mismatches
+
+
+# Relative error against a 50-digit root in each band of p. In the tails the
+# oracle solves ln Q(x) = ln p; in the central bands it is -sqrt(2) erfinv(2p - 1).
+_ACCURACY_BANDS = {
+    "subnormal": ([*np.geomspace(5e-324, sys.float_info.min, 12, endpoint=False).tolist(),
+                   1e-323, 2.5e-320, 1e-310], log_q_inverse_oracle),
+    "normal-tail": ([*np.geomspace(sys.float_info.min, 0.075, 24, endpoint=False).tolist(),
+                     *_ulps_around(math.exp(-25.0), 3), *_ulps_around(0.075, 3)[:3]],
+                    log_q_inverse_oracle),
+    "central-low": ([*np.linspace(0.075, 0.4, 24, endpoint=False).tolist(),
+                     *_ulps_around(0.075, 3)[3:]], erfinv_q_inverse_oracle),
+    "central-near-half": ([*np.linspace(0.4, 0.5, 24, endpoint=False).tolist(), *_NEAR_HALF],
+                          erfinv_q_inverse_oracle),
+}
+
+
+@pytest.mark.parametrize("band", list(_ACCURACY_BANDS))
+def test_q_inverse_relative_error_is_below_1e15_in_every_band(band):
+    ps, oracle = _ACCURACY_BANDS[band]
+    with mp.workdps(50):  # the ratio at double precision would round to 1.1e-16 steps
+        worst = max(abs(q_inverse(p) / oracle(p) - 1) for p in ps)
+    assert worst <= 1e-15
 
 
 def test_q_inverse_tail_symmetry():

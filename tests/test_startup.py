@@ -256,6 +256,8 @@ def test_a_closed_stdout_pipe_ends_the_process_quietly_with_status_1(tmp_path, c
 # through sys.modules is never loaded, but `-X importtime` would still list the
 # failed attempt.
 OPENSSL_LOADED = "import '_hashlib'"
+# fractions and decimal come in with statistics and add 0.3-0.5 MB to a process.
+HEAVY_STDLIB = ("statistics", "fractions", "decimal")
 SHARDED = ["sweep-m", "--config", "shards.json", "--m-values", "100,300", "--out", "result"]
 MC_CASES = {"sweep-m", "sweep-eps", "sharded-sweep"}
 
@@ -273,6 +275,7 @@ def test_a_cli_process_never_loads_openssl(tmp_path, case):
     _write_sharded_config(tmp_path)
     err = _python(["-v", *FAST_EXIT, *argv], {THREADS: "1"}, cwd=tmp_path).stderr
     assert OPENSSL_LOADED not in err
+    assert not [name for name in HEAVY_STDLIB if f"import '{name}'" in err]
     # The sweeps do import hashlib and hmac, through numpy.random's `secrets`.
     assert ("import 'hmac'" in err) == (case in MC_CASES)
 

@@ -1,10 +1,9 @@
 """Command-line entry point: `uavlink ...` and `python -m uavlink ...`.
 
 numpy's OpenBLAS starts its worker threads when numpy is first imported, and
-uavlink's one BLAS call (the bound's 16-point dot product) is too small to
-gain from them, so the CLI defaults to one thread before anything imports
-numpy, which saves starting them. An OPENBLAS_NUM_THREADS already set in the
-environment wins.
+uavlink makes no BLAS call, so the CLI defaults to one thread before anything
+imports numpy, which saves starting them. An OPENBLAS_NUM_THREADS already set
+in the environment wins.
 
 A CLI process does not load OpenSSL. numpy.random imports `secrets`, which
 imports `hmac` and `hashlib`, and both import `_hashlib`, the binding to

@@ -3,9 +3,9 @@
 A config is a JSON object with sections scenario / link / airspace / fbl /
 estimators (and an optional output section). Two presets carry the default
 parameter sets for the bundled dense-urban and suburban environments.
-Loading is strict: unknown or missing keys are rejected. Serialization is
-canonical (power in dBW, noise as a dBm/Hz density), so a load/dump cycle
-is idempotent.
+Loading is strict: unknown or missing keys, and numeric fields that are not
+numbers, are rejected. Serialization is canonical (power in dBW, noise as a
+dBm/Hz density), so a load/dump cycle is idempotent.
 """
 
 import json
@@ -97,6 +97,8 @@ def _strict_section(data: dict, section: str) -> dict:
     if section not in data:
         raise ValueError(f"config is missing the {section!r} section")
     got = data[section]
+    if not isinstance(got, dict):
+        raise ValueError(f"config section {section!r} must be an object, got {got!r}")
     expected = _SECTION_KEYS[section]
     unknown = set(got) - expected
     if unknown:
@@ -117,8 +119,18 @@ def _integer(section: dict, name: str, key: str) -> int:
     return int(value)
 
 
+def _real(section: dict, name: str, key: str) -> float:
+    """section[key] as a float; a bool, string, null or container is an error."""
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Build a validated RunConfig from a config dict; strict about keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be an object, got {data!r}")
     known_sections = set(_SECTION_KEYS)
     unknown = set(data) - known_sections
     if unknown:
@@ -133,7 +145,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if "output" in data:
         out_dir = str(_strict_section(data, "output")["directory"])
 
-    tx_power_dbw = float(li["tx_power_db"])
+    tx_power_dbw = _real(li, "link", "tx_power_db")
     unit = li["tx_power_unit"]
     if unit == "dBm":
         tx_power_dbw -= 30.0
@@ -145,29 +157,30 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ValueError(f"noise_unit must be 'dBm_per_Hz' or 'dBm', got {nunit!r}")
     link = LinkBudget(
         tx_power_dbw=tx_power_dbw,
-        noise_psd_dbm_hz=float(li["noise_db"]),
-        bandwidth_hz=float(li["bandwidth_hz"]),
-        carrier_hz=float(li["carrier_hz"]),
-        light_speed_m_s=float(li["light_speed_m_s"]),
+        noise_psd_dbm_hz=_real(li, "link", "noise_db"),
+        bandwidth_hz=_real(li, "link", "bandwidth_hz"),
+        carrier_hz=_real(li, "link", "carrier_hz"),
+        light_speed_m_s=_real(li, "link", "light_speed_m_s"),
     )
     if nunit == "dBm":  # total power over the (checked) bandwidth
         link = replace(link, noise_psd_dbm_hz=link.noise_psd_dbm_hz
                        - 10.0 * math.log10(link.bandwidth_hz))
 
     # The bound, d_max and the sweeps all assume eps < 0.5 (q > 0).
-    epsilon = float(fb["epsilon"])
+    epsilon = _real(fb, "fbl", "epsilon")
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"fbl.epsilon must lie in (0, 0.5), got {epsilon!r}")
 
     return RunConfig(
         scenario=Scenario(
-            name=str(sc["name"]), a=float(sc["a"]), b=float(sc["b"]),
-            eta_los_db=float(sc["eta_los_db"]), eta_nlos_db=float(sc["eta_nlos_db"]),
+            name=str(sc["name"]), a=_real(sc, "scenario", "a"), b=_real(sc, "scenario", "b"),
+            eta_los_db=_real(sc, "scenario", "eta_los_db"),
+            eta_nlos_db=_real(sc, "scenario", "eta_nlos_db"),
         ),
         link=link,
         airspace=Airspace(
-            r_min_m=float(ai["r_min_m"]), r_max_m=float(ai["r_max_m"]),
-            theta_min_deg=float(ai["theta_min_deg"]),
+            r_min_m=_real(ai, "airspace", "r_min_m"), r_max_m=_real(ai, "airspace", "r_max_m"),
+            theta_min_deg=_real(ai, "airspace", "theta_min_deg"),
         ),
         fbl=FblConfig(blocklength=_integer(fb, "fbl", "blocklength"),
                       epsilon=epsilon),

@@ -12,6 +12,7 @@ import uavlink.bound
 from oracles import ei_series_oracle, g_inverse_oracle, g_oracle, inverse_snr_oracle
 from uavlink.bound import (
     DistanceLimitError,
+    _lower_bound_rows,
     aadr_lower_bound,
     g1_threshold,
     g2_threshold,
@@ -269,6 +270,15 @@ def test_ei_matches_mpmath_on_the_negative_axis():
             assert abs(exp_integral_ei(x) - expected) <= 1e-14 * abs(expected), x
 
 
+def test_ei_matches_mpmath_up_to_its_overflow():
+    # The series alone covers x >= 40: every term is positive, so nothing
+    # cancels, and x = 700 needs 932 of its 1000 terms.
+    with mpmath.workdps(40):
+        for x in (*np.geomspace(40.0, 700.0, 300), 700.0):
+            expected = mpmath.ei(x)
+            assert abs(exp_integral_ei(x) - expected) <= 1e-14 * expected, x
+
+
 def test_ei_derivative_identity():
     # d/dx Ei = e^x / x
     for x in (-2.0, -0.5, 0.5, 3.0):
@@ -282,6 +292,9 @@ def test_ei_domain_and_overflow_guards():
         exp_integral_ei(0.0)
     with pytest.raises(OverflowError):
         exp_integral_ei(700.5)
+    for x in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"got x={x}$"):
+            exp_integral_ei(x)
 
 
 def test_d_max_scales_with_link_constant(dense_consts):
@@ -381,6 +394,23 @@ def test_lower_bound_penalty_free_reduces_to_jensen_on_log(dense_urban, dense_co
     expected = math.log2(1.0 + 1.0 / mean_inv)
     assert aadr_lower_bound(dense_urban.airspace, dense_consts, cfg) == pytest.approx(
         expected, rel=1e-14)
+
+
+def test_lower_bound_rows_of_mixed_q_match_their_scalar_calls(dense_urban, dense_consts):
+    # q = 0 (epsilon = 0.5), a q inside d_max and one beyond it, in one array
+    space = dense_urban.airspace
+    q = np.array([0.0, FblConfig(blocklength=200, epsilon=1e-9).q, 3.0, 0.0])
+    bound, limit = _lower_bound_rows(space, dense_consts, q)
+    for i, qi in enumerate(q):
+        row_bound, row_limit = _lower_bound_rows(space, dense_consts, float(qi))
+        assert isinstance(row_bound, float) and isinstance(row_limit, float)
+        assert np.float64(row_bound).tobytes() == bound[i].tobytes(), qi
+        assert np.float64(row_limit).tobytes() == limit[i].tobytes(), qi
+    assert limit[0] == limit[3] == math.inf
+    assert bound[0] == bound[3] == pytest.approx(
+        math.log2(1.0 + 1.0 / expected_inverse_snr(space, dense_consts)), rel=1e-15)
+    assert limit[1] > space.r_max_m > limit[2]
+    assert math.isfinite(bound[1]) and math.isnan(bound[2])
 
 
 def test_lower_bound_frozen_value(dense_urban, dense_consts):

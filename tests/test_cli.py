@@ -225,6 +225,23 @@ def test_cli_dmax_exit_codes(tmp_path, capsys):
     assert main(["dmax", "--config", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("3", "config must be an object, got 3"),
+    ('{"scenario": 3}', "config section 'scenario' must be an object, got 3"),
+    (json.dumps({**preset_config("dense_urban"), "airspace": {"r_min_m": 250.0,
+                 "r_max_m": None, "theta_min_deg": 45.0}}),
+     "airspace.r_max_m must be a number, got None"),
+])
+def test_cli_rejects_a_config_value_that_is_not_a_number(tmp_path, capsys, text, message):
+    # each once ended in a TypeError traceback and status 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["dmax", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["sweep-m", "dmax"])
 @pytest.mark.parametrize("epsilon", [0.5, 0.6])
 def test_cli_rejects_a_config_epsilon_outside_the_bound_domain(tmp_path, capsys, command,

@@ -188,6 +188,52 @@ def test_finite_fields_whose_constants_leave_the_doubles_are_named(section, chan
     assert message.startswith(_LINK_FIELDS) and derived in message
 
 
+_FLOAT_FIELDS = [
+    ("scenario", "a"), ("scenario", "b"), ("scenario", "eta_los_db"),
+    ("scenario", "eta_nlos_db"), ("link", "tx_power_db"), ("link", "noise_db"),
+    ("link", "bandwidth_hz"), ("link", "carrier_hz"), ("link", "light_speed_m_s"),
+    ("airspace", "r_min_m"), ("airspace", "r_max_m"), ("airspace", "theta_min_deg"),
+    ("fbl", "epsilon"),
+]
+
+
+@pytest.mark.parametrize("section,key", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [None, [400.0], {"value": 1.0}, True, "400"])
+def test_a_float_field_that_is_not_a_number_is_named(section, key, value):
+    # null and containers once raised a TypeError; true and "400" were read as numbers
+    data = preset_config("dense_urban")
+    data[section][key] = value
+    with pytest.raises(ValueError, match=f"^{section}.{key} must be a number, got "):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("section,key", [
+    (section, key) for section, key in _FLOAT_FIELDS
+    if float(preset_config("dense_urban")[section][key]).is_integer()])
+def test_an_integral_float_field_is_read_as_a_float(section, key):
+    data = preset_config("dense_urban")
+    data[section][key] = int(data[section][key])
+    assert config_from_dict(data) == config_from_dict(preset_config("dense_urban"))
+
+
+@pytest.mark.parametrize("section", ["scenario", "link", "airspace", "fbl", "estimators",
+                                     "output"])
+@pytest.mark.parametrize("value", [3, 2.5, None, [], "x"])
+def test_a_section_that_is_not_an_object_is_named(section, value):
+    data = preset_config("dense_urban")
+    data[section] = value
+    with pytest.raises(ValueError, match=f"^config section '{section}' must be an object"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("text", ["3", "null", "[]", '"config"'])
+def test_a_config_file_that_is_not_an_object_is_rejected(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^config must be an object, got "):
+        load_config(path)
+
+
 def test_load_config_file(tmp_path):
     data = preset_config("suburban")
     path = tmp_path / "cfg.json"

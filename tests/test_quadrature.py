@@ -49,6 +49,20 @@ def test_nodes_sorted_symmetric_weights_positive():
         assert np.sum(rule.weights) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 78, 79, 200, 999, 1000])
+def test_rule_is_increasing_and_mirror_symmetric_up_to_the_top_order(order):
+    # One Newton pass on the nonnegative half; an odd order's middle node is
+    # a Newton root near 0, not a literal 0.
+    rule = legendre_rule(order)
+    half = order // 2
+    assert np.all(np.diff(rule.nodes) > 0.0)
+    assert np.array_equal(rule.nodes[:half], -rule.nodes[::-1][:half])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    if order % 2:
+        assert abs(rule.nodes[half]) <= 1e-60
+    assert abs(np.sum(rule.weights) - 2.0) <= 1e-13
+
+
 def test_monomial_exactness_up_to_degree():
     for order in range(1, 21):
         rule = legendre_rule(order)

@@ -110,9 +110,9 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_openblas_thread_count_does_not_change_a_bit(tmp_path):
-    # bound.expected_inverse_snr's 16-point dot product is uavlink's only
-    # BLAS call, too small for OpenBLAS to split across threads; the
-    # quadrature sums its 200x200 nodes without BLAS. The first run goes in
+    # uavlink makes no BLAS call: the quadrature's 200x200 nodes and
+    # bound.expected_inverse_snr's 16-point rule are summed by numpy's own
+    # reductions, so the thread count reaches no output. The first run goes in
     # through uavlink.cli so an unset variable keeps OpenBLAS's own default
     # (`python -m uavlink` would set it to 1).
     rows = (DATA / "sweep_eps_suburban_dense.csv").read_text(encoding="utf-8").splitlines()[1:]

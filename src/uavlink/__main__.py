@@ -7,8 +7,10 @@ in the environment wins.
 
 A CLI process does not load OpenSSL. numpy.random imports `secrets`, which
 imports `hmac` and `hashlib`, and both import `_hashlib`, the binding to
-OpenSSL's libcrypto: 3.4 MB of a sweep process's 36 MB peak RSS, for hashes
-no command computes. run() puts None under `_hashlib` in sys.modules before
+OpenSSL's libcrypto: 3.4 MB of peak RSS, for hashes no command computes.
+Only a sweep that draws more than montecarlo._ARRAY_PHILOX_MAX samples
+(2**16) imports numpy.random; the default 10,000 are drawn without it. For
+those larger draws, run() puts None under `_hashlib` in sys.modules before
 main(), so that import fails and both modules take their documented stdlib
 fallbacks: `_operator._compare_digest` and the builtin md5, sha1, sha2, sha3
 and blake2 constructors. setdefault keeps a `_hashlib` that is already
@@ -56,8 +58,9 @@ def _flushed() -> bool:
 def run() -> None:
     """Run main() on the command line and end the process without teardown."""
     # Keeps OpenSSL's libcrypto (3.4 MB of peak RSS) out of the process:
-    # hashlib and hmac, imported through numpy.random, use their builtin
-    # fallbacks, and no command hashes anything (see the module docstring).
+    # hashlib and hmac, imported through numpy.random by a draw above 2**16
+    # samples, use their builtin fallbacks, and no command hashes anything
+    # (see the module docstring).
     sys.modules.setdefault("_hashlib", None)
     try:
         try:

@@ -3,9 +3,10 @@
 A config is a JSON object with sections scenario / link / airspace / fbl /
 estimators (and an optional output section). Two presets carry the default
 parameter sets for the bundled dense-urban and suburban environments.
-Loading is strict: unknown or missing keys, and numeric fields that are not
-numbers, are rejected. Serialization is canonical (power in dBW, noise as a
-dBm/Hz density), so a load/dump cycle is idempotent.
+Loading is strict: unknown or missing keys, numeric fields that are not
+numbers and text fields that are not strings are rejected. Serialization is
+canonical (power in dBW, noise as a dBm/Hz density), so a load/dump cycle is
+idempotent.
 """
 
 import json
@@ -127,6 +128,14 @@ def _real(section: dict, name: str, key: str) -> float:
     return float(value)
 
 
+def _string(section: dict, name: str, key: str) -> str:
+    """section[key], which must be a string: null, a number, a bool or a container is an error."""
+    value = section[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{name}.{key} must be a string, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Build a validated RunConfig from a config dict; strict about keys."""
     if not isinstance(data, dict):
@@ -143,7 +152,7 @@ def config_from_dict(data: dict) -> RunConfig:
     es = _strict_section(data, "estimators")
     out_dir = "."
     if "output" in data:
-        out_dir = str(_strict_section(data, "output")["directory"])
+        out_dir = _string(_strict_section(data, "output"), "output", "directory")
 
     tx_power_dbw = _real(li, "link", "tx_power_db")
     unit = li["tx_power_unit"]
@@ -173,7 +182,8 @@ def config_from_dict(data: dict) -> RunConfig:
 
     return RunConfig(
         scenario=Scenario(
-            name=str(sc["name"]), a=_real(sc, "scenario", "a"), b=_real(sc, "scenario", "b"),
+            name=_string(sc, "scenario", "name"),
+            a=_real(sc, "scenario", "a"), b=_real(sc, "scenario", "b"),
             eta_los_db=_real(sc, "scenario", "eta_los_db"),
             eta_nlos_db=_real(sc, "scenario", "eta_nlos_db"),
         ),

@@ -242,6 +242,28 @@ def test_cli_rejects_a_config_value_that_is_not_a_number(tmp_path, capsys, text,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("section,key", [("output", "directory"), ("scenario", "name")])
+@pytest.mark.parametrize("value", [None, 200, [1], True])
+def test_cli_rejects_a_config_text_field_that_is_not_a_string_before_drawing(
+        tmp_path, capsys, monkeypatch, section, key, value):
+    # A null directory once computed the whole sweep, then failed to write
+    # None/sweep_m.csv.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew positions")
+
+    monkeypatch.setattr("uavlink.montecarlo.sample_positions", no_draw)
+    data = preset_config("dense_urban")
+    data[section][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep-m", "--config", str(cfg_path), "--m-values", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {section}.{key} must be a string, got {value!r}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command", ["sweep-m", "dmax"])
 @pytest.mark.parametrize("epsilon", [0.5, 0.6])
 def test_cli_rejects_a_config_epsilon_outside_the_bound_domain(tmp_path, capsys, command,

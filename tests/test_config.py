@@ -207,6 +207,16 @@ def test_a_float_field_that_is_not_a_number_is_named(section, key, value):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("section,key", [("output", "directory"), ("scenario", "name")])
+@pytest.mark.parametrize("value", [None, 3, 2.5, ["out"], True, False])
+def test_a_text_field_that_is_not_a_string_is_named(section, key, value):
+    # str(...) once read these as the strings "None", "3", "['out']" and "True"
+    data = preset_config("dense_urban")
+    data[section][key] = value
+    with pytest.raises(ValueError, match=f"^{section}.{key} must be a string, got "):
+        config_from_dict(data)
+
+
 @pytest.mark.parametrize("section,key", [
     (section, key) for section, key in _FLOAT_FIELDS
     if float(preset_config("dense_urban")[section][key]).is_integer()])

@@ -11,16 +11,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uavlink
+import uavlink.montecarlo as montecarlo
 from uavlink.channel import derive_constants, snr
 from uavlink.config import load_preset, preset_config
 from uavlink.fbl_rate import FblConfig, achievable_rate
 from uavlink.geometry import Airspace, sample_positions
 from uavlink.montecarlo import (
+    _ARRAY_PHILOX_MAX,
     _BLOCK,
     MAX_SAMPLES,
     MAX_SHARDS,
+    _ArrayPhilox,
     _rate_terms,
     estimate_aadr,
     estimate_inverse_snr,
@@ -157,6 +162,68 @@ def test_a_draw_takes_its_blocks_within_shards(dense_urban, dense_consts, monkey
     assert next(remaining, None) is None  # the calls add up to n samples
 
 
+def _numpy_doubles(key, jump, start):
+    rng = np.random.Generator(np.random.Philox(key=key).jumped(jump).advance(start // 4))
+    rng.random(start % 4)
+    return rng
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(key=st.one_of(st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**128 - 1]),
+                     st.integers(0, 2**128 - 1)),
+       jump=st.integers(0, MAX_SHARDS - 1),
+       start=st.integers(0, 2 * MAX_SAMPLES),
+       lengths=st.lists(st.integers(1, 2 * _BLOCK + 3), min_size=1, max_size=3))
+@example(key=0, jump=0, start=0, lengths=[1])
+@example(key=2**128 - 1, jump=MAX_SHARDS - 1, start=2 * MAX_SAMPLES - 1,
+         lengths=[2 * _BLOCK + 3, 1])
+@example(key=2**128 - 1, jump=1, start=3, lengths=[2, 4, 5])
+@example(key=7, jump=1023, start=4 * 10**8 + 1, lengths=[_BLOCK - 1, _BLOCK + 1])
+def test_array_philox_gives_numpys_doubles_bit_for_bit(key, jump, start, lengths):
+    array, rng = _ArrayPhilox(key, jump, start), _numpy_doubles(key, jump, start)
+    for k in lengths:
+        got = array.random(k)
+        assert got.dtype == np.float64 and got.shape == (k,)
+        assert np.array_equal(got.view(np.uint64), rng.random(k).view(np.uint64)), k
+
+
+def test_array_philox_takes_numpy_integer_keys_as_numpy_does():
+    for key in (np.int64(5), np.uint64(2**64 - 1)):
+        expected = _numpy_doubles(key, 2, 3).random(9)
+        assert np.array_equal(_ArrayPhilox(key, 2, 3).random(9), expected)
+
+
+@pytest.mark.parametrize("key", [-1, 2**128, 10**40])
+def test_array_philox_rejects_a_key_numpy_rejects(key):
+    with pytest.raises(ValueError):
+        np.random.Philox(key=key)
+    with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2**128), got {key}")):
+        _ArrayPhilox(key, 0, 0)
+
+
+@pytest.mark.parametrize("n,shards", [
+    (n, shards) for n in (2, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17)
+    for shards in (1, 2, 3) if shards <= n])
+def test_array_and_numpy_philox_give_the_same_estimates(dense_urban, dense_consts, monkeypatch,
+                                                        n, shards):
+    # The array Philox serves draws up to _ARRAY_PHILOX_MAX samples and
+    # numpy.random larger ones; either source, forced, gives the same bits.
+    used = []
+    for name in ("_ArrayPhilox", "_numpy_philox"):
+        source = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name,
+                            lambda *a, name=name, source=source: used.append(name) or source(*a))
+    estimates = {}
+    for limit, name in ((MAX_SAMPLES, "_ArrayPhilox"), (0, "_numpy_philox")):
+        monkeypatch.setattr(montecarlo, "_ARRAY_PHILOX_MAX", limit)
+        used.clear()
+        moments = _rate_terms(dense_urban.airspace, dense_consts, n, 11, shards)
+        inverse = estimate_inverse_snr(dense_urban.airspace, dense_consts, n, 11, shards)
+        assert used == [name] * (4 * shards)  # two streams a shard, two draws
+        estimates[name] = [x.hex() for x in (*moments, inverse.mean, inverse.std_error)]
+    assert estimates["_ArrayPhilox"] == estimates["_numpy_philox"]
+
+
 _LN2 = math.log(2.0)
 
 
@@ -245,10 +312,12 @@ def test_streamed_chain_bounds_the_means_and_the_covariances(preset, n, shards):
 
 def test_a_draw_peaks_below_one_mebibyte_at_any_n(dense_urban, dense_consts):
     # Positions, SNRs, columns and products live only as long as a block of
-    # at most _BLOCK samples. A draw that kept the n SNRs peaked at 8n.
-    _rate_terms(dense_urban.airspace, dense_consts, 100, 1, 1)  # imports numpy.random
+    # at most _BLOCK samples, and so do the array Philox's round arrays. A
+    # draw that kept the n SNRs peaked at 8n. The warm-up draw is above
+    # _ARRAY_PHILOX_MAX, so that numpy.random's import is not measured.
+    _rate_terms(dense_urban.airspace, dense_consts, _ARRAY_PHILOX_MAX + 1, 1, 1)
     for estimate in (_rate_terms, estimate_inverse_snr):
-        for n, shards in ((200_001, 1), (200_001, 3), (4_000_000, 1)):
+        for n, shards in ((_ARRAY_PHILOX_MAX, 1), (200_001, 1), (200_001, 3), (4_000_000, 1)):
             tracemalloc.start()
             try:
                 estimate(dense_urban.airspace, dense_consts, n, 1, shards)
@@ -297,10 +366,13 @@ def _sweep_peak_rss_kib(tmp_path, n):
 @pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
                     reason="reads a child's ru_maxrss in KiB through os.wait4")
 def test_a_sweep_process_peak_rss_does_not_grow_with_the_sample_count(tmp_path):
-    # A draw that kept the 4e6 SNRs (32 MB) as one array raised the peak by about 30 MB.
-    small = _sweep_peak_rss_kib(tmp_path, 10_000)
-    large = _sweep_peak_rss_kib(tmp_path, 4_000_000)
-    assert abs(large - small) < 2 * 1024, (small, large)
+    # Compared within each Philox source: up to _ARRAY_PHILOX_MAX samples a
+    # sweep does not import numpy.random, above it it does (2.8 MB). A draw
+    # that kept the 4e6 SNRs (32 MB) as one array raised the peak by about 30 MB.
+    for small_n, large_n in ((10_000, _ARRAY_PHILOX_MAX), (_ARRAY_PHILOX_MAX + 1, 4_000_000)):
+        small = _sweep_peak_rss_kib(tmp_path, small_n)
+        large = _sweep_peak_rss_kib(tmp_path, large_n)
+        assert abs(large - small) < 2 * 1024, (small_n, small, large_n, large)
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
@@ -315,11 +387,12 @@ def test_a_sweep_process_peak_rss_does_not_grow_with_the_quadrature_orders(tmp_p
 
 @pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
                     reason="reads a child's ru_maxrss in KiB through os.wait4")
-def test_a_sweep_process_peaks_within_5_mib_of_a_dmax_process(tmp_path):
-    # Both load the interpreter, numpy and uavlink; a sweep adds numpy.random
-    # and its draw, about 3.3 MB on a 2-core Xeon. OpenSSL's libcrypto, which
-    # numpy.random's `secrets` pulls in unless the CLI entry blocks `_hashlib`,
-    # added 3.4 MB more.
+def test_a_sweep_process_peaks_within_2_mib_of_a_dmax_process(tmp_path):
+    # Both load the interpreter, numpy and uavlink; a default sweep adds its
+    # draw's blocks and the quadrature's, 0.5-1 MB on a 2-core Xeon. It draws
+    # with the array Philox; numpy.random, which it imported before, added
+    # 2.8 MB more, and OpenSSL's libcrypto, which numpy.random's `secrets`
+    # pulls in unless the CLI entry blocks `_hashlib`, 3.4 MB on top of that.
     dmax = _cli_peak_rss_kib("dmax")
     sweep = _sweep_peak_rss_kib(tmp_path, 10_000)
-    assert sweep - dmax < 5 * 1024, (dmax, sweep)
+    assert sweep - dmax < 2 * 1024, (dmax, sweep)

@@ -24,6 +24,7 @@ import pytest
 import uavlink
 import uavlink.__main__
 from uavlink.config import preset_config
+from uavlink.montecarlo import _ARRAY_PHILOX_MAX
 
 SRC = Path(uavlink.__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
@@ -258,54 +259,62 @@ def test_a_closed_stdout_pipe_ends_the_process_quietly_with_status_1(tmp_path, c
 OPENSSL_LOADED = "import '_hashlib'"
 # fractions and decimal come in with statistics and add 0.3-0.5 MB to a process.
 HEAVY_STDLIB = ("statistics", "fractions", "decimal")
+# Sweeps of 2 shards. Only the large one draws more than _ARRAY_PHILOX_MAX
+# samples, so only it imports numpy.random, and through its `secrets` hmac
+# and hashlib.
 SHARDED = ["sweep-m", "--config", "shards.json", "--m-values", "100,300", "--out", "result"]
-MC_CASES = {"sweep-m", "sweep-eps", "sharded-sweep"}
+LARGE = ["sweep-m", "--config", "large.json", "--m-values", "100,300", "--out", "result"]
+SWEEP_SAMPLES = {"shards.json": 4000, "large.json": _ARRAY_PHILOX_MAX + 1}
 
 
-def _write_sharded_config(workdir: Path) -> None:
-    data = copy.deepcopy(preset_config("dense_urban"))
-    data["estimators"].update(n_samples=4000, shards=2)
-    (workdir / "shards.json").write_text(json.dumps(data), encoding="utf-8")
+def _write_sharded_configs(workdir: Path) -> None:
+    for name, n_samples in SWEEP_SAMPLES.items():
+        data = copy.deepcopy(preset_config("dense_urban"))
+        data["estimators"].update(n_samples=n_samples, shards=2)
+        (workdir / name).write_text(json.dumps(data), encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", ["sweep-m", "sweep-eps", "dmax", "packet-size", "verify-out",
-                                  "sharded-sweep"])
+                                  "sharded-sweep", "large-sweep"])
 def test_a_cli_process_never_loads_openssl(tmp_path, case):
-    argv = SHARDED if case == "sharded-sweep" else CLI_CASES[case][0]
-    _write_sharded_config(tmp_path)
+    argv = {"sharded-sweep": SHARDED, "large-sweep": LARGE}.get(case) or CLI_CASES[case][0]
+    _write_sharded_configs(tmp_path)
     err = _python(["-v", *FAST_EXIT, *argv], {THREADS: "1"}, cwd=tmp_path).stderr
     assert OPENSSL_LOADED not in err
     assert not [name for name in HEAVY_STDLIB if f"import '{name}'" in err]
-    # The sweeps do import hashlib and hmac, through numpy.random's `secrets`.
-    assert ("import 'hmac'" in err) == (case in MC_CASES)
+    for name in ("numpy.random", "secrets", "hmac", "hashlib"):
+        assert (f"import '{name}'" in err) == (case == "large-sweep"), name
 
 
 def test_in_process_callers_keep_openssl(tmp_path):
     # Only run() blocks `_hashlib`: importing uavlink and calling either main()
-    # do not, and a sweep loads the real binding where the build has one.
+    # do not, and a sweep above _ARRAY_PHILOX_MAX samples loads the real
+    # binding where the build has one. Smaller sweeps load no hashlib at all.
     has_openssl = importlib.util.find_spec("_hashlib") is not None
-    _write_sharded_config(tmp_path)
+    _write_sharded_configs(tmp_path)
+    small = [CLI_CASES[c][0] for c in ("dmax", "packet-size", "verify-out", "sweep-m")]
     _python("import sys\n"
             "import uavlink\n"
             "assert '_hashlib' not in sys.modules, 'import uavlink'\n"
             "import uavlink.cli, uavlink.__main__\n"
             "assert '_hashlib' not in sys.modules, 'import uavlink.cli'\n"
-            f"for argv in {[CLI_CASES[c][0] for c in ('dmax', 'packet-size', 'verify-out')]!r}:\n"
+            f"for argv in {[*small, SHARDED]!r}:\n"
             "    assert uavlink.__main__.main(argv) == 0, argv\n"
             "    assert uavlink.cli.main(argv) == 0, argv\n"
             "    assert '_hashlib' not in sys.modules, argv\n"
-            f"assert uavlink.__main__.main({SHARDED!r}) == 0\n"
-            f"assert uavlink.cli.main({SHARDED!r}) == 0\n"
+            f"assert uavlink.__main__.main({LARGE!r}) == 0\n"
+            f"assert uavlink.cli.main({LARGE!r}) == 0\n"
             f"assert ('_hashlib' in sys.modules) == {has_openssl}, 'sweep'\n"
             "assert sys.modules.get('_hashlib', 'absent') is not None, 'sweep'\n",
             cwd=tmp_path)
 
 
-def _sharded_sweep(workdir: Path, entry) -> tuple:
-    """(stdout, result file) of the SHARDED sweep run through entry in a new workdir."""
+def _large_sweep(workdir: Path, entry) -> tuple:
+    """(stdout, result file) of the LARGE sweep, which imports numpy.random,
+    run through entry in a new workdir."""
     workdir.mkdir()
-    _write_sharded_config(workdir)
-    proc = _python([*entry, *SHARDED], {THREADS: "1"}, cwd=workdir)
+    _write_sharded_configs(workdir)
+    proc = _python([*entry, *LARGE], {THREADS: "1"}, cwd=workdir)
     return proc.stdout, (workdir / "result").read_bytes()
 
 
@@ -334,7 +343,7 @@ def test_a_cli_process_hashes_with_the_builtin_fallbacks(tmp_path):
              "print('hmac', hmac.new(b'key', b'uavlink', 'sha256').hexdigest())\n"
              "assert hmac.compare_digest(b'uavlink', b'uavlink')\n"
              "assert len(secrets.token_hex(8)) == 16\n")
-    stdout, _ = _sharded_sweep(tmp_path / "run", _run_then(check))
+    stdout, _ = _large_sweep(tmp_path / "run", _run_then(check))
     expected = [f"{name} {hashlib.new(name, b'uavlink').hexdigest()}" for name in HASHES]
     expected.append(f"hmac {hmac.new(b'key', b'uavlink', 'sha256').hexdigest()}")
     assert stdout.splitlines()[-len(expected):] == expected
@@ -343,8 +352,8 @@ def test_a_cli_process_hashes_with_the_builtin_fallbacks(tmp_path):
 def test_a_hashlib_binding_imported_before_run_is_kept(tmp_path):
     pytest.importorskip("_hashlib")
     check = "print('kept' if sys.modules['_hashlib'] is _hashlib else 'replaced')\n"
-    kept = _sharded_sweep(tmp_path / "kept", _run_then(check, "import _hashlib\n"))
-    plain = _sharded_sweep(tmp_path / "plain", FAST_EXIT)
+    kept = _large_sweep(tmp_path / "kept", _run_then(check, "import _hashlib\n"))
+    plain = _large_sweep(tmp_path / "plain", FAST_EXIT)
     assert kept[0].splitlines() == [*plain[0].splitlines(), "kept"]
     assert kept[1] == plain[1]
 

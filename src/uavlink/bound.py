@@ -48,6 +48,14 @@ def _x_dg(x):
     return (x * (x * np.log1p(1.0 / x) - 2.0) - 1.0) / ((2.0 * x + 1.0) * np.sqrt(2.0 * x + 1.0))
 
 
+def _f_slopes(x, q):
+    # (x (x + 1) f', x^2 (x + 1)^2 f''), with t = q x^2 / ((x + 1) sqrt(2x + 1)):
+    # the signs of f' and f'', and finite down to x = 1e-307 at any q.
+    w = 2.0 * x + 1.0
+    t = q * x * x / ((x + 1.0) * np.sqrt(w))
+    return t - 1.0, w - t * (3.0 * x * x - 1.0) / w
+
+
 # g_inverse's q range, wider than any configuration reaches (q <= 38.5, as
 # eps >= 5e-324 and M >= 1); its roots, 1e-304 to 5e61, keep every term of g
 # and x g' a normal float.
@@ -210,7 +218,8 @@ def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
     Independent of the blocklength and error probability: a sweep evaluates
     it, and so its four Ei terms, once for all rows.
 
-    Separates into the distance moment u = (r_max^5 - r_min^5)/5 and an
+    Separates into E(d^2) = 3 (r_max^5 - r_min^5) / (5 (r_max^3 - r_min^3)),
+    r_max - r_min divided out so that a thin shell does not cancel, and an
     elevation integral v expressed through Ei via the antiderivative
     t(x) = (e^-a_tilde Ei(a_tilde - 1/x) - Ei(-1/x)) / a_tilde.
     Where the elevation range is narrow, or lies far above the sigmoid's
@@ -231,7 +240,6 @@ def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
         return (math.exp(-at) * exp_integral_ei(at * s / (1.0 + s))
                 - exp_integral_ei(-at / (1.0 + s))) / at
 
-    u = (big_d**5 - r**5) / 5.0
     width = 90.0 - th_min
     # exp(-a_tilde P_los(theta)) is singular where 1 + a exp(-b (theta - a)) = 0,
     # nearest at theta = pole + i pi/b. The ellipse with foci theta_min and 90
@@ -246,8 +254,9 @@ def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
         s1 = a * math.exp(-b * (th_min - a))
         s2 = a * math.exp(-b * (90.0 - a))
         v = (at / b) * (t_of_sigmoid(s1) - t_of_sigmoid(s2))
-    norm = 3.0 / consts.c_tilde / (width * (big_d**3 - r**3))
-    return norm * u * v
+    ratio = ((big_d**4 + big_d**3 * r + big_d**2 * r**2 + big_d * r**3 + r**4)
+             / (5.0 * (big_d**2 + big_d * r + r**2)))
+    return 3.0 / consts.c_tilde / width * ratio * v
 
 
 class DistanceLimitError(ValueError):

@@ -1,21 +1,19 @@
 """Numerical verification of the lower-bound lemmas on dense log-grids.
 
-Checks, per penalty coefficient q: nonnegativity of the penalized log-rate
-f on (0, g_inverse(q)], its decrease and convexity there (central finite
-differences), the strict decrease of g, and the two dominating thresholds
-g1 > g and g2 > g that underpin the derivative sign arguments.
+Checks, per penalty coefficient q in g_inverse's domain [1e-31, 700], that the
+penalized log-rate f is nonnegative on (0, g_inverse(q)] and, by the closed
+forms x (x + 1) f' and x^2 (x + 1)^2 f'' of bound._f_slopes, decreasing and
+convex there. Then g's decrease by the closed form x g' (bound._x_dg), and the
+two dominating thresholds g1 > g and g2 > g behind the derivative signs.
 """
 
 import numpy as np
 
-from .bound import _INV_SQRT3, f_penalized, g1_threshold, g2_threshold, g_bound, g_inverse
+from .bound import (_INV_SQRT3, _f_slopes, _x_dg, f_penalized, g1_threshold, g2_threshold,
+                    g_bound, g_inverse)
 
 NONNEGATIVITY_TOLERANCE = -1e-12
-REL_STEP = 1e-4  # central-difference step, relative to x
 MAX_GRID_POINTS = 10**6  # several float arrays of this length are built per q
-# f'' is about 1/x^2 near 0, and the f grid reaches down to 1e-3 g_inverse(q),
-# about 1e-3 e^-q; from q = 348 on, its finite-difference f'' overflows.
-MAX_Q = 300.0
 
 
 def run_lemma_suite(
@@ -25,10 +23,12 @@ def run_lemma_suite(
 ) -> dict:
     """Run every lemma check and return a machine-readable report.
 
-    q_values must be nonempty and each q lie in [1e-31, MAX_Q]. f_impl is a
-    test hook replacing f_penalized; the default is the real implementation.
-    The report lists, per check, the grid, the tolerance and the worst
-    observed value; all_passed aggregates the verdicts.
+    q_values must be nonempty and each q lie in g_inverse's domain
+    [1e-31, 700]. f_impl is a test hook replacing f_penalized in the
+    f_nonnegative check, the only one that evaluates f; the default is the
+    real implementation. The report lists, per check, the grid, the
+    tolerance and the worst observed value, which for the slope checks is
+    the scaled slope; all_passed aggregates the verdicts.
     """
     if not 2 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], got {grid_points}")
@@ -39,20 +39,13 @@ def run_lemma_suite(
     checks = []
 
     for q in q_values:
-        # Checked before g_inverse, which would report its own wider domain; it names NaN and inf.
-        if np.isfinite(q) and q > MAX_Q:
-            raise ValueError(f"the lemma suite needs q <= {MAX_Q:g}, got q={q}")
         x_hi = g_inverse(q)
         # The grid starts below the root: at 1e-6, or at a thousandth of the
         # root where that is smaller (q above about 13.8).
         x_lo = min(1e-6, 1e-3 * x_hi)
         xs = np.geomspace(x_lo, x_hi, grid_points)
-        h = xs * REL_STEP
         fx = f(xs, q)
-        f_plus = f(xs + h, q)
-        f_minus = f(xs - h, q)
-        d1 = (f_plus - f_minus) / (2.0 * h)
-        d2 = (f_plus - 2.0 * fx + f_minus) / (h * h)
+        d1, d2 = _f_slopes(xs, q)
 
         checks.append(_check(
             name="f_nonnegative", q=q, grid=(x_lo, x_hi), points=grid_points,
@@ -69,11 +62,10 @@ def run_lemma_suite(
         ))
 
     xs = np.geomspace(1e-6, 1e3, grid_points)
-    h = xs * REL_STEP
-    g_deriv = (g_bound(xs + h) - g_bound(xs - h)) / (2.0 * h)
+    x_dg = _x_dg(xs)
     checks.append(_check(
         name="g_decreasing", q=None, grid=(1e-6, 1e3), points=grid_points,
-        tolerance=0.0, worst=float(g_deriv.max()), passed=bool(g_deriv.max() < 0.0),
+        tolerance=0.0, worst=float(x_dg.max()), passed=bool(x_dg.max() < 0.0),
     ))
 
     margin1 = g1_threshold(xs) - g_bound(xs)
@@ -93,7 +85,6 @@ def run_lemma_suite(
     return {
         "q_values": q_values,
         "grid_points": grid_points,
-        "rel_step": REL_STEP,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }

@@ -100,7 +100,7 @@ def _node_terms(space: Airspace, consts: DerivedConstants, n_theta: int, n_dist:
     theta = 0.5 * (th_hi - th_lo) * rule_theta.nodes + 0.5 * (th_hi + th_lo)
     dist = 0.5 * (d_hi - d_lo) * rule_dist.nodes + 0.5 * (d_hi + d_lo)
     dist_weights = rule_dist.weights * dist**2
-    prefactor = 0.75 * (d_hi - d_lo) / (d_hi**3 - d_lo**3)
+    prefactor = 0.75 / (d_hi**2 + d_hi * d_lo + d_lo**2)  # (d_hi - d_lo) divided out exactly
     row_sums = np.empty((2, n_dist))
     rows = _BLOCK // n_theta
     for lo in range(0, n_dist, rows):
@@ -124,7 +124,7 @@ def aadr_gcq(
     The inner elevation integral uses an n_theta-point rule on
     [theta_min, 90], the outer distance integral an n_dist-point rule on
     [r_min, r_max]; the position-density normalization collapses to the
-    prefactor (3/4) (r_max - r_min) / (r_max^3 - r_min^3).
+    prefactor (3/4) (r_max - r_min) / (r_max^3 - r_min^3), r_max - r_min divided out.
     """
     return _rate(*_node_terms(space, consts, n_theta, n_dist), cfg.q)
 

@@ -4,8 +4,8 @@ These deliberately avoid the code paths under test: the Ei oracle is an
 extended-precision power series, one quantile oracle is plain bisection on
 the implemented tail probability, one an mpmath root of ln Q and one
 mpmath's inverse error function, the penalty threshold g and its root are
-evaluated in mpmath, the root by bisection in ln x, and E(1/SNR) is mpmath
-quadrature.
+evaluated in mpmath, the root by bisection in ln x, the slopes of f and g
+are mpmath's numerical derivatives, and E(1/SNR) is mpmath quadrature.
 """
 
 import mpmath as mp
@@ -112,3 +112,31 @@ def g_inverse_oracle(q, dps=60):
         u = bisect_root(lambda u: g_oracle(mp.exp(u), dps) - q, mp.mpf(-720), mp.mpf(160),
                         iterations=80)
         return float(mp.exp(u))
+
+
+def _log_derivatives(h, x):
+    """(x h'(x), x^2 h''(x) + x h'(x)), the first two derivatives of h(e^u) in u = ln x.
+
+    mpmath's default step is absolute, about 2^-(prec + 10); taken in u it
+    stays far below the scale of h, however small x is.
+    """
+    u = mp.log(x)
+    return mp.diff(lambda v: h(mp.exp(v)), u, 1), mp.diff(lambda v: h(mp.exp(v)), u, 2)
+
+
+def f_slopes_oracle(x, q, dps=50):
+    """(x (x + 1) f'(x), x^2 (x + 1)^2 f''(x)) as mpfs, by mpmath differentiation at dps digits.
+
+    f(x) = ln(1 + 1/x) - q sqrt(2x + 1)/(x + 1) is the lemma suite's penalized log-rate.
+    """
+    with mp.workdps(dps):
+        x, q = mp.mpf(x), mp.mpf(q)
+        d1, d2 = _log_derivatives(lambda y: mp.log1p(1 / y) - q * mp.sqrt(2 * y + 1) / (y + 1), x)
+        return (x + 1) * d1, (x + 1) ** 2 * (d2 - d1)
+
+
+def x_dg_oracle(x, dps=50):
+    """x g'(x) as an mpf, by mpmath differentiation of g_oracle's formula at dps digits."""
+    with mp.workdps(dps):
+        return _log_derivatives(lambda y: (y + 1) * mp.log1p(1 / y) / mp.sqrt(2 * y + 1),
+                                mp.mpf(x))[0]

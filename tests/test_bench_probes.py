@@ -39,3 +39,13 @@ def test_the_probes_see_every_monte_carlo_sample(tracer):
         uavlink.montecarlo._rate_terms(cfg.airspace, consts, 40_000, 1, 2)
     assert spans.counters["geometry.sample_positions.samples"] == 40_000
     assert spans.counters["channel.snr.points"] == 40_000
+
+
+def test_the_probes_count_each_g_inverse_call_of_the_lemma_suite(tracer):
+    # The suite looks g_inverse up as a module global of uavlink.lemmas, once per q.
+    from uavlink.lemmas import run_lemma_suite
+
+    spans = tracer.Tracer()
+    with tracer.Probes(spans):
+        run_lemma_suite(q_values=(0.05, 0.2, 0.6))
+    assert [s.name for s in spans.spans].count("bound.g_inverse") == 3

@@ -9,10 +9,13 @@ import pytest
 import scipy.special
 
 import uavlink.bound
-from oracles import ei_series_oracle, g_inverse_oracle, g_oracle, inverse_snr_oracle
+from oracles import (ei_series_oracle, f_slopes_oracle, g_inverse_oracle, g_oracle,
+                     inverse_snr_oracle, x_dg_oracle)
 from uavlink.bound import (
     DistanceLimitError,
+    _f_slopes,
     _lower_bound_rows,
+    _x_dg,
     aadr_lower_bound,
     g1_threshold,
     g2_threshold,
@@ -242,6 +245,23 @@ def test_f_decreasing_and_convex():
         assert np.min(fpp) > 0.0
 
 
+def test_f_slopes_match_mpmath_on_the_lemma_grids():
+    # The lemma suite's f grids, down to about 1e-307 at q = 700.
+    for q in np.geomspace(1e-31, 700.0, 8):
+        x_hi = g_inverse(q)
+        xs = np.geomspace(min(1e-6, 1e-3 * x_hi), x_hi, 200)
+        for x, d1, d2 in zip(xs, *_f_slopes(xs, q)):
+            o1, o2 = f_slopes_oracle(x, q)
+            assert abs(d1 / float(o1) - 1.0) <= 1e-15, (q, x)
+            assert abs(d2 / float(o2) - 1.0) <= 1e-15, (q, x)
+
+
+def test_x_dg_matches_mpmath_on_the_lemma_grid():
+    xs = np.geomspace(1e-6, 1e3, 200)
+    for x, x_dg in zip(xs, _x_dg(xs)):
+        assert abs(x_dg / float(x_dg_oracle(x)) - 1.0) <= 1e-15, x
+
+
 def test_ei_reference_values():
     # frozen from the extended-precision series oracle
     assert exp_integral_ei(-1.0) == pytest.approx(-0.21938393439552027, rel=1e-13)
@@ -347,6 +367,15 @@ def test_expected_inverse_snr_is_accurate_up_to_vertical(name, theta_min):
     space = replace(cfg.airspace, theta_min_deg=theta_min)
     assert abs(expected_inverse_snr(space, consts) / inverse_snr_oracle(space, consts) - 1) \
         <= 1e-14
+
+
+@pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-12, 1e-14, 1e-15])
+def test_expected_inverse_snr_is_accurate_on_a_thin_shell(dense_consts, width):
+    # r_max - r_min is divided out of the distance moment exactly; the
+    # unfactored ratio was 2.1e-3 off at width 1e-14.
+    space = Airspace(300.0, 300.0 * (1.0 + width), 45.0)
+    assert abs(expected_inverse_snr(space, dense_consts) / inverse_snr_oracle(space, dense_consts)
+               - 1) <= 2e-15
 
 
 def test_expected_inverse_snr_is_accurate_over_random_scenarios():

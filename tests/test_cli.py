@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -373,7 +374,12 @@ def test_cli_verify_rejects_non_finite_q(capsys, q):
 
 def test_cli_verify_rejects_q_outside_the_domain_of_g_inverse(capsys):
     assert main(["verify", "--q-values", "1000"]) == 2
-    assert "error: the lemma suite needs q <= 300, got q=1000.0" in capsys.readouterr().err
+    assert "error: g_inverse needs q in [1e-31, 700], got q=1000.0" in capsys.readouterr().err
+
+
+def test_cli_verify_passes_at_both_ends_of_the_domain_of_g_inverse(capsys):
+    assert main(["verify", "--q-values", "1e-31,700"]) == 0
+    assert capsys.readouterr().out.endswith("all passed\n")
 
 
 @pytest.mark.parametrize("command, flag, message", [
@@ -403,15 +409,15 @@ def test_cli_verify_passes_where_the_root_is_below_the_fixed_grid_start(tmp_path
 
 
 def test_lemma_suite_runs_without_runtime_warnings_over_the_domain_of_g_inverse():
-    # 1000 lies beyond g_inverse's domain too: the suite's own limit is reported.
-    for q in [*np.geomspace(1e-31, 700.0, 41), 1000.0]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            if q <= uavlink.lemmas.MAX_Q:
-                run_lemma_suite(q_values=(float(q),))
-            else:
-                with pytest.raises(ValueError, match="the lemma suite needs q <= 300"):
-                    run_lemma_suite(q_values=(float(q),))
+    # The slopes are scaled closed forms, so none overflows at the smallest
+    # grid point, about 1e-307 at q = 700; beyond 700, g_inverse rejects q.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for q in np.geomspace(1e-31, 700.0, 41):
+            assert run_lemma_suite(q_values=(float(q),))["all_passed"], q
+        with pytest.raises(ValueError, match=re.escape("g_inverse needs q in [1e-31, 700], "
+                                                       "got q=1000.0")):
+            run_lemma_suite(q_values=(1000.0,))
 
 
 def test_cli_verify_rejects_a_huge_grid_before_building_it(monkeypatch, capsys):

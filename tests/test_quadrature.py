@@ -7,7 +7,7 @@ import pytest
 
 from uavlink.channel import snr
 from uavlink.fbl_rate import FblConfig, q_free_terms, shannon_rate
-from uavlink.geometry import pdf_distance, pdf_elevation
+from uavlink.geometry import Airspace, pdf_distance, pdf_elevation
 from uavlink.montecarlo import estimate_aadr
 from uavlink.quadrature import _node_terms, aadr_gcq, integrate, legendre_rule
 
@@ -190,13 +190,14 @@ def test_node_terms_do_not_depend_on_the_block_size(suburban, suburban_consts, m
 
 def _exact_node_terms(space, consts, n_theta: int, n_dist: int):
     """(GCQ[S], GCQ[W]) as the exact nested sums over the whole grid of the
-    float node terms and weights, rounded once."""
+    float node terms and weights, times the exact prefactor, rounded once."""
     rule_theta, rule_dist = legendre_rule(n_theta), legendre_rule(n_dist)
     th_lo, d_lo, d_hi = space.theta_min_deg, space.r_min_m, space.r_max_m
     theta = 0.5 * (90.0 - th_lo) * rule_theta.nodes + 0.5 * (90.0 + th_lo)
     dist = 0.5 * (d_hi - d_lo) * rule_dist.nodes + 0.5 * (d_hi + d_lo)
     dist_weights = rule_dist.weights * dist**2
-    prefactor = Fraction(0.75 * (d_hi - d_lo) / (d_hi**3 - d_lo**3))
+    lo, hi = Fraction(d_lo), Fraction(d_hi)
+    prefactor = Fraction(3, 4) * (hi - lo) / (hi**3 - lo**3)
     weights = [Fraction(w) for w in rule_theta.weights.tolist()]
     return tuple(
         float(prefactor * sum(Fraction(dw) * sum(map(Fraction.__mul__, map(Fraction, row), weights))
@@ -211,6 +212,16 @@ def test_node_terms_lie_within_1e_15_of_the_exact_grid_sums(dense_urban, dense_c
         got = _node_terms(cfg.airspace, consts, n_theta, n_dist)
         for x, ref in zip(got, _exact_node_terms(cfg.airspace, consts, n_theta, n_dist)):
             assert abs(x - ref) <= 1e-15 * abs(ref), (x, ref, abs(x - ref) / abs(ref))
+
+
+@pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-12, 1e-14, 1e-15])
+def test_node_terms_lie_within_1e_15_of_the_exact_grid_sums_on_a_thin_shell(dense_consts, width):
+    # r_max - r_min is divided out of the prefactor exactly; the unfactored
+    # prefactor was 1.6e-3 off at width 1e-14.
+    space = Airspace(300.0, 300.0 * (1.0 + width), 45.0)
+    got = _node_terms(space, dense_consts, 30, 30)
+    for x, ref in zip(got, _exact_node_terms(space, dense_consts, 30, 30)):
+        assert abs(x - ref) <= 1e-15 * abs(ref), (x, ref, abs(x - ref) / abs(ref))
 
 
 @pytest.mark.parametrize("order", [200, 1000])

@@ -32,8 +32,8 @@ _GAUSS_ELLIPSE = 6.0
 
 
 # Unchecked formulas, shared by the validating array functions below, the
-# Jensen bound and g_inverse's Newton iteration. numpy's log1p gives a Python
-# float and each element of an array the same bits.
+# Jensen bound, g_inverse's Newton iteration and the lemma suite. numpy's
+# log1p gives a Python float and each element of an array the same bits.
 def _f(x, q):
     return np.log1p(1.0 / x) - q * np.sqrt(2.0 * x + 1.0) / (x + 1.0)
 
@@ -46,14 +46,6 @@ def _x_dg(x):
     # x g'(x) = (x (x ln(1 + 1/x) - 2) - 1) / (2x + 1)^1.5, the slope of g(e^u)
     # in u = ln x; the numerator runs from -1 to about -x, free of cancellation.
     return (x * (x * np.log1p(1.0 / x) - 2.0) - 1.0) / ((2.0 * x + 1.0) * np.sqrt(2.0 * x + 1.0))
-
-
-def _f_slopes(x, q):
-    # (x (x + 1) f', x^2 (x + 1)^2 f''), with t = q x^2 / ((x + 1) sqrt(2x + 1)):
-    # the signs of f' and f'', and finite down to x = 1e-307 at any q.
-    w = 2.0 * x + 1.0
-    t = q * x * x / ((x + 1.0) * np.sqrt(w))
-    return t - 1.0, w - t * (3.0 * x * x - 1.0) / w
 
 
 # g_inverse's q range, wider than any configuration reaches (q <= 38.5, as

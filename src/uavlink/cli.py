@@ -208,9 +208,11 @@ def _cmd_packet_size(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q_values = (_parse_values(args.q_values, float) if args.q_values is not None
-                else (0.05, 0.2, 0.6))
-    report = run_lemma_suite(q_values=tuple(q_values), grid_points=args.grid_points)
+    # Only the flags given reach the suite, whose signature holds the defaults.
+    options = {k: v for k, v in vars(args).items() if k in ("q_values", "grid_points")}
+    if "q_values" in options:
+        options["q_values"] = _parse_values(options["q_values"], float)
+    report = run_lemma_suite(**options)
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -280,9 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_packet_size)
 
     p = sub.add_parser("verify", help="run the numerical lemma suite")
-    p.add_argument("--q-values", help="comma-separated penalty coefficients "
-                                      "(default 0.05,0.2,0.6)")
-    p.add_argument("--grid-points", type=int, default=200, help="points per log-grid")
+    p.add_argument("--q-values", default=argparse.SUPPRESS,
+                   help="comma-separated penalty coefficients, each in [1e-31, 700]")
+    p.add_argument("--grid-points", type=int, default=argparse.SUPPRESS,
+                   help="points per q-free log-grid, 2 to 1,000,000")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_verify)
 

@@ -41,12 +41,19 @@ class Airspace:
             raise ValueError(f"r_max={self.r_max_m} m is too large: r_max**5 overflows") from None
 
 
+def _cube_difference(a, b):
+    # a^3 - b^3 as (a - b)(a^2 + ab + b^2): the subtraction is exact for
+    # b <= a <= 2b (Sterbenz), so a thin shell loses no digits.
+    return (a - b) * (a * a + a * b + b * b)
+
+
 def cdf_distance(space: Airspace, x):
     """CDF of the station-to-UAV distance, (x^3 - r_min^3) / (r_max^3 - r_min^3)."""
     x = np.asarray(x, dtype=float)
     if not (np.all(x >= space.r_min_m) and np.all(x <= space.r_max_m)):
         raise ValueError(f"distance outside support [{space.r_min_m}, {space.r_max_m}] m")
-    return _scalar_or_array((x**3 - space.r_min_m**3) / (space.r_max_m**3 - space.r_min_m**3))
+    return _scalar_or_array(_cube_difference(x, space.r_min_m)
+                            / _cube_difference(space.r_max_m, space.r_min_m))
 
 
 def pdf_distance(space: Airspace, x):
@@ -54,7 +61,7 @@ def pdf_distance(space: Airspace, x):
     x = np.asarray(x, dtype=float)
     if not (np.all(x >= space.r_min_m) and np.all(x <= space.r_max_m)):
         raise ValueError(f"distance outside support [{space.r_min_m}, {space.r_max_m}] m")
-    return _scalar_or_array(3.0 * x**2 / (space.r_max_m**3 - space.r_min_m**3))
+    return _scalar_or_array(3.0 * x**2 / _cube_difference(space.r_max_m, space.r_min_m))
 
 
 def pdf_elevation(space: Airspace, theta):

@@ -1,64 +1,51 @@
-"""Numerical verification of the lower-bound lemmas on dense log-grids.
+"""Numerical verification of the lower-bound lemmas.
 
-Checks, per penalty coefficient q in g_inverse's domain [1e-31, 700], that the
-penalized log-rate f is nonnegative on (0, g_inverse(q)] and, by the closed
-forms x (x + 1) f' and x^2 (x + 1)^2 f'' of bound._f_slopes, decreasing and
-convex there. Then g's decrease by the closed form x g' (bound._x_dg), and the
-two dominating thresholds g1 > g and g2 > g behind the derivative signs.
+The lemma: for q in g_inverse's domain [1e-31, 700], the penalized log-rate
+f(x) = ln(1 + 1/x) - q sqrt(2x + 1)/(x + 1) is nonnegative, decreasing and
+convex on (0, x_q], x_q = g_inverse(q). The test suite proves in exact
+arithmetic that it follows from q <= g on that interval and three q-free
+facts, g' < 0, g1 > g and g2 > g, which this suite samples on a log-grid
+(g's slope by the closed form x g' of bound._x_dg).
+
+Per q it checks only the root: |g(x_q) - q| / q <= 1e-14, g_inverse's
+documented residual. The lemma is its corollary. g decreasing gives
+g(x) >= g(x_q) >= (1 - 1e-14) q on (0, x_q]. With s = sqrt(2x + 1) <= x + 1,
+f = (s/(x + 1)) (g - q) >= -1e-14 q there. x (x + 1) f' = q/(2 g1) - 1 and,
+for x > 1/sqrt(3), x^2 (x + 1)^2 f'' = (2x + 1) (1 - q/(2 g2)), with q/(2 g1)
+and q/(2 g2) below 1/(2 (1 - 1e-14)); for x <= 1/sqrt(3), f'' > 0 at any q.
+So f' < 0 and f'' > 0 with a factor of about 2 to spare.
 """
 
 import numpy as np
 
-from .bound import (_INV_SQRT3, _f_slopes, _x_dg, f_penalized, g1_threshold, g2_threshold,
-                    g_bound, g_inverse)
+from .bound import _INV_SQRT3, _g, _x_dg, g1_threshold, g2_threshold, g_bound, g_inverse
 
-NONNEGATIVITY_TOLERANCE = -1e-12
-MAX_GRID_POINTS = 10**6  # several float arrays of this length are built per q
+MAX_GRID_POINTS = 10**6  # a few float arrays of this length are built
 
 
-def run_lemma_suite(
-    q_values=(0.05, 0.2, 0.6),
-    grid_points: int = 200,
-    f_impl=None,
-) -> dict:
+def run_lemma_suite(q_values=(0.05, 0.2, 0.6), grid_points: int = 200) -> dict:
     """Run every lemma check and return a machine-readable report.
 
     q_values must be nonempty and each q lie in g_inverse's domain
-    [1e-31, 700]. f_impl is a test hook replacing f_penalized in the
-    f_nonnegative check, the only one that evaluates f; the default is the
-    real implementation. The report lists, per check, the grid, the
-    tolerance and the worst observed value, which for the slope checks is
-    the scaled slope; all_passed aggregates the verdicts.
+    [1e-31, 700]; each q gets one g_inverse_root check at its root, whose
+    worst is the relative residual |g(x_q) - q| / q. grid_points sets the
+    log-grid of the three q-free checks. The report lists, per check, the
+    grid, the tolerance and the worst observed value; all_passed aggregates
+    the verdicts.
     """
     if not 2 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], got {grid_points}")
     q_values = list(q_values)
     if not q_values:
         raise ValueError("q_values must be nonempty")
-    f = f_penalized if f_impl is None else f_impl
     checks = []
 
     for q in q_values:
-        x_hi = g_inverse(q)
-        # The grid starts below the root: at 1e-6, or at a thousandth of the
-        # root where that is smaller (q above about 13.8).
-        x_lo = min(1e-6, 1e-3 * x_hi)
-        xs = np.geomspace(x_lo, x_hi, grid_points)
-        fx = f(xs, q)
-        d1, d2 = _f_slopes(xs, q)
-
+        x_q = g_inverse(q)
+        residual = float(abs(_g(x_q) - q) / q)
         checks.append(_check(
-            name="f_nonnegative", q=q, grid=(x_lo, x_hi), points=grid_points,
-            tolerance=NONNEGATIVITY_TOLERANCE, worst=float(fx.min()),
-            passed=bool(fx.min() >= NONNEGATIVITY_TOLERANCE),
-        ))
-        checks.append(_check(
-            name="f_decreasing", q=q, grid=(x_lo, x_hi), points=grid_points,
-            tolerance=0.0, worst=float(d1.max()), passed=bool(d1.max() < 0.0),
-        ))
-        checks.append(_check(
-            name="f_convex", q=q, grid=(x_lo, x_hi), points=grid_points,
-            tolerance=0.0, worst=float(d2.min()), passed=bool(d2.min() > 0.0),
+            name="g_inverse_root", q=q, grid=(x_q, x_q), points=1,
+            tolerance=1e-14, worst=residual, passed=residual <= 1e-14,
         ))
 
     xs = np.geomspace(1e-6, 1e3, grid_points)

@@ -4,11 +4,18 @@ These deliberately avoid the code paths under test: the Ei oracle is an
 extended-precision power series, one quantile oracle is plain bisection on
 the implemented tail probability, one an mpmath root of ln Q and one
 mpmath's inverse error function, the penalty threshold g and its root are
-evaluated in mpmath, the root by bisection in ln x, the slopes of f and g
-are mpmath's numerical derivatives, and E(1/SNR) is mpmath quadrature.
+evaluated in mpmath, the root by bisection in ln x, the slope of g is
+mpmath's numerical derivative, E(1/SNR) is mpmath quadrature, and the
+penalty-free GCQ is a plain nested Gauss-Legendre sum of the Shannon rate.
 """
 
 import mpmath as mp
+import numpy as np
+
+from uavlink.channel import snr
+from uavlink.fbl_rate import shannon_rate
+from uavlink.geometry import pdf_distance, pdf_elevation
+from uavlink.quadrature import integrate, legendre_rule
 
 
 def ei_series_oracle(x, dps=60, truncation=1e-15):
@@ -114,29 +121,36 @@ def g_inverse_oracle(q, dps=60):
         return float(mp.exp(u))
 
 
-def _log_derivatives(h, x):
-    """(x h'(x), x^2 h''(x) + x h'(x)), the first two derivatives of h(e^u) in u = ln x.
-
-    mpmath's default step is absolute, about 2^-(prec + 10); taken in u it
-    stays far below the scale of h, however small x is.
-    """
-    u = mp.log(x)
-    return mp.diff(lambda v: h(mp.exp(v)), u, 1), mp.diff(lambda v: h(mp.exp(v)), u, 2)
-
-
-def f_slopes_oracle(x, q, dps=50):
-    """(x (x + 1) f'(x), x^2 (x + 1)^2 f''(x)) as mpfs, by mpmath differentiation at dps digits.
-
-    f(x) = ln(1 + 1/x) - q sqrt(2x + 1)/(x + 1) is the lemma suite's penalized log-rate.
-    """
-    with mp.workdps(dps):
-        x, q = mp.mpf(x), mp.mpf(q)
-        d1, d2 = _log_derivatives(lambda y: mp.log1p(1 / y) - q * mp.sqrt(2 * y + 1) / (y + 1), x)
-        return (x + 1) * d1, (x + 1) ** 2 * (d2 - d1)
-
-
 def x_dg_oracle(x, dps=50):
-    """x g'(x) as an mpf, by mpmath differentiation of g_oracle's formula at dps digits."""
+    """x g'(x) as an mpf, by mpmath differentiation of g_oracle's formula at dps digits.
+
+    It is the slope of g(e^u) in u = ln x. mpmath's default step is absolute,
+    about 2^-(prec + 10); taken in u it stays far below the scale of g, however
+    small x is. The formula is inlined, as mp.diff raises the working precision.
+    """
+    def g_of_u(u):
+        y = mp.exp(u)
+        return (y + 1) * mp.log1p(1 / y) / mp.sqrt(2 * y + 1)
+
     with mp.workdps(dps):
-        return _log_derivatives(lambda y: (y + 1) * mp.log1p(1 / y) / mp.sqrt(2 * y + 1),
-                                mp.mpf(x))[0]
+        return mp.diff(g_of_u, mp.log(mp.mpf(x)))
+
+
+def shannon_gcq_oracle(space, consts, order=30):
+    """E(log2(1 + SNR)) over the airspace by a nested order-point Gauss-Legendre sum.
+
+    The distance rule's nodes are walked one at a time, each with its own
+    elevation integral; no node grid is shared as in quadrature.aadr_gcq.
+    """
+    def inner(x):
+        return integrate(
+            legendre_rule(order),
+            lambda th: pdf_elevation(space, th) * shannon_rate(snr(consts, th, x)),
+            space.theta_min_deg, 90.0,
+        )
+
+    return integrate(
+        legendre_rule(order),
+        lambda xs: np.array([pdf_distance(space, x) * inner(x) for x in np.atleast_1d(xs)]),
+        space.r_min_m, space.r_max_m,
+    )

@@ -9,11 +9,10 @@ import pytest
 import scipy.special
 
 import uavlink.bound
-from oracles import (ei_series_oracle, f_slopes_oracle, g_inverse_oracle, g_oracle,
-                     inverse_snr_oracle, x_dg_oracle)
+from oracles import (ei_series_oracle, g_inverse_oracle, g_oracle, inverse_snr_oracle,
+                     x_dg_oracle)
 from uavlink.bound import (
     DistanceLimitError,
-    _f_slopes,
     _lower_bound_rows,
     _x_dg,
     aadr_lower_bound,
@@ -243,17 +242,6 @@ def test_f_decreasing_and_convex():
                + f_penalized(xs - h, q)) / (h * h)
         assert np.max(fp) < 0.0
         assert np.min(fpp) > 0.0
-
-
-def test_f_slopes_match_mpmath_on_the_lemma_grids():
-    # The lemma suite's f grids, down to about 1e-307 at q = 700.
-    for q in np.geomspace(1e-31, 700.0, 8):
-        x_hi = g_inverse(q)
-        xs = np.geomspace(min(1e-6, 1e-3 * x_hi), x_hi, 200)
-        for x, d1, d2 in zip(xs, *_f_slopes(xs, q)):
-            o1, o2 = f_slopes_oracle(x, q)
-            assert abs(d1 / float(o1) - 1.0) <= 1e-15, (q, x)
-            assert abs(d2 / float(o2) - 1.0) <= 1e-15, (q, x)
 
 
 def test_x_dg_matches_mpmath_on_the_lemma_grid():

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uavlink.bound
 import uavlink.lemmas
-from uavlink.channel import snr
+from oracles import shannon_gcq_oracle
+from uavlink.channel import derive_constants
 from uavlink.cli import (
     SWEEP_EPS_COLUMNS,
     SWEEP_M_COLUMNS,
@@ -22,10 +24,8 @@ from uavlink.cli import (
     write_csv,
 )
 from uavlink.config import config_from_dict, load_preset, preset_config
-from uavlink.fbl_rate import FblConfig, shannon_rate
-from uavlink.geometry import pdf_distance, pdf_elevation
+from uavlink.fbl_rate import FblConfig
 from uavlink.lemmas import run_lemma_suite
-from uavlink.quadrature import integrate, legendre_rule
 
 
 def _small_cfg(name="dense_urban", **changes):
@@ -62,23 +62,7 @@ def test_sweep_blocklength_penalty_free_matches_shannon_quadrature():
     # The config loader rejects eps = 0.5, where q = 0; the library takes it.
     cfg = replace(_small_cfg(), fbl=FblConfig(blocklength=200, epsilon=0.5))
     rows = sweep_blocklength(cfg, [200])
-    space = cfg.airspace
-    from uavlink.channel import derive_constants
-
-    consts = derive_constants(cfg.scenario, cfg.link)
-
-    def inner(x):
-        return integrate(
-            legendre_rule(30),
-            lambda th: pdf_elevation(space, th) * shannon_rate(snr(consts, th, x)),
-            space.theta_min_deg, 90.0,
-        )
-
-    reference = integrate(
-        legendre_rule(30),
-        lambda xs: np.array([pdf_distance(space, x) * inner(x) for x in np.atleast_1d(xs)]),
-        space.r_min_m, space.r_max_m,
-    )
+    reference = shannon_gcq_oracle(cfg.airspace, derive_constants(cfg.scenario, cfg.link))
     assert rows[0]["aadr_gcq"] == pytest.approx(reference, rel=1e-12)
 
 
@@ -401,16 +385,16 @@ def test_lemma_suite_rejects_no_q_values():
 
 
 def test_cli_verify_passes_where_the_root_is_below_the_fixed_grid_start(tmp_path):
-    # For q above about 13.8, g_inverse(q) < 1e-6; 38.5 is about the largest
-    # q a configuration reaches.
+    # For q above about 13.8, g_inverse(q) < 1e-6, below the start of the
+    # q-free grids; 38.5 is about the largest q a configuration reaches.
     report_path = tmp_path / "report.json"
     assert main(["verify", "--q-values", "14,30,38.5", "--out", str(report_path)]) == 0
     assert json.loads(report_path.read_text())["all_passed"] is True
 
 
 def test_lemma_suite_runs_without_runtime_warnings_over_the_domain_of_g_inverse():
-    # The slopes are scaled closed forms, so none overflows at the smallest
-    # grid point, about 1e-307 at q = 700; beyond 700, g_inverse rejects q.
+    # The root check evaluates g at roots down to about 1e-304, at q = 700;
+    # beyond 700, g_inverse rejects q.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for q in np.geomspace(1e-31, 700.0, 41):
@@ -437,27 +421,34 @@ def test_cli_verify_passes(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["all_passed"] is True
     assert report["grid_points"] == 200
-    names = {c["name"] for c in report["checks"]}
-    assert {"f_nonnegative", "f_decreasing", "f_convex",
-            "g_decreasing", "g1_dominates_g",
-            "g2_dominates_g"} == names
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["g_inverse_root"] * 3 + ["g_decreasing", "g1_dominates_g",
+                                              "g2_dominates_g"]
     for check in report["checks"]:
-        assert check["points"] >= 200
+        assert check["points"] == (1 if check["q"] is not None else 200)
         assert "tolerance" in check
         assert "grid" in check
 
 
-def test_lemma_suite_detects_injected_sign_flip():
-    # a sign-flipped implementation must break the nonnegativity lemma
-    from uavlink.bound import f_penalized
+def _off_root(q):
+    return 1.001 * uavlink.bound.g_inverse(q)
 
-    def perturbed(x, q):
-        return -f_penalized(x, q)
 
-    report = run_lemma_suite(q_values=(0.6,), grid_points=100, f_impl=perturbed)
-    by_name = {c["name"]: c for c in report["checks"]}
+def _negated_x_dg(x):
+    return -uavlink.bound._x_dg(x)
+
+
+@pytest.mark.parametrize("name, fault, failing", [
+    ("g_inverse", _off_root, {"g_inverse_root"}),
+    ("_x_dg", _negated_x_dg, {"g_decreasing"}),
+], ids=["root_off_by_0.1%", "x_dg_negated"])
+def test_lemma_suite_detects_an_injected_fault(monkeypatch, capsys, name, fault, failing):
+    monkeypatch.setattr(uavlink.lemmas, name, fault)
+    report = run_lemma_suite()
     assert not report["all_passed"]
-    assert not by_name["f_nonnegative"]["passed"]
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.endswith("FAILURES detected\n")
 
 
 def test_lemma_suite_rejects_tiny_grid():

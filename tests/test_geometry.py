@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -109,6 +110,21 @@ def test_pdf_is_cdf_derivative():
     h = xs * 1e-5
     approx = (cdf_distance(SPACE, xs + h) - cdf_distance(SPACE, xs - h)) / (2.0 * h)
     assert np.max(np.abs(approx / pdf_distance(SPACE, xs) - 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-12, 1e-14, 1e-15])
+def test_distance_law_keeps_its_digits_on_a_thin_shell(width):
+    # r_max^3 - r_min^3 computed as a difference of cubes cancels to 1.1e-2
+    # relative error at width 1e-15; factored, every digit survives.
+    space = Airspace(r_min_m=300.0, r_max_m=300.0 * (1.0 + width), theta_min_deg=45.0)
+    xs = np.linspace(space.r_min_m, space.r_max_m, 7)[1:]
+    with mp.workdps(40):
+        r, top = mp.mpf(space.r_min_m), mp.mpf(space.r_max_m) ** 3 - mp.mpf(space.r_min_m) ** 3
+        pdfs = [float(3 * mp.mpf(x) ** 2 / top) for x in xs]
+        cdfs = [float((mp.mpf(x) ** 3 - r**3) / top) for x in xs]
+    assert np.max(np.abs(pdf_distance(space, xs) / pdfs - 1.0)) <= 1e-15
+    assert np.max(np.abs(cdf_distance(space, xs) / cdfs - 1.0)) <= 1e-15
+    assert cdf_distance(space, space.r_min_m) == 0.0
 
 
 def test_elevation_density_values():

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import shannon_gcq_oracle
 from uavlink.channel import snr
-from uavlink.fbl_rate import FblConfig, q_free_terms, shannon_rate
-from uavlink.geometry import Airspace, pdf_distance, pdf_elevation
+from uavlink.fbl_rate import FblConfig, q_free_terms
+from uavlink.geometry import Airspace
 from uavlink.montecarlo import estimate_aadr
 from uavlink.quadrature import _node_terms, aadr_gcq, integrate, legendre_rule
 
@@ -119,19 +120,7 @@ def test_integrate_rejects_empty_interval():
 def test_gcq_penalty_free_reduces_to_shannon_quadrature(dense_urban, dense_consts):
     space = dense_urban.airspace
     cfg = FblConfig(blocklength=200, epsilon=0.5)
-
-    def inner(x):
-        return integrate(
-            legendre_rule(30),
-            lambda th: pdf_elevation(space, th) * shannon_rate(snr(dense_consts, th, x)),
-            space.theta_min_deg, 90.0,
-        )
-
-    reference = integrate(
-        legendre_rule(30),
-        lambda xs: np.array([pdf_distance(space, x) * inner(x) for x in np.atleast_1d(xs)]),
-        space.r_min_m, space.r_max_m,
-    )
+    reference = shannon_gcq_oracle(space, dense_consts)
     assert aadr_gcq(space, dense_consts, cfg, 30, 30) == pytest.approx(reference, rel=1e-12)
 
 

@@ -9,7 +9,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -49,9 +49,10 @@ def _sweep(cfg: RunConfig, column: str, values: list, q: list) -> list[dict]:
     """
     consts = derive_constants(cfg.scenario, cfg.link)
     space, q = cfg.airspace, np.array(q)
+    # The bound first: it rejects a q outside g_inverse's domain before the draw.
+    bound, _ = _lower_bound_rows(space, consts, q)
     moments = _rate_terms(space, consts, cfg.n_samples, cfg.seed, cfg.shards)
     mc_mean, mc_stderr = _aadr_rows(moments, q, cfg.n_samples)
-    bound, _ = _lower_bound_rows(space, consts, q)
     gcq = _rate(*_node_terms(space, consts, cfg.n_theta, cfg.n_dist), q)
     columns = {column: values, "shannon_mc": [moments[0]] * len(values),
                "aadr_mc": mc_mean.tolist(), "aadr_mc_stderr": mc_stderr.tolist(),
@@ -122,17 +123,10 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else load_preset(args.scenario)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides["n_samples"] = args.samples
-    if args.n1 is not None:
-        overrides["n_theta"] = args.n1
-    if args.n2 is not None:
-        overrides["n_dist"] = args.n2
-    return replace(cfg, **overrides)
+    cfg = load_config(args.config) if args.config else load_preset(args.preset)
+    # Each override flag stores under its RunConfig field's name.
+    return replace(cfg, **{field.name: getattr(args, field.name) for field in fields(RunConfig)
+                           if getattr(args, field.name, None) is not None})
 
 
 def _out_path(args, cfg: RunConfig, default_name: str) -> str:
@@ -208,11 +202,9 @@ def _cmd_packet_size(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # Only the flags given reach the suite, whose signature holds the defaults.
-    options = {k: v for k, v in vars(args).items() if k in ("q_values", "grid_points")}
-    if "q_values" in options:
-        options["q_values"] = _parse_values(options["q_values"], float)
-    report = run_lemma_suite(**options)
+    # run_lemma_suite's signature holds the default q values.
+    report = (run_lemma_suite() if args.q_values is None
+              else run_lemma_suite(_parse_values(args.q_values, float)))
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -228,13 +220,16 @@ def _cmd_verify(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", choices=PRESET_NAMES, default="dense_urban",
-                        help="bundled preset to start from")
+    parser.add_argument("--scenario", dest="preset", choices=PRESET_NAMES,
+                        default="dense_urban", help="bundled preset to start from")
     parser.add_argument("--config", help="JSON config file (overrides --scenario)")
     parser.add_argument("--seed", type=int, help="Monte Carlo seed override")
-    parser.add_argument("--samples", type=int, help="Monte Carlo sample count override")
-    parser.add_argument("--n1", type=int, help="elevation quadrature order override")
-    parser.add_argument("--n2", type=int, help="distance quadrature order override")
+    parser.add_argument("--samples", type=int, dest="n_samples", metavar="SAMPLES",
+                        help="Monte Carlo sample count override")
+    parser.add_argument("--n1", type=int, dest="n_theta", metavar="N1",
+                        help="elevation quadrature order override")
+    parser.add_argument("--n2", type=int, dest="n_dist", metavar="N2",
+                        help="distance quadrature order override")
     parser.add_argument("--out", help="output file path")
 
 
@@ -282,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_packet_size)
 
     p = sub.add_parser("verify", help="run the numerical lemma suite")
-    p.add_argument("--q-values", default=argparse.SUPPRESS,
+    p.add_argument("--q-values",
                    help="comma-separated penalty coefficients, each in [1e-31, 700]")
-    p.add_argument("--grid-points", type=int, default=argparse.SUPPRESS,
-                   help="points per q-free log-grid, 2 to 1,000,000")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_verify)
 

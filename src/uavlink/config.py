@@ -12,7 +12,7 @@ idempotent.
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .channel import LinkBudget, Scenario
 from .fbl_rate import FblConfig
@@ -91,7 +91,8 @@ def preset_config(name: str) -> dict:
     }
 
 
-_SECTION_KEYS = {section: set(keys) for section, keys in preset_config(PRESET_NAMES[0]).items()}
+# Each section's keys, in the preset's order.
+_SECTION_KEYS = {section: keys.keys() for section, keys in preset_config(PRESET_NAMES[0]).items()}
 
 
 def _strict_section(data: dict, section: str) -> dict:
@@ -125,7 +126,10 @@ def _real(section: dict, name: str, key: str) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the doubles
+        raise ValueError(f"{name}.{key} is too large for a double") from None
 
 
 def _string(section: dict, name: str, key: str) -> str:
@@ -136,8 +140,23 @@ def _string(section: dict, name: str, key: str) -> str:
     return value
 
 
+_READERS = {int: _integer, float: _real, str: _string}
+
+
+def _read_section(data: dict, section: str, cls) -> dict:
+    """The section's values, each read by the annotated type of cls's field of its name."""
+    got = _strict_section(data, section)
+    types = {field.name: field.type for field in fields(cls)}
+    return {key: _READERS[types[key]](got, section, key) for key in _SECTION_KEYS[section]}
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a validated RunConfig from a config dict; strict about keys."""
+    """Build a validated RunConfig from a config dict; strict about keys.
+
+    The scenario, airspace and fbl sections and the estimators keys are read
+    by the annotated type of the dataclass field each key names; the link
+    section is read key by key because of its units.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"config must be an object, got {data!r}")
     known_sections = set(_SECTION_KEYS)
@@ -145,11 +164,11 @@ def config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
 
-    sc = _strict_section(data, "scenario")
+    sc = _read_section(data, "scenario", Scenario)
     li = _strict_section(data, "link")
-    ai = _strict_section(data, "airspace")
-    fb = _strict_section(data, "fbl")
-    es = _strict_section(data, "estimators")
+    ai = _read_section(data, "airspace", Airspace)
+    fb = _read_section(data, "fbl", FblConfig)
+    es = _read_section(data, "estimators", RunConfig)
     out_dir = "."
     if "output" in data:
         out_dir = _string(_strict_section(data, "output"), "output", "directory")
@@ -176,31 +195,11 @@ def config_from_dict(data: dict) -> RunConfig:
                        - 10.0 * math.log10(link.bandwidth_hz))
 
     # The bound, d_max and the sweeps all assume eps < 0.5 (q > 0).
-    epsilon = _real(fb, "fbl", "epsilon")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"fbl.epsilon must lie in (0, 0.5), got {epsilon!r}")
+    if not 0.0 < fb["epsilon"] < 0.5:
+        raise ValueError(f"fbl.epsilon must lie in (0, 0.5), got {fb['epsilon']!r}")
 
-    return RunConfig(
-        scenario=Scenario(
-            name=_string(sc, "scenario", "name"),
-            a=_real(sc, "scenario", "a"), b=_real(sc, "scenario", "b"),
-            eta_los_db=_real(sc, "scenario", "eta_los_db"),
-            eta_nlos_db=_real(sc, "scenario", "eta_nlos_db"),
-        ),
-        link=link,
-        airspace=Airspace(
-            r_min_m=_real(ai, "airspace", "r_min_m"), r_max_m=_real(ai, "airspace", "r_max_m"),
-            theta_min_deg=_real(ai, "airspace", "theta_min_deg"),
-        ),
-        fbl=FblConfig(blocklength=_integer(fb, "fbl", "blocklength"),
-                      epsilon=epsilon),
-        n_theta=_integer(es, "estimators", "n_theta"),
-        n_dist=_integer(es, "estimators", "n_dist"),
-        n_samples=_integer(es, "estimators", "n_samples"),
-        seed=_integer(es, "estimators", "seed"),
-        shards=_integer(es, "estimators", "shards"),
-        output_dir=out_dir,
-    )
+    return RunConfig(scenario=Scenario(**sc), link=link, airspace=Airspace(**ai),
+                     fbl=FblConfig(**fb), output_dir=out_dir, **es)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -218,13 +217,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         },
         "airspace": asdict(cfg.airspace),
         "fbl": asdict(cfg.fbl),
-        "estimators": {
-            "n_theta": cfg.n_theta,
-            "n_dist": cfg.n_dist,
-            "n_samples": cfg.n_samples,
-            "seed": cfg.seed,
-            "shards": cfg.shards,
-        },
+        "estimators": {key: getattr(cfg, key) for key in _SECTION_KEYS["estimators"]},
         "output": {"directory": cfg.output_dir},
     }
 

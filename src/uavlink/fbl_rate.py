@@ -43,7 +43,11 @@ class FblConfig:
 
 def _penalty(epsilon: float, blocklength: int) -> float:
     """Penalty coefficient q = Qinv(epsilon) / sqrt(M) of the normal approximation."""
-    return q_inverse(epsilon) / math.sqrt(blocklength)
+    try:
+        root = math.sqrt(blocklength)
+    except OverflowError:  # an integer beyond the doubles
+        raise ValueError("blocklength is too large for a double") from None
+    return q_inverse(epsilon) / root
 
 
 def _rate(s_terms, w_terms, q):

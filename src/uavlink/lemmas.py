@@ -4,8 +4,8 @@ The lemma: for q in g_inverse's domain [1e-31, 700], the penalized log-rate
 f(x) = ln(1 + 1/x) - q sqrt(2x + 1)/(x + 1) is nonnegative, decreasing and
 convex on (0, x_q], x_q = g_inverse(q). The test suite proves in exact
 arithmetic that it follows from q <= g on that interval and three q-free
-facts, g' < 0, g1 > g and g2 > g, which this suite samples on a log-grid
-(g's slope by the closed form x g' of bound._x_dg).
+facts, g' < 0, g1 > g and g2 > g, which this suite samples on 200-point
+log-grids (g's slope by the closed form x g' of bound._x_dg).
 
 Per q it checks only the root: |g(x_q) - q| / q <= 1e-14, g_inverse's
 documented residual. The lemma is its corollary. g decreasing gives
@@ -20,21 +20,19 @@ import numpy as np
 
 from .bound import _INV_SQRT3, _g, _x_dg, g1_threshold, g2_threshold, g_bound, g_inverse
 
-MAX_GRID_POINTS = 10**6  # a few float arrays of this length are built
+_GRID_POINTS = 200  # per q-free log-grid
 
 
-def run_lemma_suite(q_values=(0.05, 0.2, 0.6), grid_points: int = 200) -> dict:
+def run_lemma_suite(q_values=(0.05, 0.2, 0.6)) -> dict:
     """Run every lemma check and return a machine-readable report.
 
     q_values must be nonempty and each q lie in g_inverse's domain
     [1e-31, 700]; each q gets one g_inverse_root check at its root, whose
-    worst is the relative residual |g(x_q) - q| / q. grid_points sets the
-    log-grid of the three q-free checks. The report lists, per check, the
-    grid, the tolerance and the worst observed value; all_passed aggregates
-    the verdicts.
+    worst is the relative residual |g(x_q) - q| / q. The three q-free checks
+    sample log-grids of 200 points. The report lists, per check, the grid,
+    the tolerance and the worst observed value; all_passed aggregates the
+    verdicts.
     """
-    if not 2 <= grid_points <= MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], got {grid_points}")
     q_values = list(q_values)
     if not q_values:
         raise ValueError("q_values must be nonempty")
@@ -48,30 +46,30 @@ def run_lemma_suite(q_values=(0.05, 0.2, 0.6), grid_points: int = 200) -> dict:
             tolerance=1e-14, worst=residual, passed=residual <= 1e-14,
         ))
 
-    xs = np.geomspace(1e-6, 1e3, grid_points)
+    xs = np.geomspace(1e-6, 1e3, _GRID_POINTS)
     x_dg = _x_dg(xs)
     checks.append(_check(
-        name="g_decreasing", q=None, grid=(1e-6, 1e3), points=grid_points,
+        name="g_decreasing", q=None, grid=(1e-6, 1e3), points=_GRID_POINTS,
         tolerance=0.0, worst=float(x_dg.max()), passed=bool(x_dg.max() < 0.0),
     ))
 
     margin1 = g1_threshold(xs) - g_bound(xs)
     checks.append(_check(
-        name="g1_dominates_g", q=None, grid=(1e-6, 1e3), points=grid_points,
+        name="g1_dominates_g", q=None, grid=(1e-6, 1e3), points=_GRID_POINTS,
         tolerance=0.0, worst=float(margin1.min()), passed=bool(margin1.min() > 0.0),
     ))
 
     lo = _INV_SQRT3 * (1.0 + 1e-6)
-    xs2 = np.geomspace(lo, 1e3, grid_points)
+    xs2 = np.geomspace(lo, 1e3, _GRID_POINTS)
     margin2 = g2_threshold(xs2) - g_bound(xs2)
     checks.append(_check(
-        name="g2_dominates_g", q=None, grid=(lo, 1e3), points=grid_points,
+        name="g2_dominates_g", q=None, grid=(lo, 1e3), points=_GRID_POINTS,
         tolerance=0.0, worst=float(margin2.min()), passed=bool(margin2.min() > 0.0),
     ))
 
     return {
         "q_values": q_values,
-        "grid_points": grid_points,
+        "grid_points": _GRID_POINTS,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }

@@ -96,7 +96,7 @@ def test_criterion_05_closed_form_inverse_snr():
 
 
 def test_criterion_06_lemma_suite():
-    report = run_lemma_suite(q_values=(0.05, 0.2, 0.6), grid_points=200)
+    report = run_lemma_suite(q_values=(0.05, 0.2, 0.6))
     assert report["grid_points"] >= 200
     failures = [c["name"] for c in report["checks"] if not c["passed"]]
     assert report["all_passed"], failures

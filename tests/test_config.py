@@ -7,7 +7,9 @@ import pytest
 
 from uavlink.bound import d_max
 from uavlink.channel import derive_constants
+from uavlink.cli import main
 from uavlink.config import (
+    PRESET_NAMES,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -42,6 +44,12 @@ def test_round_trip_is_idempotent():
     assert dumped == data
     assert config_from_dict(dumped) == cfg
     assert json.dumps(config_to_dict(config_from_dict(dumped))) == json.dumps(dumped)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_are_canonical(name):
+    # the JSON text pins the writer's key order and its int and float types
+    assert json.dumps(config_to_dict(load_preset(name))) == json.dumps(preset_config(name))
 
 
 def test_non_canonical_units_converge_after_one_cycle():
@@ -205,6 +213,19 @@ def test_a_float_field_that_is_not_a_number_is_named(section, key, value):
     data[section][key] = value
     with pytest.raises(ValueError, match=f"^{section}.{key} must be a number, got "):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("command", ["dmax", "sweep-eps"])
+@pytest.mark.parametrize("section,key", _FLOAT_FIELDS + [("fbl", "blocklength")])
+def test_a_number_too_large_for_a_double_is_named(tmp_path, capsys, command, section, key):
+    # float() and math.sqrt once failed with only "int too large to convert to float"
+    data = preset_config("dense_urban")
+    data[section][key] = 10**400
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    name = "blocklength" if key == "blocklength" else f"{section}.{key}"
+    assert capsys.readouterr().err == f"error: {name} is too large for a double\n"
 
 
 @pytest.mark.parametrize("section,key", [("output", "directory"), ("scenario", "name")])

@@ -1,10 +1,10 @@
-"""Every module-level private function and class of src/uavlink is used.
+"""Every module-level private function, class and constant of src/uavlink is used.
 
 A private helper that nothing in the package refers to is dead code that
 still has to be read and kept right. A use is a Name, an Attribute or an
-import of the helper's name anywhere in src/uavlink outside the helper's own
-definition; docstrings and comments are not parsed as code, so they do not
-count, and neither do the tests.
+import of the helper's name anywhere in src/uavlink outside the statement
+that defines it; docstrings and comments are not parsed as code, so they do
+not count, and neither do the tests. A constant is an assignment target.
 """
 
 import ast
@@ -24,20 +24,41 @@ def _used_name(node):
     return None
 
 
-def test_every_private_function_and_class_is_referenced():
-    private, uses = set(), set()
+def _defined_names(top):
+    """The names a module-level statement defines, with their kind."""
+    if isinstance(top, DEFINITIONS):
+        return {top.name: "definition"}
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return {node.id: "constant" for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)}
+    return {}
+
+
+def _unused_private_names():
+    """{kind: sorted 'module.name' entries} of the private names nothing uses."""
+    private, uses = {}, set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = top.name if isinstance(top, DEFINITIONS) else None
-            if owner and owner.startswith("_") and not owner.startswith("__"):
-                private.add((path.stem, owner))
+            owners = _defined_names(top)
+            for name, kind in owners.items():
+                if name.startswith("_") and not name.startswith("__"):
+                    private[(path.stem, name)] = kind
             for node in ast.walk(top):
                 name = _used_name(node)
                 if name:
-                    uses.add((name, path.stem, owner))
-    unused = sorted(
-        f"{module}.{name}" for module, name in private
-        if not any(used == name and (where, owner) != (module, name)
-                   for used, where, owner in uses)
-    )
-    assert unused == []
+                    uses.add((name, path.stem, frozenset(owners)))
+    unused = {"definition": [], "constant": []}
+    for (module, name), kind in sorted(private.items()):
+        if not any(used == name and not (where == module and name in owners)
+                   for used, where, owners in uses):
+            unused[kind].append(f"{module}.{name}")
+    return unused
+
+
+def test_every_private_function_and_class_is_referenced():
+    assert _unused_private_names()["definition"] == []
+
+
+def test_every_private_constant_is_referenced():
+    assert _unused_private_names()["constant"] == []

@@ -72,7 +72,7 @@ def test_cli_commands_without_monte_carlo_never_load_numpy_random():
             "import uavlink.cli\n"
             "assert 'numpy.random' not in sys.modules, 'import'\n"
             "for argv in (['dmax'], ['packet-size', '--t-max', '2e-4'],\n"
-            "             ['verify', '--grid-points', '20']):\n"
+            "             ['verify']):\n"
             "    uavlink.cli.main(argv)\n"
             "    assert 'numpy.random' not in sys.modules, argv\n")
 
@@ -142,8 +142,8 @@ CLI_CASES = {
     "sweep-eps": (["sweep-eps", *SMALL, "--eps-values", "1e-9,1e-5", "--out", "result"], 0),
     "dmax": (["dmax"], 0),
     "packet-size": (["packet-size", "--t-max", "2e-4", "--n1", "8", "--n2", "8"], 0),
-    "verify": (["verify", "--grid-points", "20"], 0),
-    "verify-out": (["verify", "--grid-points", "20", "--out", "result"], 0),
+    "verify": (["verify"], 0),
+    "verify-out": (["verify", "--out", "result"], 0),
     "dmax-beyond-limit": (["dmax", "--config", "big.json"], 1),
     "bad-config": (["dmax", "--config", "missing.json"], 2),
     "usage-error": (["no-such-command"], 2),

@@ -17,7 +17,7 @@ import numpy as np
 from .bound import _lower_bound_rows, d_max
 from .channel import derive_constants
 from .config import PRESET_NAMES, RunConfig, load_config, load_preset
-from .fbl_rate import FblConfig, _penalty, _rate
+from .fbl_rate import FblConfig, _rate
 from .lemmas import run_lemma_suite
 from .montecarlo import _aadr_rows, _rate_terms
 from .quadrature import _node_terms, aadr_gcq
@@ -28,8 +28,9 @@ from .montecarlo import estimate_aadr, estimate_shannon  # noqa: F401
 
 OUT_DIR_ENV = "UAVLINK_OUT_DIR"
 
-SWEEP_M_COLUMNS = ("M", "shannon_mc", "aadr_mc", "aadr_mc_stderr", "aadr_gcq", "aadr_lb")
-SWEEP_EPS_COLUMNS = ("epsilon", "shannon_mc", "aadr_mc", "aadr_mc_stderr", "aadr_gcq", "aadr_lb")
+_ESTIMATOR_COLUMNS = ("shannon_mc", "aadr_mc", "aadr_mc_stderr", "aadr_gcq", "aadr_lb")
+SWEEP_M_COLUMNS = ("M", *_ESTIMATOR_COLUMNS)
+SWEEP_EPS_COLUMNS = ("epsilon", *_ESTIMATOR_COLUMNS)
 
 DMAX_REFERENCE_NOTE = (
     "note: reference figures of 56.4 km (dense urban) and 56.8 km (suburban) "
@@ -38,8 +39,8 @@ DMAX_REFERENCE_NOTE = (
 )
 
 
-def _sweep(cfg: RunConfig, column: str, values: list, q: list) -> list[dict]:
-    """One row per (value, q) pair; value fills the given column.
+def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> list[dict]:
+    """One row per (value, FblConfig) pair; value fills the given column.
 
     The sweep draws the Monte Carlo sample, evaluates the node grid and
     E(1/SNR) once each; every estimator column is then one array expression
@@ -48,16 +49,15 @@ def _sweep(cfg: RunConfig, column: str, values: list, q: list) -> list[dict]:
     aadr_lb is nan in a row whose d_max is below the airspace radius.
     """
     consts = derive_constants(cfg.scenario, cfg.link)
-    space, q = cfg.airspace, np.array(q)
+    space, q = cfg.airspace, np.array([row.q for row in rows])
     # The bound first: it rejects a q outside g_inverse's domain before the draw.
     bound, _ = _lower_bound_rows(space, consts, q)
     moments = _rate_terms(space, consts, cfg.n_samples, cfg.seed, cfg.shards)
     mc_mean, mc_stderr = _aadr_rows(moments, q, cfg.n_samples)
     gcq = _rate(*_node_terms(space, consts, cfg.n_theta, cfg.n_dist), q)
-    columns = {column: values, "shannon_mc": [moments[0]] * len(values),
-               "aadr_mc": mc_mean.tolist(), "aadr_mc_stderr": mc_stderr.tolist(),
-               "aadr_gcq": gcq.tolist(), "aadr_lb": bound.tolist()}
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+    estimates = ([moments[0]] * len(values), mc_mean.tolist(), mc_stderr.tolist(),
+                 gcq.tolist(), bound.tolist())
+    return [dict(zip((column, *_ESTIMATOR_COLUMNS), row)) for row in zip(values, *estimates)]
 
 
 def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
@@ -65,11 +65,8 @@ def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
     m_list = list(m_values)
     if not m_list:
         raise ValueError("m_values must be nonempty")
-    for m in m_list:
-        if int(m) != m or m < 1:
-            raise ValueError(f"blocklength values must be positive integers, got {m}")
-    m_list = [int(m) for m in m_list]
-    return _sweep(cfg, "M", m_list, [_penalty(cfg.fbl.epsilon, m) for m in m_list])
+    return _sweep(cfg, "M", m_list,
+                  [FblConfig(blocklength=m, epsilon=cfg.fbl.epsilon) for m in m_list])
 
 
 def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
@@ -81,7 +78,7 @@ def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
         if not 0.0 < eps < 0.5:
             raise ValueError(f"epsilon values must lie in (0, 0.5), got {eps}")
     return _sweep(cfg, "epsilon", eps_list,
-                  [_penalty(eps, cfg.fbl.blocklength) for eps in eps_list])
+                  [FblConfig(blocklength=cfg.fbl.blocklength, epsilon=eps) for eps in eps_list])
 
 
 class PacketSize(NamedTuple):
@@ -184,7 +181,7 @@ def _cmd_packet_size(args) -> int:
     bandwidth = cfg.link.bandwidth_hz
     channel_uses = bandwidth * args.t_max
     if args.aadr is not None:
-        rate = args.aadr
+        rate = args.aadr + 0.0  # -0 becomes 0
     else:
         if not math.isfinite(channel_uses):
             raise ValueError(f"latency budget too large: B*T_max = {channel_uses:g}")

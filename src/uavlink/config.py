@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from .channel import LinkBudget, Scenario
 from .fbl_rate import FblConfig
 from .geometry import Airspace
+from .montecarlo import _shard_sizes
 from .quadrature import _MAX_ORDER
 
 PRESET_NAMES = ("dense_urban", "suburban")
@@ -55,6 +56,8 @@ class RunConfig:
             order = getattr(self, name)
             if not 1 <= order <= _MAX_ORDER:
                 raise ValueError(f"estimators.{name} must lie in [1, {_MAX_ORDER}], got {order!r}")
+        # The draw's own range rule, so that every command rejects a bad count.
+        _shard_sizes(self.n_samples, self.shards)
 
 
 def preset_config(name: str) -> dict:

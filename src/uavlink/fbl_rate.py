@@ -37,17 +37,12 @@ class FblConfig:
 
     @property
     def q(self) -> float:
-        """Penalty coefficient Qinv(epsilon) / sqrt(M)."""
-        return _penalty(self.epsilon, self.blocklength)
-
-
-def _penalty(epsilon: float, blocklength: int) -> float:
-    """Penalty coefficient q = Qinv(epsilon) / sqrt(M) of the normal approximation."""
-    try:
-        root = math.sqrt(blocklength)
-    except OverflowError:  # an integer beyond the doubles
-        raise ValueError("blocklength is too large for a double") from None
-    return q_inverse(epsilon) / root
+        """Penalty coefficient q = Qinv(epsilon) / sqrt(M) of the normal approximation."""
+        try:
+            root = math.sqrt(self.blocklength)
+        except OverflowError:  # an integer beyond the doubles
+            raise ValueError("blocklength is too large for a double") from None
+        return q_inverse(self.epsilon) / root
 
 
 def _rate(s_terms, w_terms, q):

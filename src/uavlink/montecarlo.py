@@ -20,10 +20,11 @@ five moments of S and W give the mean rate and its standard error at every
 q: a sweep draws once and each row is one multiply-add.
 
 A draw holds no array of n values: each shard is drawn in index order as
-blocks of at most _BLOCK positions, so its memory does not grow with n.
-Every estimate is a set of moments of functions of the SNR (_moments),
-and the blocks' sums are added by Neumaier's compensated summation. A block
-holds at most four arrays of its size: the SNRs, S, W and one product.
+blocks of at most _BLOCK positions. Every estimate is a set of moments of
+functions of the SNR (_moments), and each block is reduced to a few sums
+that math.fsum adds, correctly rounded, once the draw ends. So a draw's
+memory grows with n only by those sums, about 11 MB at MAX_SAMPLES. A
+block holds at most four arrays of its size: the SNRs, S, W and one product.
 The quadrature's node grid is evaluated in blocks of the same size.
 """
 
@@ -193,9 +194,11 @@ def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shard
     gives the sums of its columns c, of the shifted columns c - K and of
     their products, where K is the first block's column means (the
     shifted-data algorithm of Chan, Golub and LeVeque, 1983). The blocks'
-    sums are added by Neumaier's compensated summation (1974). A one-block
-    draw keeps the bits of np.add.reduce; otherwise the means lie within
-    5e-16 of the correctly rounded mean, relative to it. A covariance is
+    sums are kept, and each total is their math.fsum, correctly rounded. So
+    a one-block draw keeps the bits of np.add.reduce, and otherwise the
+    means lie within 5e-16 of the correctly rounded mean, relative to it,
+    on the presets, on a shell 1e-14 wide at 300 m, on a 1 m to 20 km shell
+    and at theta_min = 89.9 degrees. A covariance is
     (sum (c - K)(c' - K') - sum (c - K) sum (c' - K') / n) / (n - 1), within
     1e-15 of the exact value relative to it on the presets (merging centred
     per-block sums cancels when W = 1 - 1e-7, as on suburban). The columns
@@ -214,14 +217,9 @@ def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shard
         products = (np.add.reduce(a * b) for i, a in enumerate(cols) for b in cols[i:])
         return np.array([*plain, *(np.add.reduce(c) for c in cols), *products])
 
-    # map, not a loop over the blocks, so that no block is kept while the next is drawn.
-    total = compensation = 0.0
-    for block_sums in map(sums, _snr_blocks(space, consts, n, seed, shards)):
-        partial = total + block_sums
-        compensation += np.where(np.abs(total) >= np.abs(block_sums),
-                                 (total - partial) + block_sums, (block_sums - partial) + total)
-        total = partial
-    total = total + compensation
+    # map, not a loop over the blocks, so that no block outlives its sums.
+    block_sums = np.array(list(map(sums, _snr_blocks(space, consts, n, seed, shards))))
+    total = np.array([math.fsum(component) for component in block_sums.T])
     k = len(shift)
     means, offsets, products = total[:k] / n, total[k:2 * k], total[2 * k:]
     row, col = np.triu_indices(k)
@@ -269,8 +267,8 @@ def estimate_shannon(
     shards: int = 1,
 ) -> McEstimate:
     """Mean Shannon rate log2(1 + SNR) over n random UAV positions."""
-    mean_s, _, var_s, _, _ = _rate_terms(space, consts, n, seed, shards)
-    return McEstimate(mean=mean_s, std_error=math.sqrt(var_s) / math.sqrt(n))
+    mean, std_error = _aadr_rows(_rate_terms(space, consts, n, seed, shards), 0.0, n)
+    return McEstimate(mean=mean, std_error=float(std_error))
 
 
 def estimate_inverse_snr(

@@ -337,6 +337,12 @@ def test_cli_packet_size(capsys):
     assert "100" in out
     assert "400" in out
 
+    # A rate of -0 is 0, not a packet of -0 bits.
+    assert main(["packet-size", "--t-max", "2e-4", "--aadr", "-0"]) == 0
+    out = capsys.readouterr().out
+    assert "average rate = 0 bits/channel use" in out
+    assert "packet size L = 0 bits" in out
+
 
 def test_cli_packet_size_rejects_tiny_budget(capsys):
     assert main(["packet-size", "--t-max", "1e-9"]) == 2
@@ -492,6 +498,25 @@ def test_cli_rejects_a_config_shard_count_above_the_ceiling(tmp_path, capsys, mo
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: shards must lie in [1, min(n, 1,024)], got 2,000\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["dmax"], ["packet-size", "--t-max", "2e-4"]])
+@pytest.mark.parametrize("estimators, message", [
+    ({"n_samples": 1}, "need at least 2 samples, got 1"),
+    ({"n_samples": 10**15}, "need at most 1,000,000,000 samples, got 1,000,000,000,000,000"),
+    ({"shards": 2000}, "shards must lie in [1, min(n, 1,024)], got 2,000"),
+])
+def test_cli_dmax_and_packet_size_reject_a_bad_sample_or_shard_count(tmp_path, capsys, command,
+                                                                       estimators, message):
+    # Each count is checked when the config is built, as for the sweeps.
+    data = preset_config("dense_urban")
+    data["estimators"].update(estimators)
+    cfg_path = tmp_path / "counts.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main([*command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag, key", [("--n1", "n_theta"), ("--n2", "n_dist")])

@@ -5,12 +5,16 @@ still has to be read and kept right. A use is a Name, an Attribute or an
 import of the helper's name anywhere in src/uavlink outside the statement
 that defines it; docstrings and comments are not parsed as code, so they do
 not count, and neither do the tests. A constant is an assignment target.
+
+A name imported under `# noqa: F401` is used by nothing in its module; it
+is kept only because a benchmark probe in bench/tracer.py looks it up there.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uavlink"
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -62,3 +66,29 @@ def test_every_private_function_and_class_is_referenced():
 
 def test_every_private_constant_is_referenced():
     assert _unused_private_names()["constant"] == []
+
+
+def _unused_imports():
+    """'uavlink.module.name' for each name imported under `# noqa: F401`."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                names.update(f"uavlink.{path.stem}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _probe_targets():
+    """'module.attr' for each Probe(module, attr, ...) in bench/tracer.py."""
+    return {f"{node.args[0].value}.{node.args[1].value}"
+            for node in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Probe"}
+
+
+def test_every_unused_import_is_a_benchmark_probe_target():
+    # When a probe is retargeted, this names the import to delete.
+    targets = _probe_targets()
+    assert targets, "found no Probe(...) in bench/tracer.py"
+    assert sorted(_unused_imports() - targets) == []

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -277,6 +278,26 @@ def _exact_mean(column):
 
 _EXACT_UP_TO = 3 * _BLOCK + 17
 
+# Airspaces beyond the presets, as changes to a preset's: a shell 1e-14
+# wide at 300 m, a 1 m to 20 km shell and a cone 0.1 degrees wide.
+_BEYOND_THE_PRESETS = [
+    {"r_min_m": 300.0, "r_max_m": 300.0 * (1.0 + 1e-14)},
+    {"r_min_m": 1.0, "r_max_m": 20_000.0},
+    {"theta_min_deg": 89.9},
+]
+
+
+def _assert_means(space, consts, n, shards):
+    """The streamed means of S, W and 1/SNR lie within 5e-16 of the correctly
+    rounded means of the whole-array chain, relative to them."""
+    gamma = _whole_array_snr(space, consts, n, 11, shards)
+    s_terms = np.log1p(gamma) / _LN2
+    w_terms = np.sqrt(gamma * (gamma + 2.0) / (1.0 + gamma) ** 2)
+    mean_s, mean_w, *_ = _rate_terms(space, consts, n, 11, shards)
+    _assert_relative([mean_s, mean_w], [_exact_mean(s_terms), _exact_mean(w_terms)], 5e-16)
+    estimate = estimate_inverse_snr(space, consts, n, 11, shards)
+    _assert_relative([estimate.mean], [_exact_mean(1.0 / gamma)], 5e-16)
+
 
 @pytest.mark.parametrize("preset", ["dense_urban", "suburban"])
 @pytest.mark.parametrize("n,shards", [
@@ -308,6 +329,12 @@ def test_streamed_chain_bounds_the_means_and_the_covariances(preset, n, shards):
     _assert_relative([estimate.mean], [_exact_mean(inverse)], 5e-16)
     _assert_relative([estimate.std_error],
                      [math.sqrt(covariances((inverse,))[0]) / math.sqrt(n)])
+
+    # The means hold their bound beyond the presets too, wherever a draw
+    # has more than one block's sums to add.
+    if n > _BLOCK or shards > 1:
+        for changes in _BEYOND_THE_PRESETS:
+            _assert_means(replace(cfg.airspace, **changes), consts, n, shards)
 
 
 def test_a_draw_peaks_below_one_mebibyte_at_any_n(dense_urban, dense_consts):

@@ -20,15 +20,6 @@ from .geometry import Airspace
 from .montecarlo import _shard_sizes
 from .quadrature import _MAX_ORDER
 
-PRESET_NAMES = ("dense_urban", "suburban")
-
-_SCENARIO_CONSTANTS = {
-    "dense_urban": {"a": 12.08, "b": 0.11, "eta_los_db": 1.6, "eta_nlos_db": 23.0,
-                    "theta_min_deg": 45.0},
-    "suburban": {"a": 4.88, "b": 0.43, "eta_los_db": 0.1, "eta_nlos_db": 21.0,
-                 "theta_min_deg": 30.0},
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,45 +47,67 @@ class RunConfig:
             order = getattr(self, name)
             if not 1 <= order <= _MAX_ORDER:
                 raise ValueError(f"estimators.{name} must lie in [1, {_MAX_ORDER}], got {order!r}")
-        # The draw's own range rule, so that every command rejects a bad count.
-        _shard_sizes(self.n_samples, self.shards)
+        # The draw's own range rules, so that every command rejects a bad
+        # count: n_samples alone (one shard always fits), then the shards.
+        for key, shards in (("n_samples", 1), ("shards", self.shards)):
+            try:
+                _shard_sizes(self.n_samples, shards)
+            except ValueError as error:
+                raise ValueError(f"estimators.{key}: {error}") from None
+
+
+# Each preset's environment constants and minimum elevation; the rest of a
+# preset's settings are shared (load_preset).
+_PRESETS = {
+    "dense_urban": (Scenario("dense_urban", a=12.08, b=0.11, eta_los_db=1.6, eta_nlos_db=23.0),
+                    45.0),
+    "suburban": (Scenario("suburban", a=4.88, b=0.43, eta_los_db=0.1, eta_nlos_db=21.0), 30.0),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def load_preset(name: str) -> RunConfig:
+    """The RunConfig of a bundled preset."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    scenario, theta_min_deg = _PRESETS[name]
+    return RunConfig(
+        scenario=scenario,
+        link=LinkBudget(tx_power_dbw=-20.0, noise_psd_dbm_hz=-173.0, bandwidth_hz=1e6,
+                        carrier_hz=2.5e9, light_speed_m_s=3e8),
+        airspace=Airspace(r_min_m=250.0, r_max_m=400.0, theta_min_deg=theta_min_deg),
+        fbl=FblConfig(blocklength=200, epsilon=1e-9),
+        n_theta=30, n_dist=30, n_samples=10_000, seed=1, shards=1, output_dir=".",
+    )
+
+
+def config_to_dict(cfg: RunConfig) -> dict:
+    """Canonical dict form of a RunConfig (dBW power, dBm/Hz noise density)."""
+    return {
+        "scenario": asdict(cfg.scenario),
+        "link": {
+            "tx_power_db": cfg.link.tx_power_dbw,
+            "tx_power_unit": "dBW",
+            "noise_db": cfg.link.noise_psd_dbm_hz,
+            "noise_unit": "dBm_per_Hz",
+            "bandwidth_hz": cfg.link.bandwidth_hz,
+            "carrier_hz": cfg.link.carrier_hz,
+            "light_speed_m_s": cfg.link.light_speed_m_s,
+        },
+        "airspace": asdict(cfg.airspace),
+        "fbl": asdict(cfg.fbl),
+        "estimators": {field.name: getattr(cfg, field.name) for field in fields(cfg)
+                       if field.type is int},
+        "output": {"directory": cfg.output_dir},
+    }
 
 
 def preset_config(name: str) -> dict:
     """Canonical config dict for a bundled preset."""
-    if name not in _SCENARIO_CONSTANTS:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    env = _SCENARIO_CONSTANTS[name]
-    return {
-        "scenario": {
-            "name": name,
-            "a": env["a"],
-            "b": env["b"],
-            "eta_los_db": env["eta_los_db"],
-            "eta_nlos_db": env["eta_nlos_db"],
-        },
-        "link": {
-            "tx_power_db": -20.0,
-            "tx_power_unit": "dBW",
-            "noise_db": -173.0,
-            "noise_unit": "dBm_per_Hz",
-            "bandwidth_hz": 1e6,
-            "carrier_hz": 2.5e9,
-            "light_speed_m_s": 3e8,
-        },
-        "airspace": {
-            "r_min_m": 250.0,
-            "r_max_m": 400.0,
-            "theta_min_deg": env["theta_min_deg"],
-        },
-        "fbl": {"blocklength": 200, "epsilon": 1e-9},
-        "estimators": {"n_theta": 30, "n_dist": 30, "n_samples": 10_000,
-                       "seed": 1, "shards": 1},
-        "output": {"directory": "."},
-    }
+    return config_to_dict(load_preset(name))
 
 
-# Each section's keys, in the preset's order.
+# Each section's keys, in the writer's order.
 _SECTION_KEYS = {section: keys.keys() for section, keys in preset_config(PRESET_NAMES[0]).items()}
 
 
@@ -162,8 +175,7 @@ def config_from_dict(data: dict) -> RunConfig:
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be an object, got {data!r}")
-    known_sections = set(_SECTION_KEYS)
-    unknown = set(data) - known_sections
+    unknown = set(data) - _SECTION_KEYS.keys()
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
 
@@ -186,13 +198,9 @@ def config_from_dict(data: dict) -> RunConfig:
     nunit = li["noise_unit"]
     if nunit not in ("dBm", "dBm_per_Hz"):
         raise ValueError(f"noise_unit must be 'dBm_per_Hz' or 'dBm', got {nunit!r}")
-    link = LinkBudget(
-        tx_power_dbw=tx_power_dbw,
-        noise_psd_dbm_hz=_real(li, "link", "noise_db"),
-        bandwidth_hz=_real(li, "link", "bandwidth_hz"),
-        carrier_hz=_real(li, "link", "carrier_hz"),
-        light_speed_m_s=_real(li, "link", "light_speed_m_s"),
-    )
+    link = LinkBudget(tx_power_dbw=tx_power_dbw, noise_psd_dbm_hz=_real(li, "link", "noise_db"),
+                      **{key: _real(li, "link", key)
+                         for key in ("bandwidth_hz", "carrier_hz", "light_speed_m_s")})
     if nunit == "dBm":  # total power over the (checked) bandwidth
         link = replace(link, noise_psd_dbm_hz=link.noise_psd_dbm_hz
                        - 10.0 * math.log10(link.bandwidth_hz))
@@ -205,31 +213,8 @@ def config_from_dict(data: dict) -> RunConfig:
                      fbl=FblConfig(**fb), output_dir=out_dir, **es)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical dict form of a RunConfig (dBW power, dBm/Hz noise density)."""
-    return {
-        "scenario": asdict(cfg.scenario),
-        "link": {
-            "tx_power_db": cfg.link.tx_power_dbw,
-            "tx_power_unit": "dBW",
-            "noise_db": cfg.link.noise_psd_dbm_hz,
-            "noise_unit": "dBm_per_Hz",
-            "bandwidth_hz": cfg.link.bandwidth_hz,
-            "carrier_hz": cfg.link.carrier_hz,
-            "light_speed_m_s": cfg.link.light_speed_m_s,
-        },
-        "airspace": asdict(cfg.airspace),
-        "fbl": asdict(cfg.fbl),
-        "estimators": {key: getattr(cfg, key) for key in _SECTION_KEYS["estimators"]},
-        "output": {"directory": cfg.output_dir},
-    }
-
-
 def load_config(path) -> RunConfig:
     """Load and validate a JSON config file."""
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))
 
-
-def load_preset(name: str) -> RunConfig:
-    return config_from_dict(preset_config(name))

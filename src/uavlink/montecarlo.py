@@ -3,7 +3,11 @@
 Sampling uses the counter-based Philox4x64-10 generator so that shards are
 deterministic and non-overlapping: shard i draws from Philox(key=seed)
 jumped i times. The (seed, shards) pair is part of the reproducibility
-contract; identical inputs give bit-identical estimates.
+contract: identical inputs draw the same positions on every machine, and
+give bit-identical estimates at one numpy SIMD dispatch level. numpy's log,
+exp and power kernels round differently at different levels (AVX-512 or
+not), so the last bits of an estimate may differ between machines; see
+README.
 
 Philox's output at any (key, counter) is ten rounds of integer arithmetic,
 so _ArrayPhilox computes numpy's doubles with uint64 array operations, bit
@@ -22,9 +26,9 @@ q: a sweep draws once and each row is one multiply-add.
 A draw holds no array of n values: each shard is drawn in index order as
 blocks of at most _BLOCK positions. Every estimate is a set of moments of
 functions of the SNR (_moments), and each block is reduced to a few sums
-that math.fsum adds, correctly rounded, once the draw ends. So a draw's
-memory grows with n only by those sums, about 11 MB at MAX_SAMPLES. A
-block holds at most four arrays of its size: the SNRs, S, W and one product.
+that are added exactly as the draw runs and rounded once at its end. So a
+draw's memory is O(1) in n, under 1 MiB up to MAX_SAMPLES. A block holds at
+most four arrays of its size: the SNRs, S, W and one product.
 The quadrature's node grid is evaluated in blocks of the same size.
 """
 
@@ -56,17 +60,25 @@ class McEstimate:
     std_error: float
 
 
+def _format_count(count: int) -> str:
+    """count with thousands separators, or past 2**64 as its nearest power of ten."""
+    if abs(count) < 2**64:
+        return f"{count:,}"
+    return f"about {'-' if count < 0 else ''}10**{math.log10(abs(count)):.0f}"
+
+
 def _shard_sizes(n: int, shards: int):
     """Sizes of the shards of n samples, which differ by at most one, as an iterator.
 
     n and shards are checked here, before anything is drawn.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+        raise ValueError(f"need at least 2 samples, got {_format_count(n)}")
     if n > MAX_SAMPLES:
-        raise ValueError(f"need at most {MAX_SAMPLES:,} samples, got {n:,}")
+        raise ValueError(f"need at most {MAX_SAMPLES:,} samples, got {_format_count(n)}")
     if not 1 <= shards <= min(n, MAX_SHARDS):
-        raise ValueError(f"shards must lie in [1, min(n, {MAX_SHARDS:,})], got {shards:,}")
+        raise ValueError(
+            f"shards must lie in [1, min(n, {MAX_SHARDS:,})], got {_format_count(shards)}")
     base, rem = divmod(n, shards)
     return (base + 1 if i < rem else base for i in range(shards))
 
@@ -187,6 +199,36 @@ def _snr_blocks(space: Airspace, consts: DerivedConstants, n: int, seed: int, sh
             yield gamma
 
 
+def _add_exact(partials: list, specials: set, x: float):
+    """Add x to a running math.fsum, in place.
+
+    partials are nonoverlapping doubles in increasing magnitude whose sum is
+    exact, as in math.fsum's own loop (Shewchuk, "Adaptive Precision
+    Floating-Point Arithmetic", 1997; Python's msum recipe); specials holds
+    which of inf, -inf and nan were added. math.fsum([*partials, *specials])
+    is then math.fsum of every x added, or raises as it, and neither grows
+    with the number of values: partials is bounded by the spread of their
+    exponents.
+    """
+    if not math.isfinite(x):
+        specials.add(math.nan if math.isnan(x) else x)
+        partials.clear()  # as math.fsum does: the total is now inf, -inf or nan
+        return
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        if not math.isfinite(hi):
+            raise OverflowError("intermediate overflow in fsum")
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int, columns):
     """Means, then upper-triangle covariances row by row (ddof = 1), of k columns of one draw.
 
@@ -194,7 +236,8 @@ def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shard
     gives the sums of its columns c, of the shifted columns c - K and of
     their products, where K is the first block's column means (the
     shifted-data algorithm of Chan, Golub and LeVeque, 1983). The blocks'
-    sums are kept, and each total is their math.fsum, correctly rounded. So
+    sums are added exactly as they come (_add_exact), and each total is
+    their math.fsum, correctly rounded, with no block's sums kept. So
     a one-block draw keeps the bits of np.add.reduce, and otherwise the
     means lie within 5e-16 of the correctly rounded mean, relative to it,
     on the presets, on a shell 1e-14 wide at 300 m, on a 1 m to 20 km shell
@@ -217,9 +260,14 @@ def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shard
         products = (np.add.reduce(a * b) for i, a in enumerate(cols) for b in cols[i:])
         return np.array([*plain, *(np.add.reduce(c) for c in cols), *products])
 
+    running = None  # each component's running math.fsum, as _add_exact keeps it
     # map, not a loop over the blocks, so that no block outlives its sums.
-    block_sums = np.array(list(map(sums, _snr_blocks(space, consts, n, seed, shards))))
-    total = np.array([math.fsum(component) for component in block_sums.T])
+    for block_sums in map(sums, _snr_blocks(space, consts, n, seed, shards)):
+        if running is None:
+            running = [([], set()) for _ in block_sums]
+        for (partials, specials), x in zip(running, block_sums.tolist()):
+            _add_exact(partials, specials, x)
+    total = np.array([math.fsum([*partials, *specials]) for partials, specials in running])
     k = len(shift)
     means, offsets, products = total[:k] / n, total[k:2 * k], total[2 * k:]
     row, col = np.triu_indices(k)

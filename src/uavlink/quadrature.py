@@ -10,6 +10,21 @@ sums of S and W on its node grid once and each row is one multiply-add.
 
 The node grid is evaluated in blocks of at most the Monte Carlo draw's
 block size (_node_terms), so its memory does not grow with the orders.
+
+The paper's GCQ nests Gauss-Chebyshev rules (nodes cos((2i-1)pi/2N),
+weights (pi/N) sqrt(1-x^2)), whose weight puts a square-root endpoint
+singularity into the smooth integrand, so its error falls only as N^-2.
+Relative error against the 200x200 Gauss-Legendre value at M = 200,
+eps = 1e-9, dense_urban / suburban:
+
+    N per axis   Gauss-Legendre        Gauss-Chebyshev
+    10           6.9e-13 / 1.0e-11     8.1e-3 / 8.4e-3
+    30           7.8e-16 / 5.3e-16     9.0e-4 / 9.2e-4
+    100          1.2e-15 / 8.9e-16     8.1e-5 / 8.3e-5
+    1000         7.8e-16 / 8.9e-16     8.1e-7 / 8.3e-7
+
+So the rule here reaches rounding by 30x30 nodes, where the paper's is
+about 9e-4 off.
 """
 
 import math

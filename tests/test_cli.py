@@ -480,8 +480,8 @@ def test_cli_rejects_a_sample_count_above_the_ceiling(tmp_path, capsys, monkeypa
     out = tmp_path / "o.csv"
     assert main(["sweep-m", "--samples", str(10**15), "--m-values", "100",
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: need at most 1,000,000,000 samples, got 1,000,000,000,000,000\n")
+    assert capsys.readouterr().err == ("error: estimators.n_samples: need at most "
+                                       "1,000,000,000 samples, got 1,000,000,000,000,000\n")
     assert not out.exists()
 
 
@@ -496,15 +496,23 @@ def test_cli_rejects_a_config_shard_count_above_the_ceiling(tmp_path, capsys, mo
     out = tmp_path / "o.csv"
     assert main(["sweep-m", "--config", str(cfg_path), "--m-values", "100",
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: shards must lie in [1, min(n, 1,024)], got 2,000\n"
+    assert capsys.readouterr().err == (
+        "error: estimators.shards: shards must lie in [1, min(n, 1,024)], got 2,000\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["dmax"], ["packet-size", "--t-max", "2e-4"]])
 @pytest.mark.parametrize("estimators, message", [
-    ({"n_samples": 1}, "need at least 2 samples, got 1"),
-    ({"n_samples": 10**15}, "need at most 1,000,000,000 samples, got 1,000,000,000,000,000"),
-    ({"shards": 2000}, "shards must lie in [1, min(n, 1,024)], got 2,000"),
+    ({"n_samples": 1}, "estimators.n_samples: need at least 2 samples, got 1"),
+    ({"n_samples": -10**400}, "estimators.n_samples: need at least 2 samples, got about -10**400"),
+    ({"n_samples": 10**15},
+     "estimators.n_samples: need at most 1,000,000,000 samples, got 1,000,000,000,000,000"),
+    ({"n_samples": 10**400},
+     "estimators.n_samples: need at most 1,000,000,000 samples, got about 10**400"),
+    ({"shards": 0}, "estimators.shards: shards must lie in [1, min(n, 1,024)], got 0"),
+    ({"shards": 2000}, "estimators.shards: shards must lie in [1, min(n, 1,024)], got 2,000"),
+    ({"shards": 10**400},
+     "estimators.shards: shards must lie in [1, min(n, 1,024)], got about 10**400"),
 ])
 def test_cli_dmax_and_packet_size_reject_a_bad_sample_or_shard_count(tmp_path, capsys, command,
                                                                        estimators, message):

@@ -46,10 +46,36 @@ def test_round_trip_is_idempotent():
     assert json.dumps(config_to_dict(config_from_dict(dumped))) == json.dumps(dumped)
 
 
+# json.dumps(preset_config(name)) as fixed text: it pins every preset value,
+# the key order and the int and float types, so a drift in any of them fails.
+_PRESET_JSON = {
+    "dense_urban": (
+        '{"scenario": {"name": "dense_urban", "a": 12.08, "b": 0.11, "eta_los_db": 1.6, '
+        '"eta_nlos_db": 23.0}, "link": {"tx_power_db": -20.0, "tx_power_unit": "dBW", '
+        '"noise_db": -173.0, "noise_unit": "dBm_per_Hz", "bandwidth_hz": 1000000.0, '
+        '"carrier_hz": 2500000000.0, "light_speed_m_s": 300000000.0}, '
+        '"airspace": {"r_min_m": 250.0, "r_max_m": 400.0, "theta_min_deg": 45.0}, '
+        '"fbl": {"blocklength": 200, "epsilon": 1e-09}, "estimators": {"n_theta": 30, '
+        '"n_dist": 30, "n_samples": 10000, "seed": 1, "shards": 1}, '
+        '"output": {"directory": "."}}'
+    ),
+    "suburban": (
+        '{"scenario": {"name": "suburban", "a": 4.88, "b": 0.43, "eta_los_db": 0.1, '
+        '"eta_nlos_db": 21.0}, "link": {"tx_power_db": -20.0, "tx_power_unit": "dBW", '
+        '"noise_db": -173.0, "noise_unit": "dBm_per_Hz", "bandwidth_hz": 1000000.0, '
+        '"carrier_hz": 2500000000.0, "light_speed_m_s": 300000000.0}, '
+        '"airspace": {"r_min_m": 250.0, "r_max_m": 400.0, "theta_min_deg": 30.0}, '
+        '"fbl": {"blocklength": 200, "epsilon": 1e-09}, "estimators": {"n_theta": 30, '
+        '"n_dist": 30, "n_samples": 10000, "seed": 1, "shards": 1}, '
+        '"output": {"directory": "."}}'
+    ),
+}
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_are_canonical(name):
-    # the JSON text pins the writer's key order and its int and float types
-    assert json.dumps(config_to_dict(load_preset(name))) == json.dumps(preset_config(name))
+    assert json.dumps(preset_config(name)) == _PRESET_JSON[name]
+    assert json.dumps(config_to_dict(config_from_dict(preset_config(name)))) == _PRESET_JSON[name]
 
 
 def test_non_canonical_units_converge_after_one_cycle():

@@ -123,6 +123,59 @@ def _no_draw(*args, **kwargs):
     raise AssertionError("drew positions")
 
 
+def _outcome(add_all):
+    """add_all()'s float, with every nan alike, or the type of the error it raises."""
+    try:
+        total = add_all()
+    except (OverflowError, ValueError) as error:
+        return type(error)
+    return "nan" if math.isnan(total) else total
+
+
+def _running_fsum(values):
+    partials, specials = [], set()
+    for x in values:
+        montecarlo._add_exact(partials, specials, x)
+    return math.fsum([*partials, *specials])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(
+    [1.7e308, -1.7e308, 2.0**1023, 1.0, 2.0**-1074, math.inf, -math.inf]), max_size=100))
+def test_a_running_fsum_gives_what_math_fsum_gives(values):
+    # The same correctly rounded total, the same non-finite total, and the
+    # same overflow or inf + -inf error.
+    assert _outcome(lambda: _running_fsum(values)) == _outcome(lambda: math.fsum(values))
+
+
+@pytest.mark.parametrize("block_values, mean", [
+    ((math.inf,), math.inf), ((-math.inf, -math.inf), -math.inf),
+    ((math.inf, math.nan), math.nan), ((math.inf, -math.inf), None),
+])
+def test_non_finite_block_sums_total_as_math_fsum_gives_them(dense_urban, dense_consts,
+                                                            block_values, mean):
+    # One value per block of a 3-block draw is replaced; math.fsum of the
+    # blocks' sums is inf, -inf or nan, or raises on inf + -inf.
+    values = iter(block_values)
+
+    def columns(gamma):
+        column = 1.0 / gamma
+        column[0] = next(values, 1.0)
+        return (column,)
+
+    def draw():
+        with np.errstate(invalid="ignore"):  # the shifted sums are not finite
+            return montecarlo._moments(dense_urban.airspace, dense_consts, 3 * _BLOCK, 1, 1,
+                                       columns)[0]
+
+    if mean is None:
+        with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+            draw()
+    else:
+        got = draw()
+        assert got == mean or math.isnan(got) and math.isnan(mean)
+
+
 @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10**15])
 def test_a_sample_count_above_the_ceiling_is_rejected_before_drawing(dense_urban, dense_consts,
                                                                      monkeypatch, n):
@@ -340,18 +393,21 @@ def test_streamed_chain_bounds_the_means_and_the_covariances(preset, n, shards):
 def test_a_draw_peaks_below_one_mebibyte_at_any_n(dense_urban, dense_consts):
     # Positions, SNRs, columns and products live only as long as a block of
     # at most _BLOCK samples, and so do the array Philox's round arrays. A
-    # draw that kept the n SNRs peaked at 8n. The warm-up draw is above
-    # _ARRAY_PHILOX_MAX, so that numpy.random's import is not measured.
+    # draw that kept the n SNRs peaked at 8n, and one that kept each block's
+    # sums for a final math.fsum passed 1 MiB at 4e7 samples (1.05 MiB). The
+    # warm-up draw is above _ARRAY_PHILOX_MAX, so that numpy.random's import
+    # is not measured.
     _rate_terms(dense_urban.airspace, dense_consts, _ARRAY_PHILOX_MAX + 1, 1, 1)
-    for estimate in (_rate_terms, estimate_inverse_snr):
-        for n, shards in ((_ARRAY_PHILOX_MAX, 1), (200_001, 1), (200_001, 3), (4_000_000, 1)):
-            tracemalloc.start()
-            try:
-                estimate(dense_urban.airspace, dense_consts, n, 1, shards)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2**20, (estimate.__name__, n, shards, peak)
+    cases = [(estimate, n, shards) for estimate in (_rate_terms, estimate_inverse_snr)
+             for n, shards in ((_ARRAY_PHILOX_MAX, 1), (200_001, 1), (200_001, 3), (4_000_000, 1))]
+    for estimate, n, shards in cases + [(_rate_terms, 40_000_000, 1)]:
+        tracemalloc.start()
+        try:
+            estimate(dense_urban.airspace, dense_consts, n, 1, shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, (estimate.__name__, n, shards, peak)
 
 
 # Linux carries the high-water mark of the memory a process had before exec

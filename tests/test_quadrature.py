@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import shannon_gcq_oracle
-from uavlink.channel import snr
+from oracles import chebyshev_gcq_oracle, shannon_gcq_oracle
+from uavlink.channel import derive_constants, snr
+from uavlink.config import PRESET_NAMES, load_preset
 from uavlink.fbl_rate import FblConfig, q_free_terms
 from uavlink.geometry import Airspace
 from uavlink.montecarlo import estimate_aadr
@@ -150,6 +151,26 @@ def test_gcq_convergence_improves_with_order(suburban, suburban_consts):
         diffs.append(abs(a - b))
     assert all(d2 < d1 or d2 < 1e-13 for d1, d2 in zip(diffs, diffs[1:]))
     assert diffs[-1] < 1e-13
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_the_papers_chebyshev_gcq_converges_as_n_to_the_minus_two(preset):
+    # The paper's GCQ is a nested Gauss-Chebyshev rule and aadr_gcq nests
+    # Gauss-Legendre rules, which reach rounding by 30x30 nodes. The
+    # Chebyshev rule's relative error against the 200x200 Legendre value is
+    # about 0.8 / N^2: 9e-4 at the paper's N = 30.
+    cfg = load_preset(preset)
+    consts = derive_constants(cfg.scenario, cfg.link)
+    reference = aadr_gcq(cfg.airspace, consts, cfg.fbl, 200, 200)
+
+    def scaled_error(order):
+        chebyshev = chebyshev_gcq_oracle(cfg.airspace, consts, cfg.fbl, order)
+        return order**2 * abs(chebyshev - reference) / reference
+
+    at_1000 = scaled_error(1000)
+    assert 0.75 < at_1000 < 0.9
+    for order in (30, 100, 300):
+        assert at_1000 / 2 <= scaled_error(order) <= 2 * at_1000, order
 
 
 def test_gcq_monotone_in_blocklength_and_epsilon(dense_urban, dense_consts):

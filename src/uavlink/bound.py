@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channel import DerivedConstants, _scalar_or_array, _sigmoid
+from .channel import DerivedConstants, _scalar_or_array, _sigmoid, snr
 from .fbl_rate import _LN2, FblConfig
 from .geometry import Airspace
 from .quadrature import integrate, legendre_rule
@@ -48,9 +48,10 @@ def _x_dg(x):
     return (x * (x * np.log1p(1.0 / x) - 2.0) - 1.0) / ((2.0 * x + 1.0) * np.sqrt(2.0 * x + 1.0))
 
 
-# g_inverse's q range, wider than any configuration reaches (q <= 38.5, as
-# eps >= 5e-324 and M >= 1); its roots, 1e-304 to 5e61, keep every term of g
-# and x g' a normal float.
+# g_inverse's q range. Configurations reach q <= 38.5 (eps >= 5e-324, M >= 1)
+# and, M being unbounded, q < 1e-31, which d_max (the dmax command) rejects;
+# the bound's rule needs no root. The roots, 1e-304 to 5e61, keep every term
+# of g and x g' a normal float.
 _G_INVERSE_DOMAIN = (1e-31, 700.0)
 
 
@@ -72,35 +73,31 @@ def g_bound(x):
     return _scalar_or_array(_g(x))
 
 
-def g_inverse(q):
-    """Solve g_bound(x) = q for x by Newton's method in u = ln x, elementwise.
+def g_inverse(q: float) -> float:
+    """Solve g_bound(x) = q for x by Newton's method in u = ln x.
 
     phi(u) = g(e^u) - q is convex and decreasing, like -u as x -> 0 and like
     e^(-u/2)/sqrt(2) as x -> inf. Newton starts on those asymptotes and, phi
     being convex, every iterate after the first lies left of the root and
-    rises to it. An element is frozen once its step is at most
-    1e-10 max(1, |u|), which quadratic convergence makes final (a 1e-15 test
-    can cycle on g's rounding noise), so an array element has the bits of a
-    scalar call; a float q gives a float. Domain: q in [1e-31, 700], else
-    ValueError. There a call takes at most 5 steps, the relative root error
-    is below 1e-13 and the relative residual |g(x) - q| / q below 1e-14.
+    rises to it. It stops once its step is at most 1e-10 max(1, |u|), which
+    quadratic convergence makes final (a 1e-15 test can cycle on g's
+    rounding noise). Domain: q in [1e-31, 700], else ValueError. There a
+    call takes at most 5 steps, the relative root error is below 1e-13 and
+    the relative residual |g(x) - q| / q below 1e-14.
     """
-    q = np.asarray(q, dtype=float)
-    bad = ~(np.isfinite(q) & (q > 0.0))
-    if bad.any():
-        raise ValueError(f"g_inverse needs a finite q > 0, got q={float(q[bad][0])}")
+    q = float(q)
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"g_inverse needs a finite q > 0, got q={q}")
     lo, hi = _G_INVERSE_DOMAIN
-    bad = (q < lo) | (q > hi)
-    if bad.any():
-        raise ValueError(f"g_inverse needs q in [{lo:g}, {hi:g}], got q={float(q[bad][0])}")
-    u = np.where(q >= 1.0, -q, -np.log(2.0 * q * q))
-    going = np.ones(q.shape, dtype=bool)
-    while going.any():
+    if not lo <= q <= hi:
+        raise ValueError(f"g_inverse needs q in [{lo:g}, {hi:g}], got q={q}")
+    # numpy's float64 log and exp, not math's: the roots keep their bits.
+    u, step = (-q if q >= 1.0 else -np.log(2.0 * q * q)), math.inf
+    while abs(step) > 1e-10 * max(1.0, abs(u)):
         x = np.exp(u)
         step = (_g(x) - q) / _x_dg(x)
-        u = np.where(going, u - step, u)
-        going &= np.abs(step) > 1e-10 * np.maximum(1.0, np.abs(u))
-    return _scalar_or_array(np.exp(u))
+        u -= step
+    return float(np.exp(u))
 
 
 def min_snr_for_valid_rate(cfg: FblConfig) -> float:
@@ -186,22 +183,14 @@ def exp_integral_ei(x: float) -> float:
     return -_e1_continued_fraction(-x)
 
 
-def _distance_limit(consts: DerivedConstants, q):
-    """d_max at q > 0, a float or an array: the q-free floor term times g_inverse(q).
-
-    sqrt(c_tilde * exp(a_tilde / (1 + a exp(a b))) * g_inverse(q)); the
-    exponent uses the worst case of zero elevation.
-    """
-    zero_elevation = 1.0 + consts.a_env * math.exp(consts.a_env * consts.b_env)
-    floor_term = math.exp(consts.a_tilde / zero_elevation)
-    return np.sqrt(consts.c_tilde * floor_term * g_inverse(q))
-
-
 def d_max(consts: DerivedConstants, cfg: FblConfig) -> float:
-    """Largest station-to-UAV distance keeping the rate map convex in 1/SNR."""
+    """Largest station-to-UAV distance keeping the rate map convex in 1/SNR.
+
+    Where 1/SNR at zero elevation, the worst case, reaches g_inverse(q).
+    """
     if cfg.epsilon >= 0.5:
         raise ValueError("d_max needs epsilon < 0.5")
-    return float(_distance_limit(consts, cfg.q))
+    return math.sqrt(snr(consts, 0.0, 1.0) * g_inverse(cfg.q))
 
 
 def expected_inverse_snr(space: Airspace, consts: DerivedConstants) -> float:
@@ -255,11 +244,20 @@ class DistanceLimitError(ValueError):
     """The airspace reaches beyond d_max, where the lower bound is invalid."""
 
 
+def _within_d_max(space: Airspace, consts: DerivedConstants, q):
+    """Whether r_max <= d_max at q >= 0, elementwise: the lower bound's rule.
+
+    g is decreasing, so this is q <= g(1/SNR) at the airspace's weakest point,
+    r_max at zero elevation. numpy's reciprocal maps an SNR of 0 to a False.
+    """
+    return q <= _g(np.reciprocal(snr(consts, 0.0, space.r_max_m)))
+
+
 def _lower_bound_rows(space: Airspace, consts: DerivedConstants, q):
-    """(Jensen bound in bits/channel use, d_max) at q >= 0, a float or an array.
+    """Jensen bound in bits/channel use at q >= 0, a float or an array.
 
     The bound is nan where the airspace reaches beyond d_max. At q = 0
-    (epsilon = 0.5) the penalty vanishes, d_max is inf and the bound is
+    (epsilon = 0.5) the penalty vanishes and the bound is
     log2(1 + 1/E(1/gamma)).
     """
     mean_inv = expected_inverse_snr(space, consts)
@@ -268,11 +266,8 @@ def _lower_bound_rows(space: Airspace, consts: DerivedConstants, q):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("aadr_lower_bound needs epsilon <= 0.5")
-    limit = np.full(q.shape, math.inf)
-    penalized = q != 0.0
-    limit[penalized] = _distance_limit(consts, q[penalized])
-    bound = np.where(space.r_max_m <= limit, _f(mean_inv, q) / _LN2, math.nan)
-    return _scalar_or_array(bound), _scalar_or_array(limit)
+    bound = np.where(_within_d_max(space, consts, q), _f(mean_inv, q) / _LN2, math.nan)
+    return _scalar_or_array(bound)
 
 
 def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) -> float:
@@ -282,10 +277,10 @@ def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) 
     hard error because the convexity argument breaks. At epsilon = 0.5 the
     penalty vanishes and the bound reduces to log2(1 + 1/E(1/gamma)).
     """
-    bound, limit = _lower_bound_rows(space, consts, cfg.q)
-    if space.r_max_m > limit:
+    bound = _lower_bound_rows(space, consts, cfg.q)
+    if not _within_d_max(space, consts, cfg.q):
         raise DistanceLimitError(
-            f"airspace radius {space.r_max_m} m exceeds d_max {limit:.1f} m; "
+            f"airspace radius {space.r_max_m} m exceeds d_max {d_max(consts, cfg):.1f} m; "
             "the lower bound is invalid for this configuration"
         )
     return bound

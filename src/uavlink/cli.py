@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bound import _lower_bound_rows, d_max
+from .bound import _lower_bound_rows, _within_d_max, d_max
 from .channel import derive_constants
 from .config import PRESET_NAMES, RunConfig, load_config, load_preset
 from .fbl_rate import FblConfig, _rate
@@ -50,13 +50,11 @@ def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> 
     """
     consts = derive_constants(cfg.scenario, cfg.link)
     space, q = cfg.airspace, np.array([row.q for row in rows])
-    # The bound first: it rejects a q outside g_inverse's domain before the draw.
-    bound, _ = _lower_bound_rows(space, consts, q)
     moments = _rate_terms(space, consts, cfg.n_samples, cfg.seed, cfg.shards)
     mc_mean, mc_stderr = _aadr_rows(moments, q, cfg.n_samples)
     gcq = _rate(*_node_terms(space, consts, cfg.n_theta, cfg.n_dist), q)
     estimates = ([moments[0]] * len(values), mc_mean.tolist(), mc_stderr.tolist(),
-                 gcq.tolist(), bound.tolist())
+                 gcq.tolist(), _lower_bound_rows(space, consts, q).tolist())
     return [dict(zip((column, *_ESTIMATOR_COLUMNS), row)) for row in zip(values, *estimates)]
 
 
@@ -102,8 +100,7 @@ def packet_size(bandwidth_hz: float, t_max_s: float, aadr: float) -> PacketSize:
 def report_dmax(cfg: RunConfig) -> tuple[float, bool]:
     """Distance limit for the config and whether the airspace satisfies it."""
     consts = derive_constants(cfg.scenario, cfg.link)
-    limit = d_max(consts, cfg.fbl)
-    return limit, cfg.airspace.r_max_m <= limit
+    return d_max(consts, cfg.fbl), bool(_within_d_max(cfg.airspace, consts, cfg.fbl.q))
 
 
 def _format_cell(value) -> str:

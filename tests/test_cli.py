@@ -172,14 +172,23 @@ def test_cli_sweep_m_writes_nan_bound_beyond_d_max(tmp_path, capsys):
     assert m200.startswith("200,")
 
 
-def test_cli_sweep_checks_the_bound_column_before_the_draw(monkeypatch, capsys):
-    # M = 10**77 puts q = 1.9e-38 below g_inverse's domain; the sweep once
-    # drew and integrated for seconds before the bound column rejected it.
-    def unreachable(*args):
-        raise AssertionError("the bound column must be computed before the draw")
+def test_cli_sweep_gives_the_bound_below_the_domain_of_g_inverse(tmp_path, capsys):
+    # M = 10**77 puts q = 1.9e-38 below g_inverse's domain. Deciding the row
+    # needs no root, and the bound holds there.
+    out = tmp_path / "m.csv"
+    assert main(["sweep-m", "--m-values", str(10**77), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["aadr_lb"] == "9.61900449204"
 
-    monkeypatch.setattr(uavlink.cli, "_rate_terms", unreachable)
-    assert main(["sweep-m", "--m-values", str(10**77)]) == 2
+
+def test_cli_dmax_rejects_q_below_the_domain_of_g_inverse(tmp_path, capsys):
+    # M has no upper bound, so a config can reach below g_inverse's domain;
+    # d_max needs the root and so names the domain.
+    data = copy.deepcopy(preset_config("dense_urban"))
+    data["fbl"]["blocklength"] = 10**77
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["dmax", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error: g_inverse needs q in [1e-31, 700], got q=")
 
 

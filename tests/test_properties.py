@@ -1,16 +1,20 @@
-"""Property tests over random valid configs: GCQ ordering in M and eps, LB <= GCQ.
+"""Property tests over random valid configs: GCQ ordering in M and eps, LB <= GCQ,
+where the lower bound holds, and g_inverse's accuracy over its domain.
 
 Examples are derandomized and not stored, so every run checks the same
 configs and writes no example database.
 """
 
 import math
+from dataclasses import replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavlink.bound import aadr_lower_bound, d_max
+from oracles import g_inverse_oracle, g_oracle
+from uavlink.bound import _lower_bound_rows, aadr_lower_bound, d_max, g_inverse
 from uavlink.channel import derive_constants
+from uavlink.cli import report_dmax
 from uavlink.config import PRESET_NAMES, load_preset
 from uavlink.fbl_rate import FblConfig
 from uavlink.geometry import Airspace
@@ -64,3 +68,29 @@ def test_lower_bound_below_gcq_within_d_max(preset, space, m, log_eps):
     cfg = FblConfig(m, 10.0**log_eps)
     assume(space.r_max_m <= d_max(consts, cfg))
     assert aadr_lower_bound(space, consts, cfg) <= aadr_gcq(space, consts, cfg)
+
+
+@_PROPERTY
+@given(st.sampled_from(PRESET_NAMES), airspaces(), blocklengths, log10_epsilons)
+def test_the_bound_is_nan_exactly_beyond_d_max(preset, space, m, log_eps):
+    # The sweep's bound column and the dmax verdict state one rule, r_max <= d_max.
+    # Checked on the drawn airspace and on its shape scaled to end a relative
+    # 10**-k inside and beyond d_max, so that a rule 1e-11 off d_max fails.
+    consts, fbl = _CONSTS[preset], FblConfig(m, 10.0**log_eps)
+    cfg, limit = replace(load_preset(preset), fbl=fbl), d_max(consts, fbl)
+    assume(abs(space.r_max_m / limit - 1.0) > 1e-12)
+    edges = [limit * (1.0 + sign * 10.0**-k) for k in range(1, 12) for sign in (-1.0, 1.0)]
+    for r_max in [space.r_max_m, *edges]:
+        shape = Airspace(space.r_min_m * (r_max / space.r_max_m), r_max, space.theta_min_deg)
+        holds = r_max <= limit
+        assert math.isnan(_lower_bound_rows(shape, consts, fbl.q)) is not holds
+        assert report_dmax(replace(cfg, airspace=shape)) == (limit, holds)
+
+
+@settings(_PROPERTY, max_examples=150)
+@given(st.floats(-31.0, math.log10(700.0)))
+def test_g_inverse_meets_its_stated_accuracy_over_its_domain(log_q):
+    q = min(10.0**log_q, 700.0)  # 10**log10(700) rounds one ulp above 700
+    x, exact = g_inverse(q), g_inverse_oracle(q)
+    assert abs(x - exact) / exact <= 1e-13
+    assert float(abs(g_oracle(x) - q) / q) <= 1e-14

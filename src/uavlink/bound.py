@@ -167,9 +167,10 @@ def exp_integral_ei(x: float) -> float:
     """Exponential integral Ei(x); principal value for x > 0.
 
     The power series for x >= -2, the continued fraction of E1 below it (where
-    the alternating series loses precision). Relative error below about 1e-14
-    against mpmath on [-50, -0.01] and [40, 700], where a call takes up to
-    0.2 ms (932 series terms at x = 700). nan and -inf are a ValueError.
+    the alternating series loses precision). Relative error against mpmath below
+    1e-14 on [-50, -0.01] and [40, 700], and 3e-15 on (0, 40) but within 0.05 of
+    Ei's zero 0.37251, where the absolute error stays below 3e-16. A call takes
+    up to 0.2 ms (932 series terms at x = 700). nan and -inf are a ValueError.
     """
     x = float(x)
     if not x > -math.inf:

@@ -97,6 +97,13 @@ def derive_constants(s: Scenario, link: LinkBudget) -> DerivedConstants:
             "the link fields (tx_power_dbw, noise_psd_dbm_hz, bandwidth_hz, carrier_hz, "
             f"light_speed_m_s) and eta_los_db, eta_nlos_db give a_tilde={a_tilde!r}, "
             f"c_db={c_db!r} and c_tilde={c_tilde!r}; need them finite and c_tilde > 0")
+    # 1/SNR is at most r_max**2 / c_tilde, and r_max**2 < 2**410 wherever r_max**5
+    # is finite (Airspace). From c_tilde = 2**-560 on, 1/SNR stays below 2**970, and
+    # E(1/SNR)'s intermediate 3 r_max**2 / (c_tilde (90 - theta_min)) below 2**1016.
+    if c_tilde < 2.0**-560:
+        raise ValueError(
+            f"the link budget gives c_tilde={c_tilde!r}, the NLoS SNR at 1 m; need c_tilde "
+            ">= 2**-560 (-1685.8 dB), so that 1/SNR and E(1/SNR) stay finite on every airspace")
     return DerivedConstants(
         a_env=s.a, b_env=s.b, a_db=a_db, c_db=c_db, a_tilde=a_tilde, c_tilde=c_tilde
     )

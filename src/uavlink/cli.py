@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bound import _lower_bound_rows, _within_d_max, d_max
+from .bound import _G_INVERSE_DOMAIN, _lower_bound_rows, _within_d_max, d_max
 from .channel import derive_constants
-from .config import PRESET_NAMES, RunConfig, load_config, load_preset
+from .config import PRESET_NAMES, RunConfig, _check_epsilon, load_config, load_preset
 from .fbl_rate import FblConfig, _rate
 from .lemmas import run_lemma_suite
 from .montecarlo import _aadr_rows, _rate_terms
@@ -69,12 +69,9 @@ def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
 
 def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
     """One row per decoding error probability at the config's blocklength."""
-    eps_list = [float(e) for e in eps_values]
+    eps_list = [_check_epsilon(float(e), "epsilon values") for e in eps_values]
     if not eps_list:
         raise ValueError("eps_values must be nonempty")
-    for eps in eps_list:
-        if not 0.0 < eps < 0.5:
-            raise ValueError(f"epsilon values must lie in (0, 0.5), got {eps}")
     return _sweep(cfg, "epsilon", eps_list,
                   [FblConfig(blocklength=cfg.fbl.blocklength, epsilon=eps) for eps in eps_list])
 
@@ -130,13 +127,20 @@ def _out_path(args, cfg: RunConfig, default_name: str) -> str:
     return os.path.join(directory, default_name)
 
 
-def _parse_values(text: str, kind):
-    return [kind(tok) for tok in text.split(",") if tok.strip()]
+def _parse_values(text: str, kind, flag: str):
+    """The comma-separated values of flag, each read by kind; a bad one is named with flag."""
+    values = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid {kind.__name__} value: {tok!r}") from None
+    return values
 
 
 def _cmd_sweep_m(args) -> int:
     cfg = _resolve_config(args)
-    m_values = (_parse_values(args.m_values, int) if args.m_values is not None
+    m_values = (_parse_values(args.m_values, int, "--m-values") if args.m_values is not None
                 else list(range(100, 1001, 100)))
     rows = sweep_blocklength(cfg, m_values)
     path = _out_path(args, cfg, "sweep_m.csv")
@@ -148,8 +152,8 @@ def _cmd_sweep_m(args) -> int:
 
 def _cmd_sweep_eps(args) -> int:
     cfg = _resolve_config(args)
-    eps_values = (_parse_values(args.eps_values, float) if args.eps_values is not None
-                  else [10.0**k for k in range(-12, -2)])
+    eps_values = (_parse_values(args.eps_values, float, "--eps-values")
+                  if args.eps_values is not None else [10.0**k for k in range(-12, -2)])
     rows = sweep_epsilon(cfg, eps_values)
     path = _out_path(args, cfg, "sweep_eps.csv")
     write_csv(path, SWEEP_EPS_COLUMNS, rows)
@@ -198,7 +202,7 @@ def _cmd_packet_size(args) -> int:
 def _cmd_verify(args) -> int:
     # run_lemma_suite's signature holds the default q values.
     report = (run_lemma_suite() if args.q_values is None
-              else run_lemma_suite(_parse_values(args.q_values, float)))
+              else run_lemma_suite(_parse_values(args.q_values, float, "--q-values")))
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -271,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_packet_size)
 
     p = sub.add_parser("verify", help="run the numerical lemma suite")
-    p.add_argument("--q-values",
-                   help="comma-separated penalty coefficients, each in [1e-31, 700]")
+    p.add_argument("--q-values", help="comma-separated penalty coefficients, "
+                                      "each in [{:g}, {:g}]".format(*_G_INVERSE_DOMAIN))
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_verify)
 

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from .channel import LinkBudget, Scenario
 from .fbl_rate import FblConfig
 from .geometry import Airspace
-from .montecarlo import _shard_sizes
-from .quadrature import _MAX_ORDER
+from .montecarlo import _philox_key, _shard_sizes
+from .quadrature import _check_order
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,12 @@ class RunConfig:
     output_dir: str
 
     def __post_init__(self):
-        # Philox takes a 128-bit key; checked here so that overrides applied
-        # with dataclasses.replace are checked too.
-        if not 0 <= self.seed < 2**128:
-            raise ValueError(f"estimators.seed must lie in [0, 2**128), got {self.seed!r}")
-        # Checked here, not only by legendre_rule: a sweep draws, for up to
-        # seconds, before it evaluates the node grid.
+        # The estimators' own rules, applied here too: so replace() overrides are
+        # checked, every command rejects a bad count and a sweep fails before it
+        # draws. n_samples is checked alone (one shard always fits), then shards.
+        _philox_key(self.seed, "estimators.seed")
         for name in ("n_theta", "n_dist"):
-            order = getattr(self, name)
-            if not 1 <= order <= _MAX_ORDER:
-                raise ValueError(f"estimators.{name} must lie in [1, {_MAX_ORDER}], got {order!r}")
-        # The draw's own range rules, so that every command rejects a bad
-        # count: n_samples alone (one shard always fits), then the shards.
+            _check_order(getattr(self, name), f"estimators.{name}")
         for key, shards in (("n_samples", 1), ("shards", self.shards)):
             try:
                 _shard_sizes(self.n_samples, shards)
@@ -64,6 +58,13 @@ _PRESETS = {
     "suburban": (Scenario("suburban", a=4.88, b=0.43, eta_los_db=0.1, eta_nlos_db=21.0), 30.0),
 }
 PRESET_NAMES = tuple(_PRESETS)
+
+
+def _check_epsilon(eps: float, name: str) -> float:
+    """eps, if it lies in (0, 0.5): the bound, d_max and the sweeps all assume q > 0."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"{name} must lie in (0, 0.5), got {eps!r}")
+    return eps
 
 
 def load_preset(name: str) -> RunConfig:
@@ -205,10 +206,7 @@ def config_from_dict(data: dict) -> RunConfig:
         link = replace(link, noise_psd_dbm_hz=link.noise_psd_dbm_hz
                        - 10.0 * math.log10(link.bandwidth_hz))
 
-    # The bound, d_max and the sweeps all assume eps < 0.5 (q > 0).
-    if not 0.0 < fb["epsilon"] < 0.5:
-        raise ValueError(f"fbl.epsilon must lie in (0, 0.5), got {fb['epsilon']!r}")
-
+    _check_epsilon(fb["epsilon"], "fbl.epsilon")
     return RunConfig(scenario=Scenario(**sc), link=link, airspace=Airspace(**ai),
                      fbl=FblConfig(**fb), output_dir=out_dir, **es)
 

@@ -26,13 +26,12 @@ _GRID_POINTS = 200  # per q-free log-grid
 def run_lemma_suite(q_values=(0.05, 0.2, 0.6)) -> dict:
     """Run every lemma check and return a machine-readable report.
 
-    q_values must be nonempty and each q lie in g_inverse's domain
-    [1e-31, 700]; each q gets one g_inverse_root check at its root, whose
-    worst is the relative residual |g(x_q) - q| / q and whose grid is the
-    root to 12 significant digits. The three q-free checks
-    sample log-grids of 200 points. The report lists, per check, the grid,
-    the tolerance and the worst observed value; all_passed aggregates the
-    verdicts.
+    q_values must be nonempty and each q lie in g_inverse's domain. Each q
+    gets one g_inverse_root check at its root, whose worst is the relative
+    residual |g(x_q) - q| / q and whose grid is the root to 12 significant
+    digits. The three q-free checks sample log-grids of 200 points. The
+    report lists, per check, the grid, the tolerance and the worst observed
+    value; all_passed aggregates the verdicts.
     """
     q_values = list(q_values)
     if not q_values:

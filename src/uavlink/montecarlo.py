@@ -98,6 +98,14 @@ _MULT_LO = _MULTIPLIERS & _LOW32
 _MULT_HI = _MULTIPLIERS >> _32
 
 
+def _philox_key(key, name: str = "seed") -> int:
+    """key as a Python int, checked against Philox's key range [0, 2**128)."""
+    key = operator.index(key)  # a numpy integer key would overflow _ArrayPhilox's rounds
+    if not 0 <= key < 2**128:
+        raise ValueError(f"{name} must lie in [0, 2**128), got {key!r}")
+    return key
+
+
 class _ArrayPhilox:
     """Philox4x64-10 doubles computed with numpy arrays, one random(k) at a time.
 
@@ -111,9 +119,7 @@ class _ArrayPhilox:
     """
 
     def __init__(self, key: int, jump: int, start: int):
-        key = operator.index(key)  # a numpy integer key would overflow below
-        if not 0 <= key < 2**128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {key!r}")
+        key = _philox_key(key)
         mask = 2**64 - 1
         # The ten round keys, in Python ints: a uint64 scalar that overflows warns.
         self._keys = [np.array([[(key + r * _KEY_STEPS[0]) & mask],
@@ -165,7 +171,8 @@ class _ArrayPhilox:
 def _numpy_philox(key: int, jump: int, start: int):
     """np.random.Generator(np.random.Philox(key=key).jumped(jump)) from its double `start` on."""
     # One Philox step gives four doubles: start // 4 steps, then start % 4 doubles.
-    rng = np.random.Generator(np.random.Philox(key=key).jumped(jump).advance(start // 4))
+    philox = np.random.Philox(key=_philox_key(key))
+    rng = np.random.Generator(philox.jumped(jump).advance(start // 4))
     rng.random(start % 4)
     return rng
 

@@ -61,6 +61,11 @@ def _legendre_and_derivative(n: int, x: np.ndarray):
     return p, dp
 
 
+def _check_order(order: int, name: str = "order") -> None:
+    if not 1 <= order <= _MAX_ORDER:
+        raise ValueError(f"{name} must lie in [1, {_MAX_ORDER}], got {order!r}")
+
+
 @lru_cache(maxsize=None)
 def legendre_rule(order: int) -> QuadratureRule:
     """Order-N Gauss-Legendre rule, exact for polynomials up to degree 2N-1.
@@ -69,10 +74,7 @@ def legendre_rule(order: int) -> QuadratureRule:
     nonnegative half of the nodes, then mirrored; an odd order's middle node
     lands within 1e-60 of 0. Results are cached per order with read-only arrays.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if order > _MAX_ORDER:
-        raise ValueError(f"order {order} exceeds the supported maximum {_MAX_ORDER}")
+    _check_order(order)
     k = np.arange(1, (order + 1) // 2 + 1)
     x = np.cos(math.pi * (k - 0.25) / (order + 0.5))
     for _ in range(100):

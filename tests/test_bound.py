@@ -269,6 +269,22 @@ def test_ei_matches_mpmath_up_to_its_overflow():
             assert abs(exp_integral_ei(x) - expected) <= 1e-14 * expected, x
 
 
+# Ei's zero on the positive axis (the Ramanujan-Soldner constant's log).
+_EI_ZERO = 0.37250741078136663
+
+
+def test_ei_matches_mpmath_on_the_positive_axis_below_40():
+    # expected_inverse_snr calls Ei on (0, a_tilde), about (0, 4.93) at the
+    # presets. Near Ei's zero the relative error grows as Ei(x) -> 0 (4e-13 at
+    # x = 0.3725), so there the bound is on the absolute error.
+    near = np.linspace(_EI_ZERO - 0.05, _EI_ZERO + 0.05, 2001)
+    with mpmath.workdps(30):
+        for x in (*np.geomspace(1e-300, 1e-3, 100), *np.linspace(1e-3, 40.0, 4000), *near):
+            expected = mpmath.ei(x)
+            tolerance = 3e-16 if abs(x - _EI_ZERO) < 0.05 else 3e-15 * abs(expected)
+            assert abs(exp_integral_ei(x) - expected) <= tolerance, x
+
+
 def test_ei_derivative_identity():
     # d/dx Ei = e^x / x
     for x in (-2.0, -0.5, 0.5, 3.0):

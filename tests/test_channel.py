@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from uavlink.bound import aadr_lower_bound, expected_inverse_snr
 from uavlink.channel import (
     LinkBudget,
     Scenario,
@@ -11,6 +13,10 @@ from uavlink.channel import (
     mean_path_loss_db,
     snr,
 )
+from uavlink.cli import sweep_epsilon
+from uavlink.config import load_preset
+from uavlink.fbl_rate import FblConfig
+from uavlink.geometry import Airspace
 
 DENSE = Scenario(name="dense_urban", a=12.08, b=0.11, eta_los_db=1.6, eta_nlos_db=23.0)
 SUBURBAN = Scenario(name="suburban", a=4.88, b=0.43, eta_los_db=0.1, eta_nlos_db=21.0)
@@ -199,3 +205,48 @@ def test_a_nan_position_is_rejected(call, message):
     # values lie inside, not that none lies outside.
     with pytest.raises(ValueError, match=message):
         call(derive_constants(DENSE, LINK))
+
+
+def test_a_link_budget_whose_snr_underflows_is_rejected():
+    # At -3200 dBW, c_tilde = 9.1e-313: the SNR at r_max was subnormal, the lower
+    # bound at eps = 0.5 failed with d_max's error and a sweep wrote a subnormal
+    # Shannon column, with RuntimeWarnings.
+    link = dataclasses.replace(LINK, tx_power_dbw=-3200.0)
+    message = r"c_tilde=9\.11\d*e-313, the NLoS SNR at 1 m; need c_tilde >= 2\*\*-560 "
+    with pytest.raises(ValueError, match=message):
+        derive_constants(DENSE, link)
+
+
+def _link_with_c_tilde(scenario, c_tilde):
+    """LINK with the transmit power that gives about this c_tilde."""
+    gain_db = 10.0 * math.log10(c_tilde / derive_constants(scenario, LINK).c_tilde)
+    return dataclasses.replace(LINK, tx_power_dbw=LINK.tx_power_dbw + gain_db)
+
+
+def test_the_c_tilde_floor_is_two_to_the_minus_560():
+    assert derive_constants(DENSE, _link_with_c_tilde(DENSE, 2.0**-559.99)).c_tilde >= 2.0**-560
+    with pytest.raises(ValueError, match=r"need c_tilde >= 2\*\*-560"):
+        derive_constants(DENSE, _link_with_c_tilde(DENSE, 2.0**-560.01))
+
+
+# Within 1e-5 of the largest r_max whose fifth power is finite, as Airspace requires.
+_R_MAX_LIMIT = 4.4765e61
+
+
+@pytest.mark.parametrize("r_min,r_max,theta_min", [
+    (250.0, 400.0, 45.0),
+    (1.0, _R_MAX_LIMIT, 0.0),
+    (0.99 * _R_MAX_LIMIT, _R_MAX_LIMIT, math.nextafter(90.0, 0.0)),
+])
+def test_a_sweep_at_the_c_tilde_floor_stays_finite(r_min, r_max, theta_min):
+    # At the floor, on the widest and the narrowest airspaces an Airspace admits,
+    # every estimator column is finite and no RuntimeWarning is raised (pytest
+    # turns them into errors); aadr_lb is nan because the bound's rule fails.
+    cfg = dataclasses.replace(load_preset("dense_urban"),
+                              link=_link_with_c_tilde(DENSE, 2.0**-559.99),
+                              airspace=Airspace(r_min, r_max, theta_min), n_samples=2_000)
+    consts = derive_constants(cfg.scenario, cfg.link)
+    assert math.isfinite(expected_inverse_snr(cfg.airspace, consts))
+    assert math.isfinite(aadr_lower_bound(cfg.airspace, consts, FblConfig(200, 0.5)))
+    for row in sweep_epsilon(cfg, [1e-9, 0.49]):
+        assert all(math.isfinite(row[c]) for c in row if c != "aadr_lb")

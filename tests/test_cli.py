@@ -568,3 +568,28 @@ def test_cli_accepts_the_largest_seed(tmp_path):
     assert main(["sweep-m", "--seed", str(2**128 - 1), "--samples", "100",
                  "--m-values", "200", "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("sweep-m", "--m-values", "100,1e3", "argument --m-values: invalid int value: '1e3'"),
+    ("sweep-eps", "--eps-values", "abc", "argument --eps-values: invalid float value: 'abc'"),
+    ("verify", "--q-values", "0.2, abc ,0.6", "argument --q-values: invalid float value: 'abc'"),
+])
+def test_cli_names_the_flag_and_the_token_of_a_bad_value(tmp_path, capsys, command, flag, value,
+                                                         message):
+    out = tmp_path / "o.csv"
+    assert main([command, flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_rejects_a_link_budget_whose_snr_underflows(tmp_path, capsys):
+    data = preset_config("dense_urban")
+    data["link"]["tx_power_db"] = -3200.0  # c_tilde = 9.1e-313
+    cfg_path = tmp_path / "weak.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    assert main(["sweep-eps", "--config", str(cfg_path), "--eps-values", "1e-9,0.49",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: the link budget gives c_tilde=9.11")
+    assert not out.exists()

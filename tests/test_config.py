@@ -7,7 +7,7 @@ import pytest
 
 from uavlink.bound import d_max
 from uavlink.channel import derive_constants
-from uavlink.cli import main
+from uavlink.cli import main, sweep_epsilon
 from uavlink.config import (
     PRESET_NAMES,
     config_from_dict,
@@ -16,6 +16,8 @@ from uavlink.config import (
     load_preset,
     preset_config,
 )
+from uavlink.montecarlo import _rate_terms
+from uavlink.quadrature import _node_terms
 
 
 def test_presets_carry_expected_defaults():
@@ -377,3 +379,39 @@ def test_quadrature_order_at_the_ends_of_the_rule_range_accepted(key, order):
     data["estimators"][key] = order
     assert getattr(config_from_dict(data), key) == order
     assert getattr(dataclasses.replace(load_preset("dense_urban"), **{key: order}), key) == order
+
+
+@pytest.mark.parametrize("n", [1_000, 70_000])  # drawn by _ArrayPhilox, then by numpy
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_the_draw_and_the_config_reject_a_seed_alike(dense_urban, dense_consts, seed, n):
+    with pytest.raises(ValueError) as own:
+        _rate_terms(dense_urban.airspace, dense_consts, n, seed, 1)
+    with pytest.raises(ValueError) as config:
+        dataclasses.replace(dense_urban, seed=seed)
+    assert str(own.value) == f"seed must lie in [0, 2**128), got {seed}"
+    assert str(config.value) == f"estimators.{own.value}"
+
+
+@pytest.mark.parametrize("key", ["n_theta", "n_dist"])
+@pytest.mark.parametrize("order", [0, 1001])
+def test_the_rule_and_the_config_reject_an_order_alike(dense_urban, dense_consts, key, order):
+    # The estimator names the order it checks "order"; the config names the key.
+    orders = {"n_theta": 30, "n_dist": 30, key: order}
+    with pytest.raises(ValueError) as own:
+        _node_terms(dense_urban.airspace, dense_consts, **orders)
+    with pytest.raises(ValueError) as config:
+        dataclasses.replace(dense_urban, **{key: order})
+    assert str(own.value) == f"order must lie in [1, 1000], got {order}"
+    assert str(config.value) == f"estimators.{key}{str(own.value).removeprefix('order')}"
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.0, math.nan])
+def test_the_sweep_and_the_config_reject_an_epsilon_alike(dense_urban, epsilon):
+    with pytest.raises(ValueError) as sweep:
+        sweep_epsilon(dense_urban, [epsilon])
+    data = preset_config("dense_urban")
+    data["fbl"]["epsilon"] = epsilon
+    with pytest.raises(ValueError) as config:
+        config_from_dict(data)
+    assert str(sweep.value) == f"epsilon values must lie in (0, 0.5), got {epsilon}"
+    assert str(config.value) == f"fbl.epsilon{str(sweep.value).removeprefix('epsilon values')}"

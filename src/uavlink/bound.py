@@ -168,9 +168,10 @@ def exp_integral_ei(x: float) -> float:
 
     The power series for x >= -2, the continued fraction of E1 below it (where
     the alternating series loses precision). Relative error against mpmath below
-    1e-14 on [-50, -0.01] and [40, 700], and 3e-15 on (0, 40) but within 0.05 of
-    Ei's zero 0.37251, where the absolute error stays below 3e-16. A call takes
-    up to 0.2 ms (932 series terms at x = 700). nan and -inf are a ValueError.
+    1e-14 on [-50, -0.01] and [40, 700], 1e-15 on (-0.01, 0) down to -5e-324,
+    and 3e-15 on (0, 40) but within 0.05 of Ei's zero 0.37251, where the
+    absolute error stays below 3e-16. A call takes up to 0.2 ms (932 series
+    terms at x = 700). nan and -inf are a ValueError.
     """
     x = float(x)
     if not x > -math.inf:
@@ -249,9 +250,9 @@ def _within_d_max(space: Airspace, consts: DerivedConstants, q):
     """Whether r_max <= d_max at q >= 0, elementwise: the lower bound's rule.
 
     g is decreasing, so this is q <= g(1/SNR) at the airspace's weakest point,
-    r_max at zero elevation. numpy's reciprocal maps an SNR of 0 to a False.
+    r_max at zero elevation.
     """
-    return q <= _g(np.reciprocal(snr(consts, 0.0, space.r_max_m)))
+    return q <= _g(1.0 / snr(consts, 0.0, space.r_max_m))
 
 
 def _lower_bound_rows(space: Airspace, consts: DerivedConstants, q):

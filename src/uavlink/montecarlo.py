@@ -26,9 +26,9 @@ q: a sweep draws once and each row is one multiply-add.
 A draw holds no array of n values: each shard is drawn in index order as
 blocks of at most _BLOCK positions. Every estimate is a set of moments of
 functions of the SNR (_moments), and each block is reduced to a few sums
-that are added exactly as the draw runs and rounded once at its end. So a
-draw's memory is O(1) in n, under 1 MiB up to MAX_SAMPLES. A block holds at
-most four arrays of its size: the SNRs, S, W and one product.
+that are added exactly, as integers, as the draw runs and rounded once at
+its end. So a draw's memory is O(1) in n, under 1 MiB up to MAX_SAMPLES. A
+block holds at most four arrays of its size: the SNRs, S, W and one product.
 The quadrature's node grid is evaluated in blocks of the same size.
 """
 
@@ -206,34 +206,10 @@ def _snr_blocks(space: Airspace, consts: DerivedConstants, n: int, seed: int, sh
             yield gamma
 
 
-def _add_exact(partials: list, specials: set, x: float):
-    """Add x to a running math.fsum, in place.
-
-    partials are nonoverlapping doubles in increasing magnitude whose sum is
-    exact, as in math.fsum's own loop (Shewchuk, "Adaptive Precision
-    Floating-Point Arithmetic", 1997; Python's msum recipe); specials holds
-    which of inf, -inf and nan were added. math.fsum([*partials, *specials])
-    is then math.fsum of every x added, or raises as it, and neither grows
-    with the number of values: partials is bounded by the spread of their
-    exponents.
-    """
-    if not math.isfinite(x):
-        specials.add(math.nan if math.isnan(x) else x)
-        partials.clear()  # as math.fsum does: the total is now inf, -inf or nan
-        return
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        if not math.isfinite(hi):
-            raise OverflowError("intermediate overflow in fsum")
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+def _in_units(x: float) -> int:
+    """A finite double as the integer multiple of 2**-1074 that it is."""
+    num, den = x.as_integer_ratio()
+    return num << 1075 - den.bit_length()
 
 
 def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shards: int, columns):
@@ -243,12 +219,14 @@ def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shard
     gives the sums of its columns c, of the shifted columns c - K and of
     their products, where K is the first block's column means (the
     shifted-data algorithm of Chan, Golub and LeVeque, 1983). The blocks'
-    sums are added exactly as they come (_add_exact), and each total is
-    their math.fsum, correctly rounded, with no block's sums kept. So
-    a one-block draw keeps the bits of np.add.reduce, and otherwise the
-    means lie within 5e-16 of the correctly rounded mean, relative to it,
-    on the presets, on a shell 1e-14 wide at 300 m, on a 1 m to 20 km shell
-    and at theta_min = 89.9 degrees. A covariance is
+    sums are added exactly as they come, as one int per component counting
+    units of 2**-1074 (_in_units), and each total is rounded once, correctly,
+    by int / int division; a component with a non-finite sum totals as
+    math.fsum of those. No block's sums are kept. So a one-block draw keeps
+    the bits of np.add.reduce, and otherwise the means lie within 5e-16 of
+    the correctly rounded mean, relative to it, on the presets, on a shell
+    1e-14 wide at 300 m, on a 1 m to 20 km shell and at theta_min = 89.9
+    degrees. A covariance is
     (sum (c - K)(c' - K') - sum (c - K) sum (c' - K') / n) / (n - 1), within
     1e-15 of the exact value relative to it on the presets (merging centred
     per-block sums cancels when W = 1 - 1e-7, as on suburban). The columns
@@ -265,16 +243,21 @@ def _moments(space: Airspace, consts: DerivedConstants, n: int, seed: int, shard
         for c, s in zip(cols, shift):
             np.subtract(c, s, out=c)  # in place: the columns are now c - K
         products = (np.add.reduce(a * b) for i, a in enumerate(cols) for b in cols[i:])
-        return np.array([*plain, *(np.add.reduce(c) for c in cols), *products])
+        return [*plain, *(np.add.reduce(c) for c in cols), *products]
 
-    running = None  # each component's running math.fsum, as _add_exact keeps it
+    # Per component: the exact total of its finite sums, in units of 2**-1074,
+    # and the set of its non-finite sums.
+    exact = specials = None
     # map, not a loop over the blocks, so that no block outlives its sums.
     for block_sums in map(sums, _snr_blocks(space, consts, n, seed, shards)):
-        if running is None:
-            running = [([], set()) for _ in block_sums]
-        for (partials, specials), x in zip(running, block_sums.tolist()):
-            _add_exact(partials, specials, x)
-    total = np.array([math.fsum([*partials, *specials]) for partials, specials in running])
+        if exact is None:
+            exact, specials = [0] * len(block_sums), [set() for _ in block_sums]
+        for i, x in enumerate(block_sums):
+            if math.isfinite(x):
+                exact[i] += _in_units(x)
+            else:
+                specials[i].add(math.nan if math.isnan(x) else x)  # one nan, not one per block
+    total = np.array([math.fsum(s) if s else t / 2**1074 for t, s in zip(exact, specials)])
     k = len(shift)
     means, offsets, products = total[:k] / n, total[k:2 * k], total[2 * k:]
     row, col = np.triu_indices(k)
@@ -333,6 +316,13 @@ def estimate_inverse_snr(
     seed: int = 1,
     shards: int = 1,
 ) -> McEstimate:
-    """Mean of 1/SNR over n random UAV positions (cross-check for the bound)."""
-    mean, variance = _moments(space, consts, n, seed, shards, lambda g: (1.0 / g,))
-    return McEstimate(mean=mean, std_error=math.sqrt(variance) / math.sqrt(n))
+    """Mean of 1/SNR over n random UAV positions (cross-check for the bound).
+
+    The moments are those of c_tilde/SNR = d^2 exp(-a_tilde P_los), at most
+    r_max^2 < 2**410, whose squares stay finite where those of 1/SNR, up to
+    2**970 at the c_tilde floor, would overflow.
+    """
+    c_tilde = consts.c_tilde
+    mean, variance = _moments(space, consts, n, seed, shards, lambda g: (c_tilde / g,))
+    return McEstimate(mean=mean / c_tilde,
+                      std_error=math.sqrt(variance) / c_tilde / math.sqrt(n))

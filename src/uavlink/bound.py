@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channel import DerivedConstants, _scalar_or_array, _sigmoid, snr
+from .channel import DerivedConstants, _checked_array, _scalar_or_array, _sigmoid, snr
 from .fbl_rate import _LN2, FblConfig
 from .geometry import Airspace
 from .quadrature import integrate, legendre_rule
@@ -57,9 +57,7 @@ _G_INVERSE_DOMAIN = (1e-31, 700.0)
 
 def f_penalized(x, q):
     """Penalized log-rate f(x) = ln(1 + 1/x) - q sqrt(2x + 1) / (x + 1)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
-        raise ValueError("f_penalized needs x > 0")
+    x = _checked_array(x, "f_penalized needs x > 0", lambda v: v > 0.0)
     if not q > 0.0:
         raise ValueError("f_penalized needs q > 0")
     return _scalar_or_array(_f(x, q))
@@ -67,10 +65,7 @@ def f_penalized(x, q):
 
 def g_bound(x):
     """Largest penalty coefficient keeping f nonnegative at x; decreasing in x."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
-        raise ValueError("g_bound needs x > 0")
-    return _scalar_or_array(_g(x))
+    return _scalar_or_array(_g(_checked_array(x, "g_bound needs x > 0", lambda v: v > 0.0)))
 
 
 def g_inverse(q: float) -> float:
@@ -112,9 +107,7 @@ def min_snr_for_valid_rate(cfg: FblConfig) -> float:
 
 def g1_threshold(x):
     """Penalty threshold (1 + x) sqrt(2x + 1) / (2 x^2); dominates g_bound."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
-        raise ValueError("g1_threshold needs x > 0")
+    x = _checked_array(x, "g1_threshold needs x > 0", lambda v: v > 0.0)
     return _scalar_or_array((1.0 + x) * np.sqrt(2.0 * x + 1.0) / (2.0 * x * x))
 
 
@@ -123,9 +116,7 @@ def g2_threshold(x):
 
     Only defined right of the pole at 1/sqrt(3); dominates g_bound there.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > _INV_SQRT3):
-        raise ValueError("g2_threshold needs x > 1/sqrt(3)")
+    x = _checked_array(x, "g2_threshold needs x > 1/sqrt(3)", lambda v: v > _INV_SQRT3)
     return _scalar_or_array(
         (x + 1.0) * (2.0 * x + 1.0) ** 2.5 / (2.0 * x * x * (3.0 * x * x - 1.0)))
 
@@ -265,9 +256,7 @@ def _lower_bound_rows(space: Airspace, consts: DerivedConstants, q):
     mean_inv = expected_inverse_snr(space, consts)
     if mean_inv <= 0.0:
         raise ValueError(f"aadr_lower_bound needs E(1/SNR) > 0, got {mean_inv}")
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise ValueError("aadr_lower_bound needs epsilon <= 0.5")
+    q = _checked_array(q, "aadr_lower_bound needs epsilon <= 0.5", lambda v: v >= 0.0)
     bound = np.where(_within_d_max(space, consts, q), _f(mean_inv, q) / _LN2, math.nan)
     return _scalar_or_array(bound)
 

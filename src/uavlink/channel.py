@@ -109,20 +109,23 @@ def derive_constants(s: Scenario, link: LinkBudget) -> DerivedConstants:
     )
 
 
-# Range checks are written so that NaN fails them: every comparison with NaN
-# is false, so "not all inside" rejects it where "any outside" would not.
-def _check_theta(theta):
-    theta = np.asarray(theta, dtype=float)
-    if not (np.all(theta >= 0.0) and np.all(theta <= 90.0)):
-        raise ValueError("elevation angle must lie in [0, 90] degrees")
-    return theta
+def _checked_array(values, message, *in_range):
+    """values as a float array; ValueError(message) unless np.all holds of each predicate.
+
+    So NaN fails every range: a comparison with NaN is false, and "not all
+    inside" rejects it where "any outside" would not.
+    """
+    values = np.asarray(values, dtype=float)
+    for rule in in_range:
+        if not np.all(rule(values)):
+            raise ValueError(message)
+    return values
 
 
-def _check_distance(d):
-    d = np.asarray(d, dtype=float)
-    if not np.all(d > 0.0):
-        raise ValueError("distance must be positive")
-    return d
+# The channel functions' argument rules, each a message and its predicates.
+_ELEVATION = ("elevation angle must lie in [0, 90] degrees",
+              lambda t: t >= 0.0, lambda t: t <= 90.0)
+_DISTANCE = ("distance must be positive", lambda d: d > 0.0)
 
 
 def _scalar_or_array(out):
@@ -145,13 +148,13 @@ def los_probability(s: Scenario, theta):
 
     Sigmoid 1 / (1 + a exp(-b (theta - a))), strictly increasing in theta.
     """
-    return _scalar_or_array(_sigmoid(s.a, s.b, _check_theta(theta)))
+    return _scalar_or_array(_sigmoid(s.a, s.b, _checked_array(theta, *_ELEVATION)))
 
 
 def mean_path_loss_db(c: DerivedConstants, theta, d):
     """Mean path loss in dB at elevation theta (degrees) and distance d (m)."""
-    theta = _check_theta(theta)
-    d = _check_distance(d)
+    theta = _checked_array(theta, *_ELEVATION)
+    d = _checked_array(d, *_DISTANCE)
     p_los = _sigmoid(c.a_env, c.b_env, theta)
     return _scalar_or_array(c.a_db * p_los + 20.0 * np.log10(d) + c.c_db)
 
@@ -165,8 +168,8 @@ _BLOCK = 16_384
 
 def snr(c: DerivedConstants, theta, d):
     """Linear SNR at the UAV, c_tilde * d^-2 * exp(a_tilde * P_los(theta))."""
-    theta = _check_theta(theta)
-    d = _check_distance(d)
+    theta = _checked_array(theta, *_ELEVATION)
+    d = _checked_array(d, *_DISTANCE)
     # The elevation factor exp(a_tilde P_los) at theta's shape, reused for the SNR when it fits.
     elevation = _sigmoid(c.a_env, c.b_env, theta)
     np.multiply(c.a_tilde, elevation, out=elevation)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bound import _G_INVERSE_DOMAIN, _lower_bound_rows, _within_d_max, d_max
-from .channel import derive_constants
+from .channel import DerivedConstants, derive_constants, snr
 from .config import PRESET_NAMES, RunConfig, _check_epsilon, load_config, load_preset
 from .fbl_rate import FblConfig, _rate
 from .lemmas import run_lemma_suite
@@ -39,6 +39,22 @@ DMAX_REFERENCE_NOTE = (
 )
 
 
+def _link_constants(cfg: RunConfig) -> DerivedConstants:
+    """The config's derived constants, if its largest SNR is below 2**512.
+
+    The largest SNR lies at r_min and 90 degrees, and from 2**512 on the
+    dispersion's g (g + 2) and (1 + g)^2 overflow.
+    """
+    consts = derive_constants(cfg.scenario, cfg.link)
+    with np.errstate(over="ignore"):  # an SNR beyond the doubles is inf, and fails below
+        peak = snr(consts, 90.0, cfg.airspace.r_min_m)
+    if not peak < 2.0**512:
+        raise ValueError(f"the link budget and airspace.r_min_m={cfg.airspace.r_min_m!r} give "
+                         f"a peak SNR of {peak!r}; need it below 2**512 (1541.3 dB), so that "
+                         "the channel dispersion stays finite")
+    return consts
+
+
 def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> list[dict]:
     """One row per (value, FblConfig) pair; value fills the given column.
 
@@ -48,7 +64,7 @@ def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> 
     estimators. The Shannon column is E[S], the first Monte Carlo moment.
     aadr_lb is nan in a row whose d_max is below the airspace radius.
     """
-    consts = derive_constants(cfg.scenario, cfg.link)
+    consts = _link_constants(cfg)
     space, q = cfg.airspace, np.array([row.q for row in rows])
     moments = _rate_terms(space, consts, cfg.n_samples, cfg.seed, cfg.shards)
     mc_mean, mc_stderr = _aadr_rows(moments, q, cfg.n_samples)
@@ -96,7 +112,7 @@ def packet_size(bandwidth_hz: float, t_max_s: float, aadr: float) -> PacketSize:
 
 def report_dmax(cfg: RunConfig) -> tuple[float, bool]:
     """Distance limit for the config and whether the airspace satisfies it."""
-    consts = derive_constants(cfg.scenario, cfg.link)
+    consts = _link_constants(cfg)
     return d_max(consts, cfg.fbl), bool(_within_d_max(cfg.airspace, consts, cfg.fbl.q))
 
 
@@ -189,7 +205,7 @@ def _cmd_packet_size(args) -> int:
         m = round(channel_uses)
         if m < 1:
             raise ValueError(f"latency budget too small: B*T_max = {channel_uses:g} < 1")
-        consts = derive_constants(cfg.scenario, cfg.link)
+        consts = _link_constants(cfg)
         fbl = FblConfig(blocklength=m, epsilon=cfg.fbl.epsilon)
         rate = aadr_gcq(cfg.airspace, consts, fbl, cfg.n_theta, cfg.n_dist)
     result = packet_size(bandwidth, args.t_max, rate)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _scalar_or_array
+from .channel import _checked_array, _scalar_or_array
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -132,12 +132,12 @@ def _dispersion(g):
     return np.divide(out, scratch, out=out)
 
 
+_NONNEGATIVE_SNR = ("SNR must be nonnegative", lambda g: g >= 0.0)
+
+
 def dispersion(gamma):
     """Channel dispersion V = 1 - (1 + gamma)^-2, evaluated cancellation-free."""
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(g >= 0.0):
-        raise ValueError("SNR must be nonnegative")
-    return _scalar_or_array(_dispersion(g))
+    return _scalar_or_array(_dispersion(_checked_array(gamma, *_NONNEGATIVE_SNR)))
 
 
 def q_free_terms(gamma):
@@ -147,9 +147,7 @@ def q_free_terms(gamma):
     the blocklength and error probability, so averages of S and W serve
     every (M, eps) pair.
     """
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(g > 0.0):
-        raise ValueError("SNR must be positive")
+    g = _checked_array(gamma, "SNR must be positive", lambda v: v > 0.0)
     w_terms = _dispersion(g)
     np.sqrt(w_terms, out=w_terms)
     s_terms = np.log1p(g, out=np.empty_like(g))
@@ -169,7 +167,4 @@ def achievable_rate(gamma, cfg: FblConfig):
 
 def shannon_rate(gamma):
     """Asymptotic rate log2(1 + gamma) in bits per channel use."""
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(g >= 0.0):
-        raise ValueError("SNR must be nonnegative")
-    return _scalar_or_array(np.log1p(g) / _LN2)
+    return _scalar_or_array(np.log1p(_checked_array(gamma, *_NONNEGATIVE_SNR)) / _LN2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _scalar_or_array
+from .channel import _checked_array, _scalar_or_array
 
 
 @dataclass(frozen=True)
@@ -47,28 +47,28 @@ def _cube_difference(a, b):
     return (a - b) * (a * a + a * b + b * b)
 
 
+def _check_support(space: Airspace, x):
+    return _checked_array(x, f"distance outside support [{space.r_min_m}, {space.r_max_m}] m",
+                          lambda v: v >= space.r_min_m, lambda v: v <= space.r_max_m)
+
+
 def cdf_distance(space: Airspace, x):
     """CDF of the station-to-UAV distance, (x^3 - r_min^3) / (r_max^3 - r_min^3)."""
-    x = np.asarray(x, dtype=float)
-    if not (np.all(x >= space.r_min_m) and np.all(x <= space.r_max_m)):
-        raise ValueError(f"distance outside support [{space.r_min_m}, {space.r_max_m}] m")
+    x = _check_support(space, x)
     return _scalar_or_array(_cube_difference(x, space.r_min_m)
                             / _cube_difference(space.r_max_m, space.r_min_m))
 
 
 def pdf_distance(space: Airspace, x):
     """Density of the distance, 3 x^2 / (r_max^3 - r_min^3), per meter."""
-    x = np.asarray(x, dtype=float)
-    if not (np.all(x >= space.r_min_m) and np.all(x <= space.r_max_m)):
-        raise ValueError(f"distance outside support [{space.r_min_m}, {space.r_max_m}] m")
+    x = _check_support(space, x)
     return _scalar_or_array(3.0 * x**2 / _cube_difference(space.r_max_m, space.r_min_m))
 
 
 def pdf_elevation(space: Airspace, theta):
     """Density of the elevation angle, uniform 1/(90 - theta_min), per degree."""
-    theta = np.asarray(theta, dtype=float)
-    if not (np.all(theta >= space.theta_min_deg) and np.all(theta <= 90.0)):
-        raise ValueError(f"elevation outside support [{space.theta_min_deg}, 90] deg")
+    theta = _checked_array(theta, f"elevation outside support [{space.theta_min_deg}, 90] deg",
+                           lambda t: t >= space.theta_min_deg, lambda t: t <= 90.0)
     return _scalar_or_array(np.full_like(theta, 1.0 / (90.0 - space.theta_min_deg)))
 
 

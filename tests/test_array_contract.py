@@ -1,0 +1,80 @@
+"""The input contract of the public array functions.
+
+Each takes numbers or arrays: an in-range 0-d input gives a Python float,
+an empty array gives an empty array, and a NaN anywhere is a ValueError
+with the function's range message, as for any other out-of-range value.
+"""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from uavlink.bound import f_penalized, g1_threshold, g2_threshold, g_bound
+from uavlink.channel import derive_constants, los_probability, mean_path_loss_db, snr
+from uavlink.config import load_preset
+from uavlink.fbl_rate import FblConfig, achievable_rate, dispersion, shannon_rate
+from uavlink.geometry import cdf_distance, pdf_distance, pdf_elevation
+
+CFG = load_preset("dense_urban")
+CONSTS = derive_constants(CFG.scenario, CFG.link)
+SPACE = CFG.airspace
+FBL = FblConfig(blocklength=200, epsilon=1e-9)
+ELEVATION = "elevation angle must lie in [0, 90] degrees"
+DISTANCE = "distance must be positive"
+SUPPORT = "distance outside support [250.0, 400.0] m"
+
+# name: (call on the array arguments, an in-range value of each, the message of each)
+FUNCTIONS = {
+    "los_probability": (lambda t: los_probability(CFG.scenario, t), (60.0,), (ELEVATION,)),
+    "mean_path_loss_db": (lambda t, d: mean_path_loss_db(CONSTS, t, d), (60.0, 300.0),
+                          (ELEVATION, DISTANCE)),
+    "snr": (lambda t, d: snr(CONSTS, t, d), (60.0, 300.0), (ELEVATION, DISTANCE)),
+    "cdf_distance": (lambda x: cdf_distance(SPACE, x), (300.0,), (SUPPORT,)),
+    "pdf_distance": (lambda x: pdf_distance(SPACE, x), (300.0,), (SUPPORT,)),
+    "pdf_elevation": (lambda t: pdf_elevation(SPACE, t), (60.0,),
+                      ("elevation outside support [45.0, 90] deg",)),
+    "dispersion": (dispersion, (2.0,), ("SNR must be nonnegative",)),
+    "shannon_rate": (shannon_rate, (2.0,), ("SNR must be nonnegative",)),
+    "achievable_rate": (lambda g: achievable_rate(g, FBL), (100.0,), ("SNR must be positive",)),
+    "f_penalized": (lambda x: f_penalized(x, 0.5), (0.1,), ("f_penalized needs x > 0",)),
+    "g_bound": (g_bound, (0.1,), ("g_bound needs x > 0",)),
+    "g1_threshold": (g1_threshold, (0.1,), ("g1_threshold needs x > 0",)),
+    "g2_threshold": (g2_threshold, (1.0,), ("g2_threshold needs x > 1/sqrt(3)",)),
+}
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_an_array_function_keeps_its_input_contract(name):
+    call, values, messages = FUNCTIONS[name]
+    for scalars in (values, [np.array(v) for v in values]):
+        assert type(call(*scalars)) is float
+    empty = call(*[np.empty(0)] * len(values))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    # A NaN in each argument: alone, first and last in an array, the others in range.
+    for i, message in enumerate(messages):
+        for nan_at in (None, 0, -1):
+            args = [np.full(3, v) for v in values]
+            if nan_at is None:
+                args[i] = math.nan
+            else:
+                args[i][nan_at] = math.nan
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(*args)
+
+
+def test_only_the_shared_check_converts_an_array_argument():
+    # One helper, channel._checked_array, converts and range-checks the
+    # array arguments of these modules.
+    src = Path(__file__).resolve().parents[1] / "src" / "uavlink"
+    owners = []
+    for module in ("channel", "geometry", "fbl_rate", "bound"):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "asarray"
+                   for node in ast.walk(top)):
+                owners.append(f"{module}.{getattr(top, 'name', '?')}")
+    assert owners == ["channel._checked_array"]

@@ -437,6 +437,14 @@ def test_lower_bound_rows_of_mixed_q_match_their_scalar_calls(dense_urban, dense
     assert _within_d_max(space, dense_consts, q).tolist() == [True, True, False, True]
 
 
+@pytest.mark.parametrize("q", [-1e-300, math.nan, [0.5, math.nan], [math.nan, -1.0]])
+def test_lower_bound_rows_reject_a_negative_or_nan_q(dense_urban, dense_consts, q):
+    # "any q < 0" let a NaN q through as a nan bound; the range check asks
+    # that all q >= 0 instead.
+    with pytest.raises(ValueError, match=r"^aadr_lower_bound needs epsilon <= 0\.5$"):
+        _lower_bound_rows(dense_urban.airspace, dense_consts, q)
+
+
 def test_within_d_max_compares_r_max_with_d_max(dense_urban, dense_consts):
     # d_max is 1,784 m at M = 200, eps = 1e-9 and 220 m at M = 1, eps = 1e-3,
     # on either side of the 400 m airspace.

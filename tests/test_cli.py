@@ -13,7 +13,7 @@ import uavlink.bound
 import uavlink.cli
 import uavlink.lemmas
 from oracles import shannon_gcq_oracle
-from uavlink.channel import derive_constants
+from uavlink.channel import derive_constants, snr
 from uavlink.cli import (
     SWEEP_EPS_COLUMNS,
     SWEEP_M_COLUMNS,
@@ -593,3 +593,54 @@ def test_cli_rejects_a_link_budget_whose_snr_underflows(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: the link budget gives c_tilde=9.11")
     assert not out.exists()
+
+
+_PEAK_SNR_MESSAGE = (r"error: the link budget and airspace\.r_min_m=\S+ give a peak SNR of \S+; "
+                     r"need it below 2\*\*512 \(1541\.3 dB\), so that the channel dispersion "
+                     r"stays finite\n")
+
+
+def _peak_snr_tx_power(log2_peak):
+    """The dense_urban transmit power, in dBW, whose SNR at r_min and 90 degrees is 2**log2_peak."""
+    cfg = load_preset("dense_urban")
+    peak = snr(derive_constants(cfg.scenario, cfg.link), 90.0, cfg.airspace.r_min_m)
+    return cfg.link.tx_power_dbw + 10.0 * (log2_peak * math.log10(2.0) - math.log10(peak))
+
+
+@pytest.mark.parametrize("command", [["sweep-m", "--m-values", "200"], ["sweep-eps"], ["dmax"],
+                                     ["packet-size", "--t-max", "2e-4"]])
+@pytest.mark.parametrize("section, changes", [
+    ("link", {"tx_power_db": 3000.0}),  # the peak SNR is 2.0e305
+    ("link", {"tx_power_db": 1489.0}),  # just above 2**512
+    ("airspace", {"r_min_m": 1e-160}),  # r_min**-2 overflows
+])
+def test_cli_rejects_a_link_budget_whose_peak_snr_overflows_the_dispersion(
+        tmp_path, capsys, command, section, changes):
+    # The dispersion's g (g + 2) and (1 + g)^2 overflowed: the sweeps wrote nan
+    # Monte Carlo and GCQ columns, dmax reported d_max = inf as within the
+    # limit, and packet-size failed on a nan rate, after three RuntimeWarnings.
+    data = preset_config("dense_urban")
+    data[section].update(changes)
+    cfg_path = tmp_path / "hot.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert re.fullmatch(_PEAK_SNR_MESSAGE, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_peak_snr_just_below_the_ceiling_sweeps_finite():
+    at_ceiling = _peak_snr_tx_power(512.0)
+    for tx_power_dbw in (at_ceiling + 1e-9, at_ceiling + 1e-3):
+        cfg = _small_cfg(link={"tx_power_db": tx_power_dbw})
+        with pytest.raises(ValueError, match="need it below 2"):
+            report_dmax(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tx_power_dbw in (_peak_snr_tx_power(511.5), at_ceiling - 1e-3):
+            cfg = _small_cfg(link={"tx_power_db": tx_power_dbw})
+            rows = sweep_blocklength(cfg, [100, 1000]) + sweep_epsilon(cfg, [1e-12, 0.49])
+            assert all(math.isfinite(v) for row in rows for v in row.values())
+            assert report_dmax(cfg)[1]

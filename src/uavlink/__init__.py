@@ -16,19 +16,15 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _SUBMODULE = {
     **dict.fromkeys(("aadr_lower_bound", "d_max", "exp_integral_ei", "expected_inverse_snr",
-                     "f_penalized", "g1_threshold", "g2_threshold", "g_bound", "g_inverse",
-                     "min_snr_for_valid_rate"), "bound"),
-    **dict.fromkeys(("DerivedConstants", "LinkBudget", "Scenario", "derive_constants",
-                     "los_probability", "mean_path_loss_db", "snr"), "channel"),
+                     "g1_threshold", "g2_threshold", "g_bound", "g_inverse"), "bound"),
+    **dict.fromkeys(("DerivedConstants", "LinkBudget", "Scenario", "derive_constants", "snr"),
+                    "channel"),
     **dict.fromkeys(("PRESET_NAMES", "RunConfig", "config_from_dict", "config_to_dict",
                      "load_config", "load_preset", "preset_config"), "config"),
-    **dict.fromkeys(("FblConfig", "achievable_rate", "dispersion", "q_function",
-                     "q_inverse", "shannon_rate"), "fbl_rate"),
-    **dict.fromkeys(("Airspace", "cdf_distance", "pdf_distance", "pdf_elevation",
-                     "sample_positions"), "geometry"),
+    **dict.fromkeys(("FblConfig", "achievable_rate", "q_inverse", "shannon_rate"), "fbl_rate"),
+    **dict.fromkeys(("Airspace", "sample_positions"), "geometry"),
     "run_lemma_suite": "lemmas",
-    **dict.fromkeys(("McEstimate", "estimate_aadr", "estimate_inverse_snr",
-                     "estimate_shannon"), "montecarlo"),
+    **dict.fromkeys(("McEstimate", "estimate_aadr", "estimate_shannon"), "montecarlo"),
     **dict.fromkeys(("QuadratureRule", "aadr_gcq", "integrate", "legendre_rule"),
                     "quadrature"),
 }

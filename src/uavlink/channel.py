@@ -143,22 +143,6 @@ def _sigmoid(a, b, theta):
     return np.divide(1.0, out, out=out)
 
 
-def los_probability(s: Scenario, theta):
-    """Probability of a line-of-sight link at elevation theta (degrees).
-
-    Sigmoid 1 / (1 + a exp(-b (theta - a))), strictly increasing in theta.
-    """
-    return _scalar_or_array(_sigmoid(s.a, s.b, _checked_array(theta, *_ELEVATION)))
-
-
-def mean_path_loss_db(c: DerivedConstants, theta, d):
-    """Mean path loss in dB at elevation theta (degrees) and distance d (m)."""
-    theta = _checked_array(theta, *_ELEVATION)
-    d = _checked_array(d, *_DISTANCE)
-    p_los = _sigmoid(c.a_env, c.b_env, theta)
-    return _scalar_or_array(c.a_db * p_los + 20.0 * np.log10(d) + c.c_db)
-
-
 # Points per block of the SNR and rate chain, for the Monte Carlo draw and the
 # quadrature's node grid alike: a block's handful of working arrays (128 KiB
 # each) stay in a core's L2 cache. Of 4K to 64K, 16K drew 1e6 samples fastest

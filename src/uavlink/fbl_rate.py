@@ -5,8 +5,8 @@ in bits per channel use is
 
     R(gamma) = log2(1 + gamma) - (1/ln 2) sqrt(V(gamma)/M) Qinv(epsilon)
 
-with channel dispersion V(gamma) = 1 - (1 + gamma)^-2. The Gaussian
-Q-function pair used by the penalty term lives here as well.
+with channel dispersion V(gamma) = 1 - (1 + gamma)^-2. The inverse Gaussian
+tail probability Qinv used by the penalty term lives here as well.
 """
 
 import math
@@ -18,7 +18,6 @@ import numpy as np
 from .channel import _checked_array, _scalar_or_array
 
 _LN2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,6 @@ def _rate(s_terms, w_terms, q):
     for scalars, so one row of an array call has the bits of a scalar call.
     """
     return s_terms - (q / _LN2) * w_terms
-
-
-def q_function(x: float) -> float:
-    """Upper-tail standard normal probability Q(x) = 0.5 erfc(x / sqrt 2)."""
-    return 0.5 * math.erfc(float(x) / _SQRT2)
 
 
 # Wichura's AS241 (Applied Statistics 37, 1988): (numerator, denominator)
@@ -93,7 +87,7 @@ def _poly(coeffs, x: float) -> float:
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of q_function over p in (0, 1), by Wichura's algorithm AS241.
+    """Inverse of Q(x) = 0.5 erfc(x / sqrt 2) over p in (0, 1), by Wichura's algorithm AS241.
 
     A direct rational approximation with no iteration: its relative error
     against a 50-digit root stays below 1e-15 from the smallest subnormal p
@@ -132,14 +126,6 @@ def _dispersion(g):
     return np.divide(out, scratch, out=out)
 
 
-_NONNEGATIVE_SNR = ("SNR must be nonnegative", lambda g: g >= 0.0)
-
-
-def dispersion(gamma):
-    """Channel dispersion V = 1 - (1 + gamma)^-2, evaluated cancellation-free."""
-    return _scalar_or_array(_dispersion(_checked_array(gamma, *_NONNEGATIVE_SNR)))
-
-
 def q_free_terms(gamma):
     """Arrays (S, W) = (log2(1 + gamma), sqrt(V(gamma))) for gamma > 0.
 
@@ -158,13 +144,13 @@ def q_free_terms(gamma):
 def achievable_rate(gamma, cfg: FblConfig):
     """Finite-blocklength rate in bits per channel use; may be negative.
 
-    Negative values for small SNR are returned unclamped; use
-    bound.min_snr_for_valid_rate to locate the region where the rate is
-    nonnegative and increasing.
+    Negative values for small SNR are returned unclamped. The rate is
+    nonnegative and increasing from SNR = 1 / bound.g_inverse(q) on.
     """
     return _scalar_or_array(_rate(*q_free_terms(gamma), cfg.q))
 
 
 def shannon_rate(gamma):
     """Asymptotic rate log2(1 + gamma) in bits per channel use."""
-    return _scalar_or_array(np.log1p(_checked_array(gamma, *_NONNEGATIVE_SNR)) / _LN2)
+    gamma = _checked_array(gamma, "SNR must be nonnegative", lambda g: g >= 0.0)
+    return _scalar_or_array(np.log1p(gamma) / _LN2)

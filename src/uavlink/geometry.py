@@ -5,14 +5,24 @@ the ground control station: the station-to-UAV distance d lies in
 [r_min, r_max] meters and the elevation angle theta in [theta_min, 90]
 degrees. The distance follows a cubic CDF, the elevation is uniform, and
 the two coordinates are drawn independently (product-form joint density).
+
+The paper's UAV is "uniformly distributed" in this space. Every estimator
+here reads that as uniform in theta; uniform in the volume would be the
+density d^2 cos(theta), whose elevation marginal weights low elevations
+more. AADR at M = 200 and eps = 1e-9 (200x200 Gauss-Legendre sums):
+
+    preset        uniform theta   uniform volume
+    dense_urban   9.13460         8.91705
+    suburban      10.030815       10.030795
+
+On dense_urban the reading moves the AADR by 0.22 bits, more than the
+Jensen bound's gap of 0.13; the volume reading's own Jensen bound is 8.7805.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import _checked_array, _scalar_or_array
 
 
 @dataclass(frozen=True)
@@ -47,38 +57,13 @@ def _cube_difference(a, b):
     return (a - b) * (a * a + a * b + b * b)
 
 
-def _check_support(space: Airspace, x):
-    return _checked_array(x, f"distance outside support [{space.r_min_m}, {space.r_max_m}] m",
-                          lambda v: v >= space.r_min_m, lambda v: v <= space.r_max_m)
-
-
-def cdf_distance(space: Airspace, x):
-    """CDF of the station-to-UAV distance, (x^3 - r_min^3) / (r_max^3 - r_min^3)."""
-    x = _check_support(space, x)
-    return _scalar_or_array(_cube_difference(x, space.r_min_m)
-                            / _cube_difference(space.r_max_m, space.r_min_m))
-
-
-def pdf_distance(space: Airspace, x):
-    """Density of the distance, 3 x^2 / (r_max^3 - r_min^3), per meter."""
-    x = _check_support(space, x)
-    return _scalar_or_array(3.0 * x**2 / _cube_difference(space.r_max_m, space.r_min_m))
-
-
-def pdf_elevation(space: Airspace, theta):
-    """Density of the elevation angle, uniform 1/(90 - theta_min), per degree."""
-    theta = _checked_array(theta, f"elevation outside support [{space.theta_min_deg}, 90] deg",
-                           lambda t: t >= space.theta_min_deg, lambda t: t <= 90.0)
-    return _scalar_or_array(np.full_like(theta, 1.0 / (90.0 - space.theta_min_deg)))
-
-
 def sample_positions(space: Airspace, rng: "np.random.Generator", n: int):
     """Draw n independent positions by inverse-transform sampling.
 
     The distance uses the cube-root inverse of the cubic CDF, the elevation
     an affine map of a uniform draw. Consumes exactly two uniform blocks
     (distances first, then elevations) from rng, and maps each in place.
-    The uniforms scale by cdf_distance's factored r_max^3 - r_min^3. On a
+    The uniforms scale by the factored r_max^3 - r_min^3 (_cube_difference). On a
     shell 1e-14 wide the unfactored difference is 1.6e-3 off, yet moves the
     distances by at most 1.9e-16 relative: no estimate changes beyond rounding.
 

@@ -311,22 +311,3 @@ def estimate_shannon(
     """Mean Shannon rate log2(1 + SNR) over n random UAV positions."""
     mean, std_error = _aadr_rows(_rate_terms(space, consts, n, seed, shards), 0.0, n)
     return McEstimate(mean=mean, std_error=float(std_error))
-
-
-def estimate_inverse_snr(
-    space: Airspace,
-    consts: DerivedConstants,
-    n: int = 10_000,
-    seed: int = 1,
-    shards: int = 1,
-) -> McEstimate:
-    """Mean of 1/SNR over n random UAV positions (cross-check for the bound).
-
-    The moments are those of c_tilde/SNR = d^2 exp(-a_tilde P_los), at most
-    r_max^2 < 2**410, whose squares stay finite where those of 1/SNR, up to
-    2**970 at the c_tilde floor, would overflow.
-    """
-    c_tilde = consts.c_tilde
-    mean, variance = _moments(space, consts, n, seed, shards, lambda g: (c_tilde / g,))
-    return McEstimate(mean=mean / c_tilde,
-                      std_error=math.sqrt(variance) / c_tilde / math.sqrt(n))

@@ -1,22 +1,54 @@
 """Independent reference implementations used to pin expected test values.
 
 These deliberately avoid the code paths under test: the Ei oracle is an
-extended-precision power series, one quantile oracle is plain bisection on
-the implemented tail probability, one an mpmath root of ln Q and one
-mpmath's inverse error function, the penalty threshold g and its root are
-evaluated in mpmath, the root by bisection in ln x, the slope of g is
-mpmath's numerical derivative, E(1/SNR) is mpmath quadrature, the
-penalty-free GCQ is a plain nested Gauss-Legendre sum of the Shannon rate,
-and the paper's GCQ is a nested Gauss-Chebyshev sum of the rate.
+extended-precision power series, the path loss, the Gaussian tail Q and the
+position densities are the paper's formulas, one quantile oracle is plain
+bisection on Q, one an mpmath root of ln Q and one mpmath's inverse error
+function, the penalty threshold g and its root are evaluated in mpmath, the
+root by bisection in ln x, the slope of g is mpmath's numerical derivative,
+E(1/SNR) is mpmath quadrature, the penalty-free GCQ is a plain nested
+Gauss-Legendre sum of the Shannon rate, the paper's GCQ is a nested
+Gauss-Chebyshev sum of the rate, and a mean under either elevation density
+is a nested Gauss-Legendre sum over one node grid.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
 
 from uavlink.channel import snr
 from uavlink.fbl_rate import achievable_rate, shannon_rate
-from uavlink.geometry import pdf_distance, pdf_elevation
+from uavlink.geometry import _cube_difference
+from uavlink.montecarlo import _moments
 from uavlink.quadrature import integrate, legendre_rule
+
+
+def mean_path_loss_db(c, theta, d):
+    """Mean path loss in dB at elevation theta (degrees) and distance d (m): the dB form of snr."""
+    p_los = 1.0 / (1.0 + c.a_env * np.exp(-c.b_env * (np.asarray(theta) - c.a_env)))
+    return c.a_db * p_los + 20.0 * np.log10(d) + c.c_db
+
+
+def cdf_distance(space, x):
+    """CDF of the station-to-UAV distance, (x^3 - r_min^3) / (r_max^3 - r_min^3)."""
+    return (_cube_difference(np.asarray(x), space.r_min_m)
+            / _cube_difference(space.r_max_m, space.r_min_m))
+
+
+def pdf_distance(space, x):
+    """Density of the distance, 3 x^2 / (r_max^3 - r_min^3), per meter."""
+    return 3.0 * np.square(x) / _cube_difference(space.r_max_m, space.r_min_m)
+
+
+def pdf_elevation(space, theta):
+    """Density of the elevation angle, uniform 1/(90 - theta_min), per degree."""
+    return np.full_like(np.asarray(theta, dtype=float), 1.0 / (90.0 - space.theta_min_deg))
+
+
+def q_function(x):
+    """Upper-tail standard normal probability Q(x) = 0.5 erfc(x / sqrt 2)."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def ei_series_oracle(x, dps=60, truncation=1e-15):
@@ -57,9 +89,7 @@ def bisect_root(fn, lo, hi, iterations=200):
 
 
 def q_inverse_oracle(p):
-    """Quantile by bisection on the implemented tail probability."""
-    from uavlink.fbl_rate import q_function
-
+    """Quantile by bisection on q_function."""
     return bisect_root(lambda x: q_function(x) - p, -40.0, 40.0)
 
 
@@ -92,15 +122,31 @@ def inverse_snr_oracle(space, consts, dps=40):
     1/SNR = d^2 exp(-a_tilde P_los(theta)) / c_tilde with independent
     distance and elevation, so the mean is E(d^2) times the mean of
     exp(-a_tilde P_los) over theta uniform on [theta_min, 90], over c_tilde.
+    The theta integral is split at the sigmoid's transition, its midpoint
+    a + ln(a)/b and k/b either side: in one piece a steep sigmoid (b = 4.76)
+    was 1.7e-7 off.
     """
     with mp.workdps(dps):
         at, a, b = (mp.mpf(v) for v in (consts.a_tilde, consts.a_env, consts.b_env))
         th_min, r, big_d = (mp.mpf(v) for v in (space.theta_min_deg, space.r_min_m,
                                                    space.r_max_m))
+        mid = a + mp.log(a) / b
+        splits = {mid + k / b for k in (-16, -4, -1, 0, 1, 4, 16)}
         elevation = mp.quad(lambda th: mp.exp(-at / (1 + a * mp.exp(-b * (th - a)))),
-                            [th_min, 90]) / (90 - th_min)
+                            sorted({th_min, 90, *(t for t in splits if th_min < t < 90)})
+                            ) / (90 - th_min)
         mean_d2 = 3 * (big_d**5 - r**5) / (5 * (big_d**3 - r**3))
         return mean_d2 * elevation / mp.mpf(consts.c_tilde)
+
+
+def inverse_snr_monte_carlo(space, consts, n, seed, shards=1):
+    """(mean, standard error) of 1/SNR over one seeded Monte Carlo draw.
+
+    The moments are those of c_tilde/SNR = d^2 exp(-a_tilde P_los), at most
+    r_max^2, whose squares stay finite where those of 1/SNR could overflow.
+    """
+    mean, variance = _moments(space, consts, n, seed, shards, lambda g: (consts.c_tilde / g,))
+    return mean / consts.c_tilde, math.sqrt(variance) / consts.c_tilde / math.sqrt(n)
 
 
 def g_oracle(x, dps=60):
@@ -174,3 +220,21 @@ def chebyshev_gcq_oracle(space, consts, cfg, order):
     outer = d_half * (w * pdf_distance(space, dist))
     rate = achievable_rate(snr(consts, theta[None, :], dist[:, None]), cfg)
     return float(outer @ rate @ inner)
+
+
+def position_mean(space, consts, fn, order=200, volume=False):
+    """Mean of fn(snr) over the airspace by a nested order-point Gauss-Legendre sum.
+
+    The distance density is d^2. The elevation density is uniform in theta,
+    as in uavlink, or with volume=True proportional to cos(theta): a UAV
+    uniform in the volume between the two cones. Each rule's weights are
+    normalised to sum to one.
+    """
+    rule = legendre_rule(order)
+    th_min, r_min, r_max = space.theta_min_deg, space.r_min_m, space.r_max_m
+    theta = 0.5 * (90.0 - th_min) * rule.nodes + 0.5 * (90.0 + th_min)
+    dist = 0.5 * (r_max - r_min) * rule.nodes + 0.5 * (r_max + r_min)
+    w_theta = rule.weights * (np.cos(np.radians(theta)) if volume else 1.0)
+    w_dist = rule.weights * dist**2
+    values = fn(snr(consts, theta[None, :], dist[:, None]))
+    return float(w_dist @ values @ w_theta / (w_dist.sum() * w_theta.sum()))

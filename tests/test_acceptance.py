@@ -9,14 +9,14 @@ import math
 
 import numpy as np
 
-from oracles import ei_series_oracle
+from oracles import ei_series_oracle, inverse_snr_monte_carlo, q_function
 from uavlink.bound import aadr_lower_bound, d_max, exp_integral_ei, expected_inverse_snr
 from uavlink.channel import derive_constants
 from uavlink.cli import SWEEP_M_COLUMNS, sweep_blocklength, sweep_epsilon, write_csv
 from uavlink.config import config_from_dict, load_preset, preset_config
-from uavlink.fbl_rate import FblConfig, achievable_rate, q_function, q_inverse
+from uavlink.fbl_rate import FblConfig, achievable_rate, q_inverse
 from uavlink.lemmas import run_lemma_suite
-from uavlink.montecarlo import estimate_aadr, estimate_inverse_snr, estimate_shannon
+from uavlink.montecarlo import estimate_aadr, estimate_shannon
 from uavlink.quadrature import aadr_gcq, legendre_rule
 
 PRESETS = ("dense_urban", "suburban")
@@ -88,8 +88,8 @@ def test_criterion_05_closed_form_inverse_snr():
     for name in PRESETS:
         cfg, consts = _setup(name)
         closed = expected_inverse_snr(cfg.airspace, consts)
-        mc = estimate_inverse_snr(cfg.airspace, consts, n=1_000_000, seed=cfg.seed)
-        z = abs(closed - mc.mean) / mc.std_error
+        mean, std_error = inverse_snr_monte_carlo(cfg.airspace, consts, 1_000_000, cfg.seed)
+        z = abs(closed - mean) / std_error
         assert z <= 3.0, (name, z)
     print("PASS criterion 5: closed-form E(1/SNR) within 3 std errors of a "
           "1e6-sample Monte Carlo run")
@@ -130,14 +130,14 @@ def test_criterion_08_quadrature_exactness():
 
 
 def test_criterion_09_rate_identity():
-    from uavlink.bound import f_penalized, g_inverse
+    from uavlink.bound import _f, g_inverse
 
     cfg = FblConfig(blocklength=200, epsilon=1e-9)
     q = cfg.q
     lo = 1.0 / g_inverse(q)
     rng = np.random.default_rng(7)
     gammas = np.exp(rng.uniform(math.log(lo), math.log(1e4), 100))
-    worst = max(abs(f_penalized(1.0 / g, q) / math.log(2.0) - achievable_rate(g, cfg))
+    worst = max(abs(_f(1.0 / g, q) / math.log(2.0) - achievable_rate(g, cfg))
                 for g in gammas)
     assert worst <= 1e-12
     print(f"PASS criterion 9: rate identity with penalized log within 1e-12 "

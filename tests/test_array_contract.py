@@ -13,34 +13,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavlink.bound import f_penalized, g1_threshold, g2_threshold, g_bound
-from uavlink.channel import derive_constants, los_probability, mean_path_loss_db, snr
+from uavlink.bound import g1_threshold, g2_threshold, g_bound
+from uavlink.channel import derive_constants, snr
 from uavlink.config import load_preset
-from uavlink.fbl_rate import FblConfig, achievable_rate, dispersion, shannon_rate
-from uavlink.geometry import cdf_distance, pdf_distance, pdf_elevation
+from uavlink.fbl_rate import FblConfig, achievable_rate, shannon_rate
 
 CFG = load_preset("dense_urban")
 CONSTS = derive_constants(CFG.scenario, CFG.link)
-SPACE = CFG.airspace
 FBL = FblConfig(blocklength=200, epsilon=1e-9)
 ELEVATION = "elevation angle must lie in [0, 90] degrees"
 DISTANCE = "distance must be positive"
-SUPPORT = "distance outside support [250.0, 400.0] m"
 
 # name: (call on the array arguments, an in-range value of each, the message of each)
 FUNCTIONS = {
-    "los_probability": (lambda t: los_probability(CFG.scenario, t), (60.0,), (ELEVATION,)),
-    "mean_path_loss_db": (lambda t, d: mean_path_loss_db(CONSTS, t, d), (60.0, 300.0),
-                          (ELEVATION, DISTANCE)),
     "snr": (lambda t, d: snr(CONSTS, t, d), (60.0, 300.0), (ELEVATION, DISTANCE)),
-    "cdf_distance": (lambda x: cdf_distance(SPACE, x), (300.0,), (SUPPORT,)),
-    "pdf_distance": (lambda x: pdf_distance(SPACE, x), (300.0,), (SUPPORT,)),
-    "pdf_elevation": (lambda t: pdf_elevation(SPACE, t), (60.0,),
-                      ("elevation outside support [45.0, 90] deg",)),
-    "dispersion": (dispersion, (2.0,), ("SNR must be nonnegative",)),
     "shannon_rate": (shannon_rate, (2.0,), ("SNR must be nonnegative",)),
     "achievable_rate": (lambda g: achievable_rate(g, FBL), (100.0,), ("SNR must be positive",)),
-    "f_penalized": (lambda x: f_penalized(x, 0.5), (0.1,), ("f_penalized needs x > 0",)),
     "g_bound": (g_bound, (0.1,), ("g_bound needs x > 0",)),
     "g1_threshold": (g1_threshold, (0.1,), ("g1_threshold needs x > 0",)),
     "g2_threshold": (g2_threshold, (1.0,), ("g2_threshold needs x > 1/sqrt(3)",)),

@@ -9,10 +9,11 @@ import pytest
 import scipy.special
 
 import uavlink.bound
-from oracles import (ei_series_oracle, g_inverse_oracle, g_oracle, inverse_snr_oracle,
-                     x_dg_oracle)
+from oracles import (ei_series_oracle, g_inverse_oracle, g_oracle, inverse_snr_monte_carlo,
+                     inverse_snr_oracle, pdf_distance, pdf_elevation, x_dg_oracle)
 from uavlink.bound import (
     DistanceLimitError,
+    _f,
     _lower_bound_rows,
     _within_d_max,
     _x_dg,
@@ -22,32 +23,24 @@ from uavlink.bound import (
     d_max,
     exp_integral_ei,
     expected_inverse_snr,
-    f_penalized,
     g_bound,
     g_inverse,
 )
 from uavlink.channel import DerivedConstants, derive_constants, snr
 from uavlink.config import PRESET_NAMES, load_preset
 from uavlink.fbl_rate import _LN2, FblConfig, achievable_rate
-from uavlink.geometry import Airspace, pdf_distance, pdf_elevation
-from uavlink.montecarlo import estimate_aadr, estimate_inverse_snr
+from uavlink.geometry import Airspace
+from uavlink.montecarlo import estimate_aadr
 from uavlink.quadrature import integrate, legendre_rule
 
 
 def test_f_penalized_reference_value():
     # ln 2 - 0.5 sqrt(3)/2, direct arithmetic
-    assert f_penalized(1.0, 0.5) == pytest.approx(0.26013447866772599, rel=1e-14)
+    assert _f(1.0, 0.5) == pytest.approx(0.26013447866772599, rel=1e-14)
 
 
 def test_f_penalized_small_penalty_approaches_log():
-    assert f_penalized(1.0, 1e-14) == pytest.approx(math.log(2.0), rel=1e-12)
-
-
-def test_f_penalized_domain_errors():
-    with pytest.raises(ValueError):
-        f_penalized(0.0, 0.5)
-    with pytest.raises(ValueError):
-        f_penalized(1.0, 0.0)
+    assert _f(1.0, 1e-14) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_g_bound_reference_value():
@@ -89,9 +82,9 @@ def test_g_inverse_residual_small():
 
 def test_g_inverse_zeroes_f():
     for q in (0.1, 0.3, 0.6):
-        assert f_penalized(g_inverse(q), q) == pytest.approx(0.0, abs=1e-9)
+        assert _f(g_inverse(q), q) == pytest.approx(0.0, abs=1e-9)
         # the returned root sits on the nonnegative side of f
-        assert f_penalized(g_inverse(q), q) >= -1e-12
+        assert _f(g_inverse(q), q) >= -1e-12
 
 
 def test_g_inverse_domain_error():
@@ -100,8 +93,6 @@ def test_g_inverse_domain_error():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: f_penalized(math.nan, 0.5), "f_penalized needs x > 0"),
-    (lambda: f_penalized(1.0, math.nan), "f_penalized needs q > 0"),
     (lambda: g_bound(np.array([1.0, math.nan])), "g_bound needs x > 0"),
     (lambda: g1_threshold(math.nan), "g1_threshold needs x > 0"),
     (lambda: g2_threshold(math.nan), "g2_threshold needs x > 1/sqrt"),
@@ -183,7 +174,7 @@ def test_lower_bound_is_bit_identical_to_f_penalized(name):
     mean_inv = expected_inverse_snr(cfg.airspace, consts)
     for eps in _dense_sweep_eps(1)[:50]:
         fbl = replace(cfg.fbl, epsilon=eps)
-        assert aadr_lower_bound(cfg.airspace, consts, fbl) == f_penalized(mean_inv, fbl.q) / _LN2
+        assert aadr_lower_bound(cfg.airspace, consts, fbl) == _f(mean_inv, fbl.q) / _LN2
 
 
 def test_g1_threshold_reference_value():
@@ -212,16 +203,16 @@ def test_g2_threshold_rejects_pole_and_left_branch():
 def test_f_nonnegative_up_to_g_inverse():
     for q in (0.05, 0.2, 0.6):
         xs = np.geomspace(1e-6, g_inverse(q), 400)
-        assert np.min(f_penalized(xs, q)) >= -1e-12
+        assert np.min(_f(xs, q)) >= -1e-12
 
 
 def test_f_decreasing_and_convex():
     for q in (0.05, 0.2, 0.6):
         xs = np.geomspace(1e-6, g_inverse(q), 400)
         h = xs * 1e-4
-        fp = (f_penalized(xs + h, q) - f_penalized(xs - h, q)) / (2.0 * h)
-        fpp = (f_penalized(xs + h, q) - 2.0 * f_penalized(xs, q)
-               + f_penalized(xs - h, q)) / (h * h)
+        fp = (_f(xs + h, q) - _f(xs - h, q)) / (2.0 * h)
+        fpp = (_f(xs + h, q) - 2.0 * _f(xs, q)
+               + _f(xs - h, q)) / (h * h)
         assert np.max(fp) < 0.0
         assert np.min(fpp) > 0.0
 
@@ -409,8 +400,8 @@ def test_expected_inverse_snr_matches_quadrature(dense_urban, dense_consts):
 
 def test_expected_inverse_snr_matches_monte_carlo(suburban, suburban_consts):
     closed = expected_inverse_snr(suburban.airspace, suburban_consts)
-    mc = estimate_inverse_snr(suburban.airspace, suburban_consts, n=200_000, seed=9)
-    assert abs(closed - mc.mean) <= 3.0 * mc.std_error
+    mean, std_error = inverse_snr_monte_carlo(suburban.airspace, suburban_consts, 200_000, 9)
+    assert abs(closed - mean) <= 3.0 * std_error
     assert closed > 0.0
 
 
@@ -510,5 +501,5 @@ def test_penalized_log_identity_with_rate():
     rng = np.random.default_rng(2)
     gammas = np.exp(rng.uniform(math.log(lo), math.log(1e4), 100))
     for gamma in gammas:
-        lhs = f_penalized(1.0 / gamma, q) / math.log(2.0)
+        lhs = _f(1.0 / gamma, q) / math.log(2.0)
         assert abs(lhs - achievable_rate(gamma, cfg)) <= 1e-12

@@ -1,17 +1,21 @@
-"""Every module-level private function, class and constant of src/uavlink is used.
+"""Every module-level private function, class and constant of src/uavlink is used,
+and so is every public name of uavlink.__all__ but the library-only ones named here.
 
-A private helper that nothing in the package refers to is dead code that
-still has to be read and kept right. A use is a Name, an Attribute or an
-import of the helper's name anywhere in src/uavlink outside the statement
-that defines it; docstrings and comments are not parsed as code, so they do
-not count, and neither do the tests. A constant is an assignment target.
+A helper that nothing in the package refers to is dead code that still has
+to be read and kept right. A use is a Name, an Attribute or an import of the
+helper's name anywhere in src/uavlink outside the statement that defines it;
+docstrings and comments are not parsed as code, so they do not count, and
+neither do the tests. A constant is an assignment target.
 
 A name imported under `# noqa: F401` is used by nothing in its module; it
-is kept only because a benchmark probe in bench/tracer.py looks it up there.
+is kept only because a benchmark probe in bench/tracer.py looks it up there,
+so that import is not a use either.
 """
 
 import ast
 from pathlib import Path
+
+import uavlink
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uavlink"
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -39,23 +43,39 @@ def _defined_names(top):
     return {}
 
 
-def _unused_private_names():
-    """{kind: sorted 'module.name' entries} of the private names nothing uses."""
-    private, uses = {}, set()
+def _is_probe_import(node, lines):
+    return isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]
+
+
+def _definitions_and_uses():
+    """{(module, name): kind} of the module-level names, and (name, module, owners) per use."""
+    defined, uses = {}, set()
     for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for top in ast.parse(text).body:
             owners = _defined_names(top)
-            for name, kind in owners.items():
-                if name.startswith("_") and not name.startswith("__"):
-                    private[(path.stem, name)] = kind
+            defined.update({(path.stem, name): kind for name, kind in owners.items()})
+            if _is_probe_import(top, lines):
+                continue
             for node in ast.walk(top):
                 name = _used_name(node)
                 if name:
                     uses.add((name, path.stem, frozenset(owners)))
+    return defined, uses
+
+
+def _is_used(module, name, uses):
+    return any(used == name and not (where == module and name in owners)
+               for used, where, owners in uses)
+
+
+def _unused_private_names():
+    """{kind: sorted 'module.name' entries} of the private names nothing uses."""
+    defined, uses = _definitions_and_uses()
     unused = {"definition": [], "constant": []}
-    for (module, name), kind in sorted(private.items()):
-        if not any(used == name and not (where == module and name in owners)
-                   for used, where, owners in uses):
+    for (module, name), kind in sorted(defined.items()):
+        if name.startswith("_") and not name.startswith("__") and not _is_used(module, name, uses):
             unused[kind].append(f"{module}.{name}")
     return unused
 
@@ -68,6 +88,29 @@ def test_every_private_constant_is_referenced():
     assert _unused_private_names()["constant"] == []
 
 
+# Public names that nothing in the package calls, kept for library users, with the reason.
+# The sweep computes all of its rows at once through the private moment and bound
+# helpers; these are the one-configuration and per-SNR forms of the same numbers.
+LIBRARY_ONLY = {
+    "bound.aadr_lower_bound": "the Jensen lower bound of one configuration, "
+                              "raising DistanceLimitError beyond d_max",
+    "fbl_rate.achievable_rate": "the paper's rate R(SNR) at given SNRs",
+    "fbl_rate.shannon_rate": "log2(1 + SNR) at given SNRs",
+    "montecarlo.estimate_aadr": "the Monte Carlo AADR of one configuration, as an McEstimate",
+    "montecarlo.estimate_shannon": "the Monte Carlo Shannon rate, as an McEstimate",
+}
+
+
+def test_every_public_name_is_used_in_the_package():
+    # A public function that only tests call is an oracle: it belongs in tests/oracles.py.
+    _, uses = _definitions_and_uses()
+    unused = {f"{uavlink._SUBMODULE[name]}.{name}" for name in uavlink.__all__
+              if not _is_used(uavlink._SUBMODULE[name], name, uses)}
+    test_only = sorted(unused - LIBRARY_ONLY.keys())
+    assert test_only == [], f"public names that nothing in src/uavlink uses: {test_only}"
+    assert sorted(LIBRARY_ONLY.keys() - unused) == [], "an exception is used now: drop it"
+
+
 def _unused_imports():
     """'uavlink.module.name' for each name imported under `# noqa: F401`."""
     names = set()
@@ -75,7 +118,7 @@ def _unused_imports():
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+            if _is_probe_import(node, lines):
                 names.update(f"uavlink.{path.stem}.{alias.name}" for alias in node.names)
     return names
 

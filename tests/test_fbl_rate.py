@@ -6,17 +6,26 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import erfinv_q_inverse_oracle, log_q_inverse_oracle, q_inverse_oracle
-from uavlink.bound import min_snr_for_valid_rate
+from oracles import erfinv_q_inverse_oracle, log_q_inverse_oracle, q_function, q_inverse_oracle
+from uavlink.bound import g_inverse
 from uavlink.fbl_rate import (
     FblConfig,
+    _dispersion,
     achievable_rate,
-    dispersion,
     q_free_terms,
-    q_function,
     q_inverse,
     shannon_rate,
 )
+
+
+def dispersion(gamma):
+    """V = 1 - (1 + gamma)^-2 as the rate's W term takes it."""
+    return _dispersion(np.asarray(gamma, dtype=float))
+
+
+def min_snr(cfg):
+    """Smallest SNR at which the rate is nonnegative, 1 / g_inverse(q)."""
+    return 1.0 / g_inverse(cfg.q)
 
 
 def test_q_function_at_zero():
@@ -153,11 +162,6 @@ def test_dispersion_increasing_and_bounded():
     assert np.all((values >= 0.0) & (values < 1.0))
 
 
-def test_dispersion_rejects_negative():
-    with pytest.raises(ValueError):
-        dispersion(-1e-9)
-
-
 def test_fbl_config_validation():
     with pytest.raises(ValueError):
         FblConfig(blocklength=0, epsilon=1e-9)
@@ -224,14 +228,14 @@ def test_rate_increasing_in_blocklength_and_epsilon():
 
 def test_rate_increasing_in_snr_above_threshold():
     cfg = FblConfig(blocklength=100, epsilon=1e-9)
-    lo = min_snr_for_valid_rate(cfg)
+    lo = min_snr(cfg)
     gammas = np.geomspace(lo, 1e4, 400)
     assert np.all(np.diff(achievable_rate(gammas, cfg)) > 0.0)
 
 
 def test_rate_can_be_negative_below_threshold():
     cfg = FblConfig(blocklength=100, epsilon=1e-9)
-    lo = min_snr_for_valid_rate(cfg)
+    lo = min_snr(cfg)
     assert achievable_rate(0.5 * lo, cfg) < 0.0
 
 
@@ -244,24 +248,24 @@ def test_shannon_reference_points():
 def test_min_snr_threshold_frozen_value():
     # 1 / g_inverse(Qinv(1e-9)/10), pinned from the bisection oracle
     cfg = FblConfig(blocklength=100, epsilon=1e-9)
-    assert min_snr_for_valid_rate(cfg) == pytest.approx(0.5958842913067052, rel=1e-10)
+    assert min_snr(cfg) == pytest.approx(0.5958842913067052, rel=1e-10)
 
 
 def test_min_snr_threshold_vanishes_as_epsilon_grows():
     cfg = FblConfig(blocklength=100, epsilon=0.499)
-    assert min_snr_for_valid_rate(cfg) < 1e-6
+    assert min_snr(cfg) < 1e-6
 
 
 def test_min_snr_threshold_propagates_root_errors():
     # epsilon above one half makes the penalty coefficient nonpositive
     with pytest.raises(ValueError):
-        min_snr_for_valid_rate(FblConfig(blocklength=100, epsilon=0.6))
+        min_snr(FblConfig(blocklength=100, epsilon=0.6))
 
 
 def test_rate_is_zero_at_threshold():
     for m, eps in ((100, 1e-9), (200, 1e-9), (500, 1e-6)):
         cfg = FblConfig(blocklength=m, epsilon=eps)
-        assert achievable_rate(min_snr_for_valid_rate(cfg), cfg) == pytest.approx(0.0, abs=1e-9)
+        assert achievable_rate(min_snr(cfg), cfg) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rate_rejects_nonpositive_snr():
@@ -301,7 +305,6 @@ def test_q_free_terms_reject_a_non_positive_snr(gamma):
 @pytest.mark.parametrize("call,message", [
     (lambda: q_free_terms([math.nan, 1.0]), "SNR must be positive"),
     (lambda: q_free_terms(np.array([1.0, math.nan])), "SNR must be positive"),
-    (lambda: dispersion(math.nan), "SNR must be nonnegative"),
     (lambda: shannon_rate([2.0, math.nan]), "SNR must be nonnegative"),
     (lambda: achievable_rate(math.nan, FblConfig(blocklength=200, epsilon=1e-9)),
      "SNR must be positive"),

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 import uavlink
 import uavlink.montecarlo as montecarlo
-from uavlink.bound import expected_inverse_snr
+from oracles import inverse_snr_monte_carlo
 from uavlink.channel import derive_constants, snr
 from uavlink.config import load_preset, preset_config
 from uavlink.fbl_rate import FblConfig, achievable_rate
@@ -31,7 +30,6 @@ from uavlink.montecarlo import (
     _ArrayPhilox,
     _rate_terms,
     estimate_aadr,
-    estimate_inverse_snr,
     estimate_shannon,
 )
 from uavlink.quadrature import aadr_gcq
@@ -71,12 +69,6 @@ def test_collapsing_support_pins_the_corner(dense_consts):
     assert est.std_error < 1e-6
 
 
-def test_collapsing_support_inverse_snr(dense_consts):
-    corner = Airspace(r_min_m=399.9999, r_max_m=400.0, theta_min_deg=89.9999)
-    est = estimate_inverse_snr(corner, dense_consts, n=2_000, seed=3)
-    assert est.mean == pytest.approx(1.0 / snr(dense_consts, 90.0, 400.0), rel=1e-6)
-
-
 def test_std_error_scaling(dense_urban, dense_consts):
     space = dense_urban.airspace
     small = estimate_aadr(space, dense_consts, CFG, n=4_000, seed=17)
@@ -103,26 +95,6 @@ def test_shannon_dominates_aadr_on_same_seed(dense_urban, dense_consts):
     shannon = estimate_shannon(space, dense_consts, n=5_000, seed=21)
     aadr = estimate_aadr(space, dense_consts, CFG, n=5_000, seed=21)
     assert shannon.mean > aadr.mean
-
-
-def test_inverse_snr_same_seed_deterministic(dense_urban, dense_consts):
-    a = estimate_inverse_snr(dense_urban.airspace, dense_consts, n=5_000, seed=8)
-    b = estimate_inverse_snr(dense_urban.airspace, dense_consts, n=5_000, seed=8)
-    assert a == b
-
-
-@pytest.mark.parametrize("c_tilde", [2.7e-169, 1e-150])
-def test_inverse_snr_stays_finite_down_to_the_c_tilde_floor(dense_urban, dense_consts, c_tilde):
-    # 1/SNR reaches about 1e175 at these budgets, above the floor 2**-560:
-    # its squares overflowed with a RuntimeWarning. The moments are taken of
-    # c_tilde/SNR instead, at most r_max^2.
-    consts = replace(dense_consts, c_tilde=c_tilde)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        estimate = estimate_inverse_snr(dense_urban.airspace, consts)
-    assert math.isfinite(estimate.std_error)
-    expected = expected_inverse_snr(dense_urban.airspace, consts)
-    assert abs(estimate.mean - expected) <= 4.0 * estimate.std_error
 
 
 def test_estimate_validation(dense_urban, dense_consts):
@@ -294,9 +266,9 @@ def test_array_and_numpy_philox_give_the_same_estimates(dense_urban, dense_const
         monkeypatch.setattr(montecarlo, "_ARRAY_PHILOX_MAX", limit)
         used.clear()
         moments = _rate_terms(dense_urban.airspace, dense_consts, n, 11, shards)
-        inverse = estimate_inverse_snr(dense_urban.airspace, dense_consts, n, 11, shards)
+        inverse = inverse_snr_monte_carlo(dense_urban.airspace, dense_consts, n, 11, shards)
         assert used == [name] * (4 * shards)  # two streams a shard, two draws
-        estimates[name] = [x.hex() for x in (*moments, inverse.mean, inverse.std_error)]
+        estimates[name] = [x.hex() for x in (*moments, *inverse)]
     assert estimates["_ArrayPhilox"] == estimates["_numpy_philox"]
 
 
@@ -370,8 +342,8 @@ def _assert_means(space, consts, n, shards):
     w_terms = np.sqrt(gamma * (gamma + 2.0) / (1.0 + gamma) ** 2)
     mean_s, mean_w, *_ = _rate_terms(space, consts, n, 11, shards)
     _assert_relative([mean_s, mean_w], [_exact_mean(s_terms), _exact_mean(w_terms)], 5e-16)
-    estimate = estimate_inverse_snr(space, consts, n, 11, shards)
-    _assert_relative([estimate.mean], [_exact_mean(1.0 / gamma)], 5e-16)
+    mean_inverse, _ = inverse_snr_monte_carlo(space, consts, n, 11, shards)
+    _assert_relative([mean_inverse], [_exact_mean(1.0 / gamma)], 5e-16)
 
 
 @pytest.mark.parametrize("preset", ["dense_urban", "suburban"])
@@ -400,10 +372,9 @@ def test_streamed_chain_bounds_the_means_and_the_covariances(preset, n, shards):
     _assert_relative([mean_s, mean_w], [_exact_mean(s_terms), _exact_mean(w_terms)], 5e-16)
     _assert_relative(rate_covariances, covariances((s_terms, w_terms)))
 
-    estimate = estimate_inverse_snr(cfg.airspace, consts, n, 11, shards)
-    _assert_relative([estimate.mean], [_exact_mean(inverse)], 5e-16)
-    _assert_relative([estimate.std_error],
-                     [math.sqrt(covariances((inverse,))[0]) / math.sqrt(n)])
+    mean_inverse, std_error = inverse_snr_monte_carlo(cfg.airspace, consts, n, 11, shards)
+    _assert_relative([mean_inverse], [_exact_mean(inverse)], 5e-16)
+    _assert_relative([std_error], [math.sqrt(covariances((inverse,))[0]) / math.sqrt(n)])
 
     # The means hold their bound beyond the presets too, wherever a draw
     # has more than one block's sums to add.
@@ -420,7 +391,7 @@ def test_a_draw_peaks_below_one_mebibyte_at_any_n(dense_urban, dense_consts):
     # warm-up draw is above _ARRAY_PHILOX_MAX, so that numpy.random's import
     # is not measured.
     _rate_terms(dense_urban.airspace, dense_consts, _ARRAY_PHILOX_MAX + 1, 1, 1)
-    cases = [(estimate, n, shards) for estimate in (_rate_terms, estimate_inverse_snr)
+    cases = [(estimate, n, shards) for estimate in (_rate_terms, inverse_snr_monte_carlo)
              for n, shards in ((_ARRAY_PHILOX_MAX, 1), (200_001, 1), (200_001, 3), (4_000_000, 1))]
     for estimate, n, shards in cases + [(_rate_terms, 40_000_000, 1)]:
         tracemalloc.start()

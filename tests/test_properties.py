@@ -1,5 +1,6 @@
 """Property tests over random valid configs: GCQ ordering in M and eps, LB <= GCQ,
-where the lower bound holds, and g_inverse's accuracy over its domain.
+where the lower bound holds, and the accuracy of g_inverse and of
+expected_inverse_snr over their domains.
 
 Examples are derandomized and not stored, so every run checks the same
 configs and writes no example database.
@@ -8,12 +9,13 @@ configs and writes no example database.
 import math
 from dataclasses import replace
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import g_inverse_oracle, g_oracle
-from uavlink.bound import _lower_bound_rows, aadr_lower_bound, d_max, g_inverse
-from uavlink.channel import derive_constants
+from oracles import g_inverse_oracle, g_oracle, inverse_snr_oracle
+from uavlink.bound import (_lower_bound_rows, aadr_lower_bound, d_max, expected_inverse_snr,
+                           g_inverse)
+from uavlink.channel import DerivedConstants, derive_constants
 from uavlink.cli import report_dmax
 from uavlink.config import PRESET_NAMES, load_preset
 from uavlink.fbl_rate import FblConfig
@@ -21,6 +23,8 @@ from uavlink.geometry import Airspace
 from uavlink.quadrature import aadr_gcq
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# expected_inverse_snr's stated relative error (its docstring).
+_INVERSE_SNR_RTOL = 3e-15
 _CONSTS = {name: derive_constants(load_preset(name).scenario, load_preset(name).link)
            for name in PRESET_NAMES}
 
@@ -94,3 +98,39 @@ def test_g_inverse_meets_its_stated_accuracy_over_its_domain(log_q):
     x, exact = g_inverse(q), g_inverse_oracle(q)
     assert abs(x - exact) / exact <= 1e-13
     assert float(abs(g_oracle(x) - q) / q) <= 1e-14
+
+
+@st.composite
+def inverse_snr_scenarios(draw):
+    """Sigmoids up to b = 5, theta_min in [0, 90), r_min from 1e-3 m, shells from
+    1e-15 relative wide up to r_max**5's limit, and c_tilde down to its floor."""
+    consts = DerivedConstants(
+        a_env=draw(st.floats(0.3, 30.0)), b_env=10.0**draw(st.floats(-1.6, math.log10(5.0))),
+        a_db=0.0, c_db=0.0, a_tilde=draw(st.floats(0.02, 12.0)),
+        c_tilde=2.0**draw(st.floats(-560.0, 100.0)))
+    theta_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True),
+                               st.floats(-4.0, 1.9).map(lambda u: 90.0 - 10.0**u)))
+    r_min = 10.0**draw(st.floats(-3.0, 61.6))
+    r_max = r_min * (1.0 + 10.0**draw(st.floats(-15.0, 6.0)))
+    assume(r_max < 4.4765e61)  # r_max**5 stays finite
+    return Airspace(r_min, r_max, theta_min), consts
+
+
+def _scenario(a, b, a_tilde, theta_min, r_min=10.0, r_max=500.0):
+    return (Airspace(r_min, r_max, theta_min),
+            DerivedConstants(a_env=a, b_env=b, a_db=0.0, c_db=0.0, a_tilde=a_tilde, c_tilde=1e6))
+
+
+@settings(_PROPERTY, max_examples=100)
+@given(inverse_snr_scenarios())
+# A steep sigmoid, where an unsplit mpmath quadrature was 1.7e-7 off, and the
+# worst cases found for the Ei form, where Ei's series near -2 passes its
+# cancellation through.
+@example(_scenario(25.45, 4.76, 4.93, 0.0))
+@example(_scenario(3.39, 0.0886, 11.96, 0.0, 6.17, 24.87))
+@example(_scenario(3.9797646332836782, 0.11395842040172302, 10.101557844100446,
+                   3.5888479655735894, 0.024561616109215693, 0.0845383928139652))
+def test_expected_inverse_snr_meets_its_stated_accuracy_over_its_domain(scenario):
+    space, consts = scenario
+    exact = inverse_snr_oracle(space, consts)
+    assert abs(expected_inverse_snr(space, consts) / exact - 1) <= _INVERSE_SNR_RTOL

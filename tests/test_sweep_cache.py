@@ -28,13 +28,14 @@ import uavlink.bound
 import uavlink.fbl_rate
 import uavlink.montecarlo
 import uavlink.quadrature
+from oracles import q_function
 from test_bound import _dense_sweep_eps
 from uavlink.bound import DistanceLimitError, aadr_lower_bound
 from uavlink.channel import derive_constants, snr
 from uavlink.cli import main, sweep_blocklength, sweep_epsilon
 from uavlink.config import (PRESET_NAMES, config_from_dict, config_to_dict, load_preset,
                             preset_config)
-from uavlink.fbl_rate import FblConfig, achievable_rate, q_function, shannon_rate
+from uavlink.fbl_rate import FblConfig, achievable_rate, shannon_rate
 from uavlink.geometry import Airspace, sample_positions
 from uavlink.montecarlo import McEstimate, _rate_terms, estimate_aadr, estimate_shannon
 from uavlink.quadrature import _node_terms, aadr_gcq, legendre_rule

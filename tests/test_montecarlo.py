@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import uavlink
 import uavlink.montecarlo as montecarlo
 from oracles import inverse_snr_monte_carlo
+from uavlink.bound import expected_inverse_snr
 from uavlink.channel import derive_constants, snr
 from uavlink.config import load_preset, preset_config
 from uavlink.fbl_rate import FblConfig, achievable_rate
@@ -69,6 +71,12 @@ def test_collapsing_support_pins_the_corner(dense_consts):
     assert est.std_error < 1e-6
 
 
+def test_collapsing_support_inverse_snr(dense_consts):
+    corner = Airspace(r_min_m=399.9999, r_max_m=400.0, theta_min_deg=89.9999)
+    mean, _ = inverse_snr_monte_carlo(corner, dense_consts, 2_000, 3)
+    assert mean == pytest.approx(1.0 / snr(dense_consts, 90.0, 400.0), rel=1e-6)
+
+
 def test_std_error_scaling(dense_urban, dense_consts):
     space = dense_urban.airspace
     small = estimate_aadr(space, dense_consts, CFG, n=4_000, seed=17)
@@ -95,6 +103,26 @@ def test_shannon_dominates_aadr_on_same_seed(dense_urban, dense_consts):
     shannon = estimate_shannon(space, dense_consts, n=5_000, seed=21)
     aadr = estimate_aadr(space, dense_consts, CFG, n=5_000, seed=21)
     assert shannon.mean > aadr.mean
+
+
+def test_inverse_snr_same_seed_deterministic(dense_urban, dense_consts):
+    a = inverse_snr_monte_carlo(dense_urban.airspace, dense_consts, 5_000, 8)
+    b = inverse_snr_monte_carlo(dense_urban.airspace, dense_consts, 5_000, 8)
+    assert a == b
+
+
+@pytest.mark.parametrize("c_tilde", [2.7e-169, 1e-150])
+def test_inverse_snr_stays_finite_down_to_the_c_tilde_floor(dense_urban, dense_consts, c_tilde):
+    # 1/SNR reaches about 1e175 at these budgets, above the floor 2**-560:
+    # its squares would overflow with a RuntimeWarning. _moments takes those of
+    # c_tilde/SNR instead, at most r_max^2.
+    consts = replace(dense_consts, c_tilde=c_tilde)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, std_error = inverse_snr_monte_carlo(dense_urban.airspace, consts, 10_000, 1)
+    assert math.isfinite(std_error)
+    expected = expected_inverse_snr(dense_urban.airspace, consts)
+    assert abs(mean - expected) <= 4.0 * std_error
 
 
 def test_estimate_validation(dense_urban, dense_consts):

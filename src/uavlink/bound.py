@@ -254,7 +254,7 @@ def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) 
     penalty vanishes and the bound reduces to log2(1 + 1/E(1/gamma)).
     """
     bound = _lower_bound_rows(space, consts, cfg.q)
-    if not _within_d_max(space, consts, cfg.q):
+    if math.isnan(bound):  # the row's d_max verdict
         raise DistanceLimitError(
             f"airspace radius {space.r_max_m} m exceeds d_max {d_max(consts, cfg):.1f} m; "
             "the lower bound is invalid for this configuration"

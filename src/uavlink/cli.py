@@ -10,7 +10,6 @@ import math
 import os
 import sys
 from dataclasses import fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,30 +91,6 @@ def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
                   [FblConfig(blocklength=cfg.fbl.blocklength, epsilon=eps) for eps in eps_list])
 
 
-class PacketSize(NamedTuple):
-    packet_bits: float
-    channel_uses: float
-
-
-def packet_size(bandwidth_hz: float, t_max_s: float, aadr: float) -> PacketSize:
-    """Packet size B * T_max * rate in bits, plus the channel-use budget B * T_max."""
-    if not (0.0 < bandwidth_hz < math.inf and 0.0 < t_max_s < math.inf):
-        raise ValueError("bandwidth and latency budget must be positive and finite")
-    if not 0.0 <= aadr < math.inf:
-        raise ValueError("average rate must be finite and nonnegative")
-    channel_uses = bandwidth_hz * t_max_s
-    packet_bits = channel_uses * aadr
-    if not math.isfinite(packet_bits):
-        raise ValueError(f"packet size overflows: B*T_max = {channel_uses:g}, rate = {aadr:g}")
-    return PacketSize(packet_bits=packet_bits, channel_uses=channel_uses)
-
-
-def report_dmax(cfg: RunConfig) -> tuple[float, bool]:
-    """Distance limit for the config and whether the airspace satisfies it."""
-    consts = _link_constants(cfg)
-    return d_max(consts, cfg.fbl), bool(_within_d_max(cfg.airspace, consts, cfg.fbl.q))
-
-
 def _format_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
@@ -180,7 +155,9 @@ def _cmd_sweep_eps(args) -> int:
 
 def _cmd_dmax(args) -> int:
     cfg = _resolve_config(args)
-    limit, ok = report_dmax(cfg)
+    consts = _link_constants(cfg)
+    limit = d_max(consts, cfg.fbl)
+    ok = bool(_within_d_max(cfg.airspace, consts, cfg.fbl.q))
     print(f"scenario={cfg.scenario.name} M={cfg.fbl.blocklength} eps={cfg.fbl.epsilon:g}")
     print(f"d_max = {limit:.6g} m ({limit / 1e3:.4g} km)")
     print(f"airspace r_max = {cfg.airspace.r_max_m:.6g} m -> "
@@ -190,28 +167,36 @@ def _cmd_dmax(args) -> int:
 
 
 def _cmd_packet_size(args) -> int:
+    """Packet size L = B * T_max * rate in bits.
+
+    The rate is --aadr, or else GCQ's at M = round(B * T_max), which needs
+    B * T_max >= 1.
+    """
     if not 0.0 < args.t_max < math.inf:
         raise ValueError(f"--t-max must be a positive finite number of seconds, got {args.t_max}")
     if args.aadr is not None and not 0.0 <= args.aadr < math.inf:
         raise ValueError(f"--aadr must be a finite nonnegative rate, got {args.aadr}")
     cfg = _resolve_config(args)
-    bandwidth = cfg.link.bandwidth_hz
-    channel_uses = bandwidth * args.t_max
+    channel_uses = cfg.link.bandwidth_hz * args.t_max
+    if not math.isfinite(channel_uses):
+        raise ValueError(f"latency budget too large: B*T_max = {channel_uses:g}")
     if args.aadr is not None:
         rate = args.aadr + 0.0  # -0 becomes 0
     else:
-        if not math.isfinite(channel_uses):
-            raise ValueError(f"latency budget too large: B*T_max = {channel_uses:g}")
-        m = round(channel_uses)
-        if m < 1:
+        if channel_uses < 1.0:
             raise ValueError(f"latency budget too small: B*T_max = {channel_uses:g} < 1")
         consts = _link_constants(cfg)
-        fbl = FblConfig(blocklength=m, epsilon=cfg.fbl.epsilon)
+        fbl = FblConfig(blocklength=round(channel_uses), epsilon=cfg.fbl.epsilon)
         rate = aadr_gcq(cfg.airspace, consts, fbl, cfg.n_theta, cfg.n_dist)
-    result = packet_size(bandwidth, args.t_max, rate)
-    print(f"channel uses M = B*T_max = {result.channel_uses:.12g}")
+        if not 0.0 <= rate < math.inf:
+            raise ValueError(f"average rate must be finite and nonnegative, got {rate:g} "
+                             f"bits/channel use at M = {fbl.blocklength}")
+    packet_bits = channel_uses * rate
+    if not math.isfinite(packet_bits):
+        raise ValueError(f"packet size overflows: B*T_max = {channel_uses:g}, rate = {rate:g}")
+    print(f"channel uses M = B*T_max = {channel_uses:.12g}")
     print(f"average rate = {rate:.12g} bits/channel use")
-    print(f"packet size L = {result.packet_bits:.12g} bits")
+    print(f"packet size L = {packet_bits:.12g} bits")
     return 0
 
 
@@ -231,20 +216,6 @@ def _cmd_verify(args) -> int:
         print(f"{'PASS' if check['passed'] else 'FAIL'} {label} worst={check['worst']:.3e}")
     print("all passed" if report["all_passed"] else "FAILURES detected")
     return 0 if report["all_passed"] else 1
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", dest="preset", choices=PRESET_NAMES,
-                        default="dense_urban", help="bundled preset to start from")
-    parser.add_argument("--config", help="JSON config file (overrides --scenario)")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed override")
-    parser.add_argument("--samples", type=int, dest="n_samples", metavar="SAMPLES",
-                        help="Monte Carlo sample count override")
-    parser.add_argument("--n1", type=int, dest="n_theta", metavar="N1",
-                        help="elevation quadrature order override")
-    parser.add_argument("--n2", type=int, dest="n_dist", metavar="N2",
-                        help="distance quadrature order override")
-    parser.add_argument("--out", help="output file path")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,24 +239,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "closed-form lower bound.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command takes only the flags it reads. dmax and packet-size draw
+    # nothing, but --seed is part of their config and is checked with it.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--scenario", dest="preset", choices=PRESET_NAMES,
+                        default="dense_urban", help="bundled preset to start from")
+    config.add_argument("--config", help="JSON config file (overrides --scenario)")
+    config.add_argument("--seed", type=int, help="Monte Carlo seed override")
+    orders = argparse.ArgumentParser(add_help=False, parents=[config])
+    orders.add_argument("--n1", type=int, dest="n_theta", metavar="N1",
+                        help="elevation quadrature order override")
+    orders.add_argument("--n2", type=int, dest="n_dist", metavar="N2",
+                        help="distance quadrature order override")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[orders])
+    sweep.add_argument("--samples", type=int, dest="n_samples", metavar="SAMPLES",
+                       help="Monte Carlo sample count override")
+    sweep.add_argument("--out", help="output file path")
 
-    p = sub.add_parser("sweep-m", help="sweep the channel blocklength, emit CSV")
-    _add_common(p)
+    p = sub.add_parser("sweep-m", parents=[sweep],
+                       help="sweep the channel blocklength, emit CSV")
     p.add_argument("--m-values", help="comma-separated blocklengths (default 100..1000 step 100)")
     p.set_defaults(func=_cmd_sweep_m)
 
-    p = sub.add_parser("sweep-eps", help="sweep the decoding error probability, emit CSV")
-    _add_common(p)
+    p = sub.add_parser("sweep-eps", parents=[sweep],
+                       help="sweep the decoding error probability, emit CSV")
     p.add_argument("--eps-values", help="comma-separated epsilons in (0, 0.5) "
                                         "(default 1e-12..1e-3 decades)")
     p.set_defaults(func=_cmd_sweep_eps)
 
-    p = sub.add_parser("dmax", help="report the convexity distance limit")
-    _add_common(p)
+    p = sub.add_parser("dmax", parents=[config], help="report the convexity distance limit")
     p.set_defaults(func=_cmd_dmax)
 
-    p = sub.add_parser("packet-size", help="packet size for a latency budget")
-    _add_common(p)
+    p = sub.add_parser("packet-size", parents=[orders], help="packet size for a latency budget")
     p.add_argument("--t-max", type=float, required=True, help="latency budget in seconds")
     p.add_argument("--aadr", type=float, help="use this rate instead of computing it")
     p.set_defaults(func=_cmd_packet_size)

@@ -13,13 +13,12 @@ import uavlink.bound
 import uavlink.cli
 import uavlink.lemmas
 from oracles import shannon_gcq_oracle
+from uavlink.bound import d_max
 from uavlink.channel import derive_constants, snr
 from uavlink.cli import (
     SWEEP_EPS_COLUMNS,
     SWEEP_M_COLUMNS,
     main,
-    packet_size,
-    report_dmax,
     sweep_blocklength,
     sweep_epsilon,
     write_csv,
@@ -35,6 +34,21 @@ def _small_cfg(name="dense_urban", **changes):
     for section, values in changes.items():
         data[section].update(values)
     return config_from_dict(data)
+
+
+def _config_file(tmp_path, name="dense_urban", **changes):
+    """Path of a JSON config: preset name with each section's entries updated from changes."""
+    data = preset_config(name)
+    for section, values in changes.items():
+        data[section].update(values)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _with_out(argv, out):
+    """argv, with --out out for the sweeps: dmax and packet-size write no file."""
+    return argv if argv[0] in ("dmax", "packet-size") else [*argv, "--out", str(out)]
 
 
 def test_sweep_blocklength_rows_and_ordering():
@@ -99,48 +113,6 @@ def test_write_csv_format(tmp_path):
     write_csv(str(path), ("a", "b"), [{"a": 1, "b": 0.1234567890123456}])
     text = path.read_text()
     assert text == "a,b\n1,0.123456789012\n"
-
-
-def test_packet_size_channel_uses():
-    result = packet_size(1e6, 2e-4, 5.0)
-    assert result.channel_uses == pytest.approx(200.0, rel=1e-15)
-    assert result.packet_bits == pytest.approx(1000.0, rel=1e-15)
-    assert packet_size(1e6, 1e-4, 5.0).channel_uses == pytest.approx(100.0, rel=1e-15)
-
-
-def test_packet_size_zero_rate():
-    assert packet_size(1e6, 2e-4, 0.0).packet_bits == 0.0
-
-
-def test_packet_size_validation():
-    with pytest.raises(ValueError):
-        packet_size(0.0, 2e-4, 5.0)
-    with pytest.raises(ValueError):
-        packet_size(1e6, 0.0, 5.0)
-    with pytest.raises(ValueError):
-        packet_size(1e6, 2e-4, -1.0)
-
-
-@pytest.mark.parametrize("args", [
-    (math.nan, 2e-4, 5.0), (math.inf, 2e-4, 5.0), (1e6, math.nan, 5.0), (1e6, math.inf, 5.0),
-    (1e6, 2e-4, math.nan), (1e6, 2e-4, math.inf), (1e6, 1e305, 5.0),
-])
-def test_packet_size_rejects_non_finite_input(args):
-    with pytest.raises(ValueError):
-        packet_size(*args)
-
-
-def test_report_dmax_default_ok():
-    cfg = load_preset("dense_urban")
-    limit, ok = report_dmax(cfg)
-    assert ok
-    assert limit > cfg.airspace.r_max_m
-
-
-def test_report_dmax_flags_oversized_airspace():
-    cfg = _small_cfg(airspace={"r_max_m": 5000.0})
-    _, ok = report_dmax(cfg)
-    assert not ok
 
 
 def test_cli_sweep_m_writes_deterministic_csv(tmp_path, capsys):
@@ -229,6 +201,22 @@ def test_cli_dmax_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "big.json"
     cfg_path.write_text(json.dumps(data))
     assert main(["dmax", "--config", str(cfg_path)]) == 1
+    assert "airspace r_max = 5000 m -> EXCEEDS the convexity limit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["dense_urban", "suburban"])
+@pytest.mark.parametrize("offset, status", [(-1e-11, 0), (1e-11, 1)])
+def test_cli_dmax_exits_1_exactly_beyond_d_max(tmp_path, capsys, name, offset, status):
+    # An airspace a relative 1e-11 inside d_max is within it, and one as far
+    # beyond exceeds it: the verdict is r_max <= d_max, as printed.
+    cfg = load_preset(name)
+    limit = d_max(derive_constants(cfg.scenario, cfg.link), cfg.fbl)
+    r_max = limit * (1.0 + offset)
+    assert main(["dmax", "--config", _config_file(tmp_path, name,
+                                                  airspace={"r_max_m": r_max})]) == status
+    out = capsys.readouterr().out
+    assert f"d_max = {limit:.6g} m" in out
+    assert f"-> {'EXCEEDS' if status else 'within'} the convexity limit" in out
 
 
 @pytest.mark.parametrize("text,message", [
@@ -279,7 +267,7 @@ def test_cli_rejects_a_config_epsilon_outside_the_bound_domain(tmp_path, capsys,
     cfg_path = tmp_path / "eps.json"
     cfg_path.write_text(json.dumps(data))
     out = tmp_path / "o.csv"
-    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert main(_with_out([command, "--config", str(cfg_path)], out)) == 2
     assert f"error: fbl.epsilon must lie in (0, 0.5), got {epsilon}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -291,7 +279,7 @@ def test_cli_accepts_a_config_epsilon_inside_the_bound_domain(tmp_path, capsys, 
     data["fbl"]["epsilon"] = 0.1
     cfg_path = tmp_path / "eps.json"
     cfg_path.write_text(json.dumps(data))
-    assert main([*extra, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
+    assert main(_with_out([*extra, "--config", str(cfg_path)], tmp_path / "o.csv")) == 0
     assert "eps=0.1" in capsys.readouterr().out
 
 
@@ -318,7 +306,7 @@ def test_cli_rejects_a_non_finite_channel_parameter(tmp_path, capsys, command, k
     cfg_path = tmp_path / "link.json"
     cfg_path.write_text(json.dumps(data))
     out = tmp_path / "o.csv"
-    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    argv = _with_out([command, "--config", str(cfg_path)], out)
     assert main([*argv, "--t-max", "2e-4"] if command == "packet-size" else argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
@@ -332,7 +320,7 @@ def test_cli_rejects_airspace_too_large_for_floats(tmp_path, capsys, command):
     data["airspace"]["r_max_m"] = 1e62
     cfg_path = tmp_path / "huge.json"
     cfg_path.write_text(json.dumps(data))
-    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert main(_with_out([command, "--config", str(cfg_path)], tmp_path / "o.csv")) == 2
     assert "error: r_max=1e+62 m is too large" in capsys.readouterr().err
 
 
@@ -355,6 +343,64 @@ def test_cli_packet_size(capsys):
 
 def test_cli_packet_size_rejects_tiny_budget(capsys):
     assert main(["packet-size", "--t-max", "1e-9"]) == 2
+
+
+@pytest.mark.parametrize("t_max, channel_uses", [("6e-7", "0.6"), ("9.99e-7", "0.999")])
+def test_cli_packet_size_rejects_a_budget_that_rounds_up_to_one_channel_use(capsys, t_max,
+                                                                            channel_uses):
+    # B*T_max in [0.5, 1) once rounded to M = 1 and printed a rate.
+    assert main(["packet-size", "--t-max", t_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: latency budget too small: B*T_max = {channel_uses} < 1\n"
+    assert captured.out == ""
+
+
+def test_cli_packet_size_takes_the_rate_at_one_channel_use(capsys):
+    assert main(["packet-size", "--t-max", "1e-6"]) == 0
+    assert capsys.readouterr().out.startswith("channel uses M = B*T_max = 1\n")
+
+
+def test_cli_packet_size_rejects_a_negative_computed_rate(tmp_path, capsys):
+    # At M = 1 and -40 dBW the dispersion penalty outweighs the capacity.
+    assert main(["packet-size", "--t-max", "1e-6", "--config",
+                 _config_file(tmp_path, link={"tx_power_db": -40.0})]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: average rate must be finite and nonnegative, got -")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("t_max, aadr, channel_uses, rate, bits", [
+    ("2e-4", "5", "200", "5", "1000"),
+    ("1e-4", "5", "100", "5", "500"),
+    ("2e-4", "0", "200", "0", "0"),
+    ("1e-9", "5", "0.001", "5", "0.005"),
+])
+def test_cli_packet_size_of_a_given_rate(capsys, t_max, aadr, channel_uses, rate, bits):
+    assert main(["packet-size", "--t-max", t_max, "--aadr", aadr]) == 0
+    assert capsys.readouterr().out == (f"channel uses M = B*T_max = {channel_uses}\n"
+                                       f"average rate = {rate} bits/channel use\n"
+                                       f"packet size L = {bits} bits\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--t-max", "0"], "--t-max"),
+    (["--t-max=-2e-4", "--aadr", "5"], "--t-max"),
+    (["--t-max", "2e-4", "--aadr", "-1"], "--aadr"),
+])
+def test_cli_packet_size_rejects_a_flag_out_of_range(capsys, argv, flag):
+    assert main(["packet-size", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--t-max", "1e302"], "B*T_max = 1e+308, rate = 9.74646"),
+    (["--t-max", "1e294", "--aadr", "1e10"], "B*T_max = 1e+300, rate = 1e+10"),
+])
+def test_cli_packet_size_rejects_a_packet_size_that_overflows(capsys, argv, message):
+    assert main(["packet-size", *argv]) == 2
+    assert capsys.readouterr().err == f"error: packet size overflows: {message}\n"
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -471,7 +517,7 @@ def test_lemma_suite_detects_an_injected_fault(monkeypatch, capsys, name, fault,
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 def test_cli_rejects_a_seed_outside_the_philox_key_range(tmp_path, capsys, command, seed):
     out = tmp_path / "o.csv"
-    assert main([command, "--seed", seed, "--out", str(out)]) == 2
+    assert main(_with_out([command, "--seed", seed], out)) == 2
     assert f"error: estimators.seed must lie in [0, 2**128), got {seed}" \
         in capsys.readouterr().err
     assert not out.exists()
@@ -534,6 +580,32 @@ def test_cli_dmax_and_packet_size_reject_a_bad_sample_or_shard_count(tmp_path, c
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+_FLAG_VALUES = {"--scenario": "suburban", "--config": "cfg.json", "--seed": "5", "--n1": "8",
+                "--n2": "8", "--samples": "5", "--out": "r.txt"}
+
+
+@pytest.mark.parametrize("command, kept", [
+    (["dmax"], {"--scenario", "--config", "--seed"}),
+    (["packet-size", "--t-max", "2e-4"], {"--scenario", "--config", "--seed", "--n1", "--n2"}),
+], ids=["dmax", "packet-size"])
+@pytest.mark.parametrize("flag", list(_FLAG_VALUES))
+def test_cli_dmax_and_packet_size_take_only_the_flags_they_read(tmp_path, capsys, monkeypatch,
+                                                                command, kept, flag):
+    # Both once took --samples and --out, and dmax --n1 and --n2, then
+    # ignored them: dmax --out r.txt exited 0 and wrote no file.
+    monkeypatch.chdir(tmp_path)
+    _config_file(tmp_path)
+    argv = [*command, flag, _FLAG_VALUES[flag]]
+    if flag in kept:
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("flag, key", [("--n1", "n_theta"), ("--n2", "n_dist")])
@@ -626,21 +698,22 @@ def test_cli_rejects_a_link_budget_whose_peak_snr_overflows_the_dispersion(
     out = tmp_path / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert main(_with_out([*command, "--config", str(cfg_path)], out)) == 2
     assert re.fullmatch(_PEAK_SNR_MESSAGE, capsys.readouterr().err)
     assert not out.exists()
 
 
-def test_a_peak_snr_just_below_the_ceiling_sweeps_finite():
+def test_a_peak_snr_just_below_the_ceiling_sweeps_finite(tmp_path, capsys):
     at_ceiling = _peak_snr_tx_power(512.0)
     for tx_power_dbw in (at_ceiling + 1e-9, at_ceiling + 1e-3):
-        cfg = _small_cfg(link={"tx_power_db": tx_power_dbw})
-        with pytest.raises(ValueError, match="need it below 2"):
-            report_dmax(cfg)
+        assert main(["dmax", "--config", _config_file(tmp_path,
+                                                      link={"tx_power_db": tx_power_dbw})]) == 2
+        assert "need it below 2" in capsys.readouterr().err
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tx_power_dbw in (_peak_snr_tx_power(511.5), at_ceiling - 1e-3):
             cfg = _small_cfg(link={"tx_power_db": tx_power_dbw})
             rows = sweep_blocklength(cfg, [100, 1000]) + sweep_epsilon(cfg, [1e-12, 0.49])
             assert all(math.isfinite(v) for row in rows for v in row.values())
-            assert report_dmax(cfg)[1]
+            assert main(["dmax", "--config", _config_file(tmp_path,
+                                                          link={"tx_power_db": tx_power_dbw})]) == 0

@@ -251,7 +251,8 @@ def test_a_number_too_large_for_a_double_is_named(tmp_path, capsys, command, sec
     data[section][key] = 10**400
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    argv = [command, "--config", str(path)]
+    assert main(argv if command == "dmax" else [*argv, "--out", str(tmp_path / "out.csv")]) == 2
     name = "blocklength" if key == "blocklength" else f"{section}.{key}"
     assert capsys.readouterr().err == f"error: {name} is too large for a double\n"
 

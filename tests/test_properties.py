@@ -7,16 +7,14 @@ configs and writes no example database.
 """
 
 import math
-from dataclasses import replace
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import g_inverse_oracle, g_oracle, inverse_snr_oracle
-from uavlink.bound import (_lower_bound_rows, aadr_lower_bound, d_max, expected_inverse_snr,
-                           g_inverse)
+from uavlink.bound import (_lower_bound_rows, _within_d_max, aadr_lower_bound, d_max,
+                           expected_inverse_snr, g_inverse)
 from uavlink.channel import DerivedConstants, derive_constants
-from uavlink.cli import report_dmax
 from uavlink.config import PRESET_NAMES, load_preset
 from uavlink.fbl_rate import FblConfig
 from uavlink.geometry import Airspace
@@ -81,14 +79,14 @@ def test_the_bound_is_nan_exactly_beyond_d_max(preset, space, m, log_eps):
     # Checked on the drawn airspace and on its shape scaled to end a relative
     # 10**-k inside and beyond d_max, so that a rule 1e-11 off d_max fails.
     consts, fbl = _CONSTS[preset], FblConfig(m, 10.0**log_eps)
-    cfg, limit = replace(load_preset(preset), fbl=fbl), d_max(consts, fbl)
+    limit = d_max(consts, fbl)
     assume(abs(space.r_max_m / limit - 1.0) > 1e-12)
     edges = [limit * (1.0 + sign * 10.0**-k) for k in range(1, 12) for sign in (-1.0, 1.0)]
     for r_max in [space.r_max_m, *edges]:
         shape = Airspace(space.r_min_m * (r_max / space.r_max_m), r_max, space.theta_min_deg)
         holds = r_max <= limit
         assert math.isnan(_lower_bound_rows(shape, consts, fbl.q)) is not holds
-        assert report_dmax(replace(cfg, airspace=shape)) == (limit, holds)
+        assert bool(_within_d_max(shape, consts, fbl.q)) is holds
 
 
 @settings(_PROPERTY, max_examples=150)

@@ -25,8 +25,6 @@ from .quadrature import _node_terms, aadr_gcq
 from .bound import aadr_lower_bound  # noqa: F401
 from .montecarlo import estimate_aadr, estimate_shannon  # noqa: F401
 
-OUT_DIR_ENV = "UAVLINK_OUT_DIR"
-
 _ESTIMATOR_COLUMNS = ("shannon_mc", "aadr_mc", "aadr_mc_stderr", "aadr_gcq", "aadr_lb")
 SWEEP_M_COLUMNS = ("M", *_ESTIMATOR_COLUMNS)
 SWEEP_EPS_COLUMNS = ("epsilon", *_ESTIMATOR_COLUMNS)
@@ -111,13 +109,6 @@ def _resolve_config(args) -> RunConfig:
                            if getattr(args, field.name, None) is not None})
 
 
-def _out_path(args, cfg: RunConfig, default_name: str) -> str:
-    if args.out:
-        return args.out
-    directory = os.environ.get(OUT_DIR_ENV) or cfg.output_dir
-    return os.path.join(directory, default_name)
-
-
 def _parse_values(text: str, kind, flag: str):
     """The comma-separated values of flag, each read by kind; a bad one is named with flag."""
     values = []
@@ -134,7 +125,7 @@ def _cmd_sweep_m(args) -> int:
     m_values = (_parse_values(args.m_values, int, "--m-values") if args.m_values is not None
                 else list(range(100, 1001, 100)))
     rows = sweep_blocklength(cfg, m_values)
-    path = _out_path(args, cfg, "sweep_m.csv")
+    path = args.out or os.path.join(cfg.output_dir, "sweep_m.csv")
     write_csv(path, SWEEP_M_COLUMNS, rows)
     print(f"scenario={cfg.scenario.name} eps={cfg.fbl.epsilon:g} rows={len(rows)}")
     print(f"wrote {path}")
@@ -146,7 +137,7 @@ def _cmd_sweep_eps(args) -> int:
     eps_values = (_parse_values(args.eps_values, float, "--eps-values")
                   if args.eps_values is not None else [10.0**k for k in range(-12, -2)])
     rows = sweep_epsilon(cfg, eps_values)
-    path = _out_path(args, cfg, "sweep_eps.csv")
+    path = args.out or os.path.join(cfg.output_dir, "sweep_eps.csv")
     write_csv(path, SWEEP_EPS_COLUMNS, rows)
     print(f"scenario={cfg.scenario.name} M={cfg.fbl.blocklength} rows={len(rows)}")
     print(f"wrote {path}")
@@ -167,34 +158,34 @@ def _cmd_dmax(args) -> int:
 
 
 def _cmd_packet_size(args) -> int:
-    """Packet size L = B * T_max * rate in bits.
+    """Packet size L = M * rate in bits over M = round(B * T_max) channel uses.
 
-    The rate is --aadr, or else GCQ's at M = round(B * T_max), which needs
-    B * T_max >= 1.
+    B * T_max must be finite and at least 1, with or without --aadr. The
+    rate is --aadr, or else GCQ's at M.
     """
     if not 0.0 < args.t_max < math.inf:
         raise ValueError(f"--t-max must be a positive finite number of seconds, got {args.t_max}")
     if args.aadr is not None and not 0.0 <= args.aadr < math.inf:
         raise ValueError(f"--aadr must be a finite nonnegative rate, got {args.aadr}")
     cfg = _resolve_config(args)
-    channel_uses = cfg.link.bandwidth_hz * args.t_max
-    if not math.isfinite(channel_uses):
-        raise ValueError(f"latency budget too large: B*T_max = {channel_uses:g}")
+    budget = cfg.link.bandwidth_hz * args.t_max
+    if not math.isfinite(budget):
+        raise ValueError(f"latency budget too large: B*T_max = {budget:g}")
+    if budget < 1.0:
+        raise ValueError(f"latency budget too small: B*T_max = {budget:g} < 1")
+    m = round(budget)
     if args.aadr is not None:
         rate = args.aadr + 0.0  # -0 becomes 0
     else:
-        if channel_uses < 1.0:
-            raise ValueError(f"latency budget too small: B*T_max = {channel_uses:g} < 1")
-        consts = _link_constants(cfg)
-        fbl = FblConfig(blocklength=round(channel_uses), epsilon=cfg.fbl.epsilon)
-        rate = aadr_gcq(cfg.airspace, consts, fbl, cfg.n_theta, cfg.n_dist)
+        fbl = FblConfig(blocklength=m, epsilon=cfg.fbl.epsilon)
+        rate = aadr_gcq(cfg.airspace, _link_constants(cfg), fbl, cfg.n_theta, cfg.n_dist)
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"average rate must be finite and nonnegative, got {rate:g} "
-                             f"bits/channel use at M = {fbl.blocklength}")
-    packet_bits = channel_uses * rate
+                             f"bits/channel use at M = {m}")
+    packet_bits = m * rate
     if not math.isfinite(packet_bits):
-        raise ValueError(f"packet size overflows: B*T_max = {channel_uses:g}, rate = {rate:g}")
-    print(f"channel uses M = B*T_max = {channel_uses:.12g}")
+        raise ValueError(f"packet size overflows: M = {m:g}, rate = {rate:g}")
+    print(f"channel uses M = round(B*T_max) = {m}")
     print(f"average rate = {rate:.12g} bits/channel use")
     print(f"packet size L = {packet_bits:.12g} bits")
     return 0

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import math
@@ -18,6 +19,7 @@ from uavlink.channel import derive_constants, snr
 from uavlink.cli import (
     SWEEP_EPS_COLUMNS,
     SWEEP_M_COLUMNS,
+    build_parser,
     main,
     sweep_blocklength,
     sweep_epsilon,
@@ -26,6 +28,7 @@ from uavlink.cli import (
 from uavlink.config import config_from_dict, load_preset, preset_config
 from uavlink.fbl_rate import FblConfig
 from uavlink.lemmas import run_lemma_suite
+from uavlink.quadrature import aadr_gcq
 
 
 def _small_cfg(name="dense_urban", **changes):
@@ -173,10 +176,14 @@ def test_cli_sweep_eps(tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_out_dir_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("UAVLINK_OUT_DIR", str(tmp_path))
-    assert main(["sweep-eps", "--samples", "2000", "--eps-values", "1e-9"]) == 0
-    assert (tmp_path / "sweep_eps.csv").exists()
+def test_cli_writes_to_the_config_output_directory_without_out(tmp_path):
+    data = preset_config("dense_urban")
+    data["output"] = {"directory": str(tmp_path)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["sweep-eps", "--config", str(cfg_path), "--samples", "2000",
+                 "--eps-values", "1e-9"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sweep_eps.csv"]
 
 
 def test_cli_config_file(tmp_path):
@@ -327,7 +334,7 @@ def test_cli_rejects_airspace_too_large_for_floats(tmp_path, capsys, command):
 def test_cli_packet_size(capsys):
     assert main(["packet-size", "--t-max", "2e-4"]) == 0
     out = capsys.readouterr().out
-    assert "M = B*T_max = 200" in out
+    assert out.startswith("channel uses M = round(B*T_max) = 200\n")
 
     assert main(["packet-size", "--t-max", "1e-4", "--aadr", "4.0"]) == 0
     out = capsys.readouterr().out
@@ -341,8 +348,19 @@ def test_cli_packet_size(capsys):
     assert "packet size L = 0 bits" in out
 
 
-def test_cli_packet_size_rejects_tiny_budget(capsys):
-    assert main(["packet-size", "--t-max", "1e-9"]) == 2
+@pytest.mark.parametrize("t_max, aadr, channel_uses", [
+    ("1e-9", None, "0.001"),
+    ("1e-9", "5", "0.001"),
+    ("6e-7", "5", "0.6"),
+])
+def test_cli_packet_size_rejects_tiny_budget(capsys, t_max, aadr, channel_uses):
+    # With --aadr, a budget below one channel use once printed a packet of
+    # B*T_max * rate bits: 0.005 bits at 1e-9 s.
+    assert main(["packet-size", "--t-max", t_max,
+                 *(["--aadr", aadr] if aadr is not None else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: latency budget too small: B*T_max = {channel_uses} < 1\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("t_max, channel_uses", [("6e-7", "0.6"), ("9.99e-7", "0.999")])
@@ -355,9 +373,16 @@ def test_cli_packet_size_rejects_a_budget_that_rounds_up_to_one_channel_use(caps
     assert captured.out == ""
 
 
-def test_cli_packet_size_takes_the_rate_at_one_channel_use(capsys):
-    assert main(["packet-size", "--t-max", "1e-6"]) == 0
-    assert capsys.readouterr().out.startswith("channel uses M = B*T_max = 1\n")
+@pytest.mark.parametrize("t_max, m", [("1e-6", 1), ("1.4e-6", 1), ("2.5e-6", 2)])
+def test_cli_packet_size_is_the_rate_over_the_rounded_channel_uses(capsys, t_max, m):
+    # B*T_max = 1.4 once printed M = 1.4 and a packet of 1.4 times the rate at M = 1.
+    cfg = load_preset("dense_urban")
+    rate = aadr_gcq(cfg.airspace, derive_constants(cfg.scenario, cfg.link),
+                    FblConfig(blocklength=m, epsilon=cfg.fbl.epsilon), cfg.n_theta, cfg.n_dist)
+    assert main(["packet-size", "--t-max", t_max]) == 0
+    assert capsys.readouterr().out == (f"channel uses M = round(B*T_max) = {m}\n"
+                                       f"average rate = {rate:.12g} bits/channel use\n"
+                                       f"packet size L = {m * rate:.12g} bits\n")
 
 
 def test_cli_packet_size_rejects_a_negative_computed_rate(tmp_path, capsys):
@@ -373,11 +398,11 @@ def test_cli_packet_size_rejects_a_negative_computed_rate(tmp_path, capsys):
     ("2e-4", "5", "200", "5", "1000"),
     ("1e-4", "5", "100", "5", "500"),
     ("2e-4", "0", "200", "0", "0"),
-    ("1e-9", "5", "0.001", "5", "0.005"),
+    ("2.5e-6", "5", "2", "5", "10"),
 ])
 def test_cli_packet_size_of_a_given_rate(capsys, t_max, aadr, channel_uses, rate, bits):
     assert main(["packet-size", "--t-max", t_max, "--aadr", aadr]) == 0
-    assert capsys.readouterr().out == (f"channel uses M = B*T_max = {channel_uses}\n"
+    assert capsys.readouterr().out == (f"channel uses M = round(B*T_max) = {channel_uses}\n"
                                        f"average rate = {rate} bits/channel use\n"
                                        f"packet size L = {bits} bits\n")
 
@@ -395,8 +420,8 @@ def test_cli_packet_size_rejects_a_flag_out_of_range(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--t-max", "1e302"], "B*T_max = 1e+308, rate = 9.74646"),
-    (["--t-max", "1e294", "--aadr", "1e10"], "B*T_max = 1e+300, rate = 1e+10"),
+    (["--t-max", "1e302"], "M = 1e+308, rate = 9.74646"),
+    (["--t-max", "1e294", "--aadr", "1e10"], "M = 1e+300, rate = 1e+10"),
 ])
 def test_cli_packet_size_rejects_a_packet_size_that_overflows(capsys, argv, message):
     assert main(["packet-size", *argv]) == 2
@@ -580,6 +605,30 @@ def test_cli_dmax_and_packet_size_reject_a_bad_sample_or_shard_count(tmp_path, c
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def _readme_flag_table() -> list[tuple[list[str], set[str]]]:
+    """(commands, flags) of each row of README's CLI flag table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            rows.append((re.findall(r"`([a-z-]+)`", cells[1]),
+                         set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", cells[2]))))
+    return rows
+
+
+def test_readme_flag_table_matches_the_parser():
+    # Both are written by hand; a flag added to or dropped from one shows here.
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    rows = _readme_flag_table()
+    assert sorted(c for commands, _ in rows for c in commands) == sorted(subparsers)
+    for commands, flags in rows:
+        options = {s for c in commands for a in subparsers[c]._actions for s in a.option_strings}
+        assert flags == options - {"-h", "--help"}, commands
 
 
 _FLAG_VALUES = {"--scenario": "suburban", "--config": "cfg.json", "--seed": "5", "--n1": "8",

@@ -5,7 +5,6 @@ byte-identical.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -18,12 +17,15 @@ from .channel import DerivedConstants, derive_constants, snr
 from .config import PRESET_NAMES, RunConfig, _check_epsilon, load_config, load_preset
 from .fbl_rate import FblConfig, _rate
 from .lemmas import run_lemma_suite
-from .montecarlo import _aadr_rows, _rate_terms
 from .quadrature import _node_terms, aadr_gcq
-# The sweep computes these estimators' columns through _rate_terms, _aadr_rows
-# and _lower_bound_rows; bench/tracer.py PROBES still looks them up in this module.
+# bench/tracer.py PROBES look up aadr_lower_bound and the Monte Carlo estimators
+# in this module, though the sweep computes their columns through _rate_terms,
+# _aadr_rows and _lower_bound_rows. bound loads in every command anyway; the
+# estimators come from __getattr__ below, so that only a sweep imports
+# montecarlo. Both go once the probes move (ROADMAP item 1).
 from .bound import aadr_lower_bound  # noqa: F401
-from .montecarlo import estimate_aadr, estimate_shannon  # noqa: F401
+
+_PROBE_ONLY = ("estimate_aadr", "estimate_shannon")
 
 _ESTIMATOR_COLUMNS = ("shannon_mc", "aadr_mc", "aadr_mc_stderr", "aadr_gcq", "aadr_lb")
 SWEEP_M_COLUMNS = ("M", *_ESTIMATOR_COLUMNS)
@@ -52,6 +54,15 @@ def _link_constants(cfg: RunConfig) -> DerivedConstants:
     return consts
 
 
+def __getattr__(name):
+    """montecarlo's estimate_aadr and estimate_shannon, looked up here by bench/tracer.py."""
+    if name not in _PROBE_ONLY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import montecarlo
+
+    return getattr(montecarlo, name)
+
+
 def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> list[dict]:
     """One row per (value, FblConfig) pair; value fills the given column.
 
@@ -61,6 +72,8 @@ def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> 
     estimators. The Shannon column is E[S], the first Monte Carlo moment.
     aadr_lb is nan in a row whose d_max is below the airspace radius.
     """
+    from .montecarlo import _aadr_rows, _rate_terms  # only a sweep draws
+
     consts = _link_constants(cfg)
     space, q = cfg.airspace, np.array([row.q for row in rows])
     moments = _rate_terms(space, consts, cfg.n_samples, cfg.seed, cfg.shards)
@@ -192,6 +205,8 @@ def _cmd_packet_size(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json  # only verify writes JSON
+
     # run_lemma_suite's signature holds the default q values.
     report = (run_lemma_suite() if args.q_values is None
               else run_lemma_suite(_parse_values(args.q_values, float, "--q-values")))

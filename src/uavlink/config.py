@@ -9,15 +9,13 @@ canonical (power in dBW, noise as a dBm/Hz density), so a load/dump cycle is
 idempotent.
 """
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 from .channel import LinkBudget, Scenario
 from .fbl_rate import FblConfig
-from .geometry import Airspace
-from .montecarlo import _philox_key, _shard_sizes
+from .geometry import Airspace, _philox_key, _shard_sizes
 from .quadrature import _check_order
 
 
@@ -213,6 +211,8 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Load and validate a JSON config file."""
+    import json  # here, so that only a run from a file loads it
+
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))
 

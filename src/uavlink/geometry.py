@@ -17,9 +17,15 @@ more. AADR at M = 200 and eps = 1e-9 (200x200 Gauss-Legendre sums):
 
 On dense_urban the reading moves the AADR by 0.22 bits, more than the
 Jensen bound's gap of 0.13; the volume reading's own Jensen bound is 8.7805.
+
+A draw's input rules live here too, beside sample_positions: the sample and
+shard limits and the Philox key range. RunConfig applies them to every
+command, so they are kept out of the Monte Carlo module, which only a sweep
+imports.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,3 +87,41 @@ def sample_positions(space: Airspace, rng: "np.random.Generator", n: int):
     np.multiply(theta, 90.0 - space.theta_min_deg, out=theta)
     np.add(space.theta_min_deg, theta, out=theta)
     return d, theta
+
+
+# Largest sample and shard counts a draw accepts: a draw's memory does not
+# grow with n, but its time does, about 25 s per 1e9 samples on a 2-core
+# Xeon, and each shard adds two Philox jumps and a block (0.25 s for 1024).
+MAX_SAMPLES = 10**9
+MAX_SHARDS = 1024
+
+
+def _format_count(count: int) -> str:
+    """count with thousands separators, or past 2**64 as its nearest power of ten."""
+    if abs(count) < 2**64:
+        return f"{count:,}"
+    return f"about {'-' if count < 0 else ''}10**{math.log10(abs(count)):.0f}"
+
+
+def _shard_sizes(n: int, shards: int):
+    """Sizes of the shards of n samples, which differ by at most one, as an iterator.
+
+    n and shards are checked here, before anything is drawn.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {_format_count(n)}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"need at most {MAX_SAMPLES:,} samples, got {_format_count(n)}")
+    if not 1 <= shards <= min(n, MAX_SHARDS):
+        raise ValueError(
+            f"shards must lie in [1, min(n, {MAX_SHARDS:,})], got {_format_count(shards)}")
+    base, rem = divmod(n, shards)
+    return (base + 1 if i < rem else base for i in range(shards))
+
+
+def _philox_key(key, name: str = "seed") -> int:
+    """key as a Python int, checked against Philox's key range [0, 2**128)."""
+    key = operator.index(key)  # a numpy integer key would overflow the array Philox's rounds
+    if not 0 <= key < 2**128:
+        raise ValueError(f"{name} must lie in [0, 2**128), got {key!r}")
+    return key

@@ -27,13 +27,13 @@ A draw holds no array of n values: each shard is drawn in index order as
 blocks of at most _BLOCK positions. Every estimate is a set of moments of
 functions of the SNR (_moments), and each block is reduced to a few sums
 that are added exactly, as integers, as the draw runs and rounded once at
-its end. So a draw's memory is O(1) in n, under 1 MiB up to MAX_SAMPLES. A
-block holds at most four arrays of its size: the SNRs, S, W and one product.
-The quadrature's node grid is evaluated in blocks of the same size.
+its end. So a draw's memory is O(1) in n, under 1 MiB up to
+geometry.MAX_SAMPLES. A block holds at most four arrays of its size: the
+SNRs, S, W and one product. The quadrature's node grid is evaluated in
+blocks of the same size.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +43,7 @@ from .fbl_rate import _LN2, FblConfig, _rate, q_free_terms
 # achievable_rate and shannon_rate are no longer called here; bench/tracer.py
 # PROBES still looks them up in this module.
 from .fbl_rate import achievable_rate, shannon_rate  # noqa: F401
-from .geometry import Airspace, sample_positions
-
-# Largest sample and shard counts a draw accepts: a draw's memory does not
-# grow with n, but its time does, about 25 s per 1e9 samples on a 2-core
-# Xeon, and each shard adds two Philox jumps and a block (0.25 s for 1024).
-MAX_SAMPLES = 10**9
-MAX_SHARDS = 1024
+from .geometry import Airspace, _philox_key, _shard_sizes, sample_positions
 
 
 @dataclass(frozen=True)
@@ -58,29 +52,6 @@ class McEstimate:
 
     mean: float
     std_error: float
-
-
-def _format_count(count: int) -> str:
-    """count with thousands separators, or past 2**64 as its nearest power of ten."""
-    if abs(count) < 2**64:
-        return f"{count:,}"
-    return f"about {'-' if count < 0 else ''}10**{math.log10(abs(count)):.0f}"
-
-
-def _shard_sizes(n: int, shards: int):
-    """Sizes of the shards of n samples, which differ by at most one, as an iterator.
-
-    n and shards are checked here, before anything is drawn.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {_format_count(n)}")
-    if n > MAX_SAMPLES:
-        raise ValueError(f"need at most {MAX_SAMPLES:,} samples, got {_format_count(n)}")
-    if not 1 <= shards <= min(n, MAX_SHARDS):
-        raise ValueError(
-            f"shards must lie in [1, min(n, {MAX_SHARDS:,})], got {_format_count(shards)}")
-    base, rem = divmod(n, shards)
-    return (base + 1 if i < rem else base for i in range(shards))
 
 
 # Largest draw that reads _ArrayPhilox. Its rounds cost about 0.16 us more
@@ -96,14 +67,6 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 _MULT_LO = _MULTIPLIERS & _LOW32
 _MULT_HI = _MULTIPLIERS >> _32
-
-
-def _philox_key(key, name: str = "seed") -> int:
-    """key as a Python int, checked against Philox's key range [0, 2**128)."""
-    key = operator.index(key)  # a numpy integer key would overflow _ArrayPhilox's rounds
-    if not 0 <= key < 2**128:
-        raise ValueError(f"{name} must lie in [0, 2**128), got {key!r}")
-    return key
 
 
 class _ArrayPhilox:

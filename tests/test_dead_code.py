@@ -9,7 +9,9 @@ neither do the tests. A constant is an assignment target.
 
 A name imported under `# noqa: F401` is used by nothing in its module; it
 is kept only because a benchmark probe in bench/tracer.py looks it up there,
-so that import is not a use either.
+so that import is not a use either. uavlink.cli serves two more such names,
+the Monte Carlo estimators, from its module __getattr__, so that only a sweep
+imports montecarlo; each must be a probe target too.
 """
 
 import ast
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 import uavlink
+import uavlink.cli
+import uavlink.montecarlo
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uavlink"
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -145,3 +149,14 @@ def test_every_unused_import_is_a_benchmark_probe_target():
     targets = _probe_targets()
     assert targets, "found no Probe(...) in bench/tracer.py"
     assert sorted(_unused_imports() - targets) == []
+
+
+@pytest.mark.parametrize("name", uavlink.cli._PROBE_ONLY)
+def test_every_name_the_cli_serves_lazily_is_a_benchmark_probe_target(name):
+    assert f"uavlink.cli.{name}" in _probe_targets()
+    assert getattr(uavlink.cli, name) is getattr(uavlink.montecarlo, name)
+
+
+def test_the_cli_serves_no_other_name():
+    with pytest.raises(AttributeError, match="'uavlink.cli' has no attribute 'no_such_name'"):
+        uavlink.cli.no_such_name

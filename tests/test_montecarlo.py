@@ -23,12 +23,10 @@ from uavlink.bound import expected_inverse_snr
 from uavlink.channel import derive_constants, snr
 from uavlink.config import load_preset, preset_config
 from uavlink.fbl_rate import FblConfig, achievable_rate
-from uavlink.geometry import Airspace, sample_positions
+from uavlink.geometry import MAX_SAMPLES, MAX_SHARDS, Airspace, sample_positions
 from uavlink.montecarlo import (
     _ARRAY_PHILOX_MAX,
     _BLOCK,
-    MAX_SAMPLES,
-    MAX_SHARDS,
     _ArrayPhilox,
     _rate_terms,
     estimate_aadr,

@@ -31,6 +31,8 @@ DATA = Path(__file__).parent / "data"
 THREADS = "OPENBLAS_NUM_THREADS"
 UNBUFFERED = "PYTHONUNBUFFERED"
 
+# Every subcommand at small sizes.
+SMALL = ["--samples", "2000", "--n1", "8", "--n2", "8"]
 ORDINARY_EXIT = ["-c", "import sys, uavlink.cli; sys.exit(uavlink.cli.main())"]
 FAST_EXIT = ["-m", "uavlink"]
 
@@ -75,6 +77,34 @@ def test_cli_commands_without_monte_carlo_never_load_numpy_random():
             "             ['verify']):\n"
             "    uavlink.cli.main(argv)\n"
             "    assert 'numpy.random' not in sys.modules, argv\n")
+
+
+# Each command in a fresh interpreter, and whether it loads the Monte Carlo
+# module and json: only a sweep draws, and only verify and a config file read or
+# write JSON.
+COMMAND_MODULES = {
+    "dmax": (["dmax"], False, False),
+    "packet-size": (["packet-size", "--t-max", "2e-4"], False, False),
+    "verify": (["verify", "--out", "out"], False, True),
+    "sweep-eps": (["sweep-eps", "--scenario", "suburban", *SMALL, "--eps-values", "1e-9",
+                   "--out", "out"], True, False),
+    "sweep-m-config": (["sweep-m", "--config", "c.json", *SMALL, "--m-values", "200",
+                        "--out", "out"], True, True),
+}
+
+
+@pytest.mark.parametrize("case", COMMAND_MODULES)
+def test_each_command_loads_the_monte_carlo_module_and_json_only_if_it_runs_them(tmp_path, case):
+    argv, loads_montecarlo, loads_json = COMMAND_MODULES[case]
+    (tmp_path / "c.json").write_text(json.dumps(preset_config("dense_urban")), encoding="utf-8")
+    proc = _python(["-c", "import sys, uavlink.cli\n"
+                          "assert uavlink.cli.main(sys.argv[1:]) == 0\n"
+                          "print(' '.join(m for m in ('uavlink.montecarlo', 'json')\n"
+                          "               if m in sys.modules), file=sys.stderr)\n", *argv],
+                   cwd=tmp_path)
+    loaded = proc.stderr.split()
+    assert ("uavlink.montecarlo" in loaded) == loads_montecarlo
+    assert ("json" in loaded) == loads_json
 
 
 def test_cli_entry_defaults_openblas_to_one_thread(monkeypatch, capsys):
@@ -134,9 +164,8 @@ def test_openblas_thread_count_does_not_change_a_bit(tmp_path):
     assert outputs["2"] == outputs["unset"]
 
 
-# Every subcommand at small sizes, and each way out of the CLI. Paths are relative
-# to the run's own directory, so both entries print the same bytes.
-SMALL = ["--samples", "2000", "--n1", "8", "--n2", "8"]
+# Every subcommand, and each way out of the CLI. Paths are relative to the run's
+# own directory, so both entries print the same bytes.
 CLI_CASES = {
     "sweep-m": (["sweep-m", *SMALL, "--m-values", "100,300", "--out", "result"], 0),
     "sweep-eps": (["sweep-eps", *SMALL, "--eps-values", "1e-9,1e-5", "--out", "result"], 0),

@@ -66,24 +66,22 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Link constants precomputed from a Scenario and a LinkBudget.
+    """The SNR model's four parameters, precomputed from a Scenario and a LinkBudget.
 
-    a_db is the (negative) LoS-minus-NLoS excess-loss difference, c_db the
-    NLoS path-loss offset including the free-space carrier term. a_tilde and
-    c_tilde are their natural-units counterparts entering the SNR expression.
+    a_env and b_env are the sigmoid's, a_tilde the natural log of the LoS SNR
+    over the NLoS SNR, and c_tilde the NLoS SNR at 1 m.
     """
 
     a_env: float
     b_env: float
-    a_db: float
-    c_db: float
     a_tilde: float
     c_tilde: float
 
 
 def derive_constants(s: Scenario, link: LinkBudget) -> DerivedConstants:
     """Compute the derived link constants for one scenario and link budget."""
-    a_db = s.eta_los_db - s.eta_nlos_db
+    a_db = s.eta_los_db - s.eta_nlos_db  # LoS minus NLoS excess loss, negative
+    # The NLoS path-loss offset in dB, with the free-space carrier term.
     c_db = 20.0 * math.log10(4.0 * math.pi * link.carrier_hz / link.light_speed_m_s)
     c_db += s.eta_nlos_db
     a_tilde = -a_db * math.log(10.0) / 10.0
@@ -104,9 +102,7 @@ def derive_constants(s: Scenario, link: LinkBudget) -> DerivedConstants:
         raise ValueError(
             f"the link budget gives c_tilde={c_tilde!r}, the NLoS SNR at 1 m; need c_tilde "
             ">= 2**-560 (-1685.8 dB), so that 1/SNR and E(1/SNR) stay finite on every airspace")
-    return DerivedConstants(
-        a_env=s.a, b_env=s.b, a_db=a_db, c_db=c_db, a_tilde=a_tilde, c_tilde=c_tilde
-    )
+    return DerivedConstants(a_env=s.a, b_env=s.b, a_tilde=a_tilde, c_tilde=c_tilde)
 
 
 def _checked_array(values, message, *in_range):

@@ -13,7 +13,6 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .bound import _G_INVERSE_DOMAIN, _lower_bound_rows, _within_d_max, d_max
-from .channel import DerivedConstants, derive_constants, snr
 from .config import PRESET_NAMES, RunConfig, _check_epsilon, load_config, load_preset
 from .fbl_rate import FblConfig, _rate
 from .lemmas import run_lemma_suite
@@ -38,22 +37,6 @@ DMAX_REFERENCE_NOTE = (
 )
 
 
-def _link_constants(cfg: RunConfig) -> DerivedConstants:
-    """The config's derived constants, if its largest SNR is below 2**512.
-
-    The largest SNR lies at r_min and 90 degrees, and from 2**512 on the
-    dispersion's g (g + 2) and (1 + g)^2 overflow.
-    """
-    consts = derive_constants(cfg.scenario, cfg.link)
-    with np.errstate(over="ignore"):  # an SNR beyond the doubles is inf, and fails below
-        peak = snr(consts, 90.0, cfg.airspace.r_min_m)
-    if not peak < 2.0**512:
-        raise ValueError(f"the link budget and airspace.r_min_m={cfg.airspace.r_min_m!r} give "
-                         f"a peak SNR of {peak!r}; need it below 2**512 (1541.3 dB), so that "
-                         "the channel dispersion stays finite")
-    return consts
-
-
 def __getattr__(name):
     """montecarlo's estimate_aadr and estimate_shannon, looked up here by bench/tracer.py."""
     if name not in _PROBE_ONLY:
@@ -74,8 +57,7 @@ def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> 
     """
     from .montecarlo import _aadr_rows, _rate_terms  # only a sweep draws
 
-    consts = _link_constants(cfg)
-    space, q = cfg.airspace, np.array([row.q for row in rows])
+    space, consts, q = cfg.airspace, cfg.consts, np.array([row.q for row in rows])
     moments = _rate_terms(space, consts, cfg.n_samples, cfg.seed, cfg.shards)
     mc_mean, mc_stderr = _aadr_rows(moments, q, cfg.n_samples)
     gcq = _rate(*_node_terms(space, consts, cfg.n_theta, cfg.n_dist), q)
@@ -159,7 +141,7 @@ def _cmd_sweep_eps(args) -> int:
 
 def _cmd_dmax(args) -> int:
     cfg = _resolve_config(args)
-    consts = _link_constants(cfg)
+    consts = cfg.consts
     limit = d_max(consts, cfg.fbl)
     ok = bool(_within_d_max(cfg.airspace, consts, cfg.fbl.q))
     print(f"scenario={cfg.scenario.name} M={cfg.fbl.blocklength} eps={cfg.fbl.epsilon:g}")
@@ -191,7 +173,7 @@ def _cmd_packet_size(args) -> int:
         rate = args.aadr + 0.0  # -0 becomes 0
     else:
         fbl = FblConfig(blocklength=m, epsilon=cfg.fbl.epsilon)
-        rate = aadr_gcq(cfg.airspace, _link_constants(cfg), fbl, cfg.n_theta, cfg.n_dist)
+        rate = aadr_gcq(cfg.airspace, cfg.consts, fbl, cfg.n_theta, cfg.n_dist)
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"average rate must be finite and nonnegative, got {rate:g} "
                              f"bits/channel use at M = {m}")

@@ -13,7 +13,9 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
-from .channel import LinkBudget, Scenario
+import numpy as np
+
+from .channel import DerivedConstants, LinkBudget, Scenario, derive_constants, snr
 from .fbl_rate import FblConfig
 from .geometry import Airspace, _philox_key, _shard_sizes
 from .quadrature import _check_order
@@ -46,6 +48,19 @@ class RunConfig:
                 _shard_sizes(self.n_samples, shards)
             except ValueError as error:
                 raise ValueError(f"estimators.{key}: {error}") from None
+        # The largest SNR lies at r_min and 90 degrees, and from 2**512 on the
+        # dispersion's g (g + 2) and (1 + g)^2 overflow.
+        with np.errstate(over="ignore"):  # an SNR beyond the doubles is inf, and fails below
+            peak = snr(self.consts, 90.0, self.airspace.r_min_m)
+        if not peak < 2.0**512:
+            raise ValueError(f"the link budget and airspace.r_min_m={self.airspace.r_min_m!r} "
+                             f"give a peak SNR of {peak!r}; need it below 2**512 (1541.3 dB), "
+                             "so that the channel dispersion stays finite")
+
+    @property
+    def consts(self) -> DerivedConstants:
+        """The SNR model's parameters, derived from the scenario and link on each read."""
+        return derive_constants(self.scenario, self.link)
 
 
 # Each preset's environment constants and minimum elevation; the rest of a

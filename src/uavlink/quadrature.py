@@ -46,7 +46,6 @@ _MAX_ORDER = 1000
 class QuadratureRule:
     """Nodes and weights of an order-N Gauss-Legendre rule on [-1, 1]."""
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -90,7 +89,7 @@ def legendre_rule(order: int) -> QuadratureRule:
     weights = np.concatenate([w_half[:left], w_half[::-1]])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(order=order, nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def integrate(rule: QuadratureRule, f, lo: float, hi: float) -> float:

@@ -24,10 +24,12 @@ from uavlink.montecarlo import _moments
 from uavlink.quadrature import integrate, legendre_rule
 
 
-def mean_path_loss_db(c, theta, d):
-    """Mean path loss in dB at elevation theta (degrees) and distance d (m): the dB form of snr."""
-    p_los = 1.0 / (1.0 + c.a_env * np.exp(-c.b_env * (np.asarray(theta) - c.a_env)))
-    return c.a_db * p_los + 20.0 * np.log10(d) + c.c_db
+def mean_path_loss_db(s, link, theta, d):
+    """Mean path loss in dB at elevation theta (degrees) and distance d (m): free-space
+    loss at the link's carrier plus the scenario's excess losses, blended by P_los."""
+    p_los = 1.0 / (1.0 + s.a * np.exp(-s.b * (np.asarray(theta) - s.a)))
+    free_space_db = 20.0 * np.log10(4.0 * math.pi * link.carrier_hz * d / link.light_speed_m_s)
+    return free_space_db + p_los * s.eta_los_db + (1.0 - p_los) * s.eta_nlos_db
 
 
 def cdf_distance(space, x):

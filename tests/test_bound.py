@@ -373,8 +373,7 @@ def test_expected_inverse_snr_is_accurate_over_random_scenarios():
     rng = random.Random(20)
     for _ in range(40):
         consts = DerivedConstants(a_env=rng.uniform(0.3, 30.0), b_env=rng.uniform(0.03, 2.5),
-                                  a_db=0.0, c_db=0.0, a_tilde=rng.uniform(0.2, 12.0),
-                                  c_tilde=1e6)
+                                  a_tilde=rng.uniform(0.2, 12.0), c_tilde=1e6)
         theta_min = max(0.0, rng.choice([rng.uniform(0.0, 90.0),
                                          90.0 - 10.0 ** rng.uniform(-4.0, 1.9)]))
         space = Airspace(10.0, 500.0, theta_min)

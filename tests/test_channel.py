@@ -75,32 +75,35 @@ def test_los_probability_strictly_increasing():
 
 def test_derived_constants_dense_urban():
     c = derive_constants(DENSE, LINK)
-    assert c.a_db == pytest.approx(-21.4, abs=1e-12)
+    # -a_tilde is the LoS-minus-NLoS excess loss, -21.4 dB, on a natural-log scale
+    assert -10.0 * c.a_tilde / math.log(10.0) == pytest.approx(-21.4, abs=1e-12)
     assert c.a_tilde == pytest.approx(4.927532099007258, rel=1e-14)
     assert c.a_tilde > 0.0
-    # free-space offset 20 log10(4 pi f_c / c) at 2.5 GHz
-    assert c.c_db - 23.0 == pytest.approx(40.400572359489428, rel=1e-14)
+    # c_tilde is the 123 dB SNR before path loss less the NLoS offset at 1 m: the
+    # 23 dB NLoS excess loss and the free-space 20 log10(4 pi f_c / c) at 2.5 GHz
+    c_db = LINK.tx_power_dbw - LINK.noise_power_dbw - 10.0 * math.log10(c.c_tilde)
+    assert c_db - 23.0 == pytest.approx(40.400572359489428, rel=1e-14)
     assert c.c_tilde > 0.0
 
 
 def test_path_loss_distance_doubling_law():
-    c = derive_constants(DENSE, LINK)
-    step = mean_path_loss_db(c, 60.0, 500.0) - mean_path_loss_db(c, 60.0, 250.0)
+    step = (mean_path_loss_db(DENSE, LINK, 60.0, 500.0)
+            - mean_path_loss_db(DENSE, LINK, 60.0, 250.0))
     assert step == pytest.approx(20.0 * math.log10(2.0), abs=1e-12)
 
 
 def test_path_loss_at_sigmoid_offset():
-    c = derive_constants(DENSE, LINK)
-    expected = c.a_db / (1.0 + DENSE.a) + 20.0 * math.log10(300.0) + c.c_db
-    assert mean_path_loss_db(c, 12.08, 300.0) == pytest.approx(expected, rel=1e-14)
+    # At theta = a, P_los = 1 / (1 + a); 40.4006 dB is the free-space loss at 1 m and 2.5 GHz.
+    excess_db = DENSE.eta_nlos_db + (DENSE.eta_los_db - DENSE.eta_nlos_db) / (1.0 + DENSE.a)
+    expected = excess_db + 20.0 * math.log10(300.0) + 40.400572359489428
+    assert mean_path_loss_db(DENSE, LINK, 12.08, 300.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_path_loss_monotonicity():
-    c = derive_constants(DENSE, LINK)
     thetas = np.linspace(0.0, 90.0, 200)
-    assert np.all(np.diff(mean_path_loss_db(c, thetas, 300.0)) < 0.0)
+    assert np.all(np.diff(mean_path_loss_db(DENSE, LINK, thetas, 300.0)) < 0.0)
     dists = np.linspace(250.0, 400.0, 200)
-    assert np.all(np.diff(mean_path_loss_db(c, 60.0, dists)) > 0.0)
+    assert np.all(np.diff(mean_path_loss_db(DENSE, LINK, 60.0, dists)) > 0.0)
 
 
 def test_snr_consistency_with_path_loss():
@@ -112,7 +115,7 @@ def test_snr_consistency_with_path_loss():
         theta = rng.uniform(0.0, 90.0)
         d = rng.uniform(250.0, 400.0)
         lhs = 10.0 * math.log10(snr(c, theta, d))
-        rhs = budget_db - mean_path_loss_db(c, theta, d)
+        rhs = budget_db - mean_path_loss_db(DENSE, LINK, theta, d)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

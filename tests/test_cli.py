@@ -729,7 +729,8 @@ def _peak_snr_tx_power(log2_peak):
 
 
 @pytest.mark.parametrize("command", [["sweep-m", "--m-values", "200"], ["sweep-eps"], ["dmax"],
-                                     ["packet-size", "--t-max", "2e-4"]])
+                                     ["packet-size", "--t-max", "2e-4"],
+                                     ["packet-size", "--t-max", "2e-4", "--aadr", "5"]])
 @pytest.mark.parametrize("section, changes", [
     ("link", {"tx_power_db": 3000.0}),  # the peak SNR is 2.0e305
     ("link", {"tx_power_db": 1489.0}),  # just above 2**512
@@ -740,6 +741,7 @@ def test_cli_rejects_a_link_budget_whose_peak_snr_overflows_the_dispersion(
     # The dispersion's g (g + 2) and (1 + g)^2 overflowed: the sweeps wrote nan
     # Monte Carlo and GCQ columns, dmax reported d_max = inf as within the
     # limit, and packet-size failed on a nan rate, after three RuntimeWarnings.
+    # packet-size --aadr, which computes no SNR, printed a packet size.
     data = preset_config("dense_urban")
     data[section].update(changes)
     cfg_path = tmp_path / "hot.json"
@@ -750,6 +752,21 @@ def test_cli_rejects_a_link_budget_whose_peak_snr_overflows_the_dispersion(
         assert main(_with_out([*command, "--config", str(cfg_path)], out)) == 2
     assert re.fullmatch(_PEAK_SNR_MESSAGE, capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_a_run_config_whose_peak_snr_overflows_is_rejected_when_built():
+    # The ceiling is a RunConfig rule: a replace() override or a config dict is checked
+    # when the config is built, before any command reads it.
+    cfg = load_preset("dense_urban")
+    for tx_power_dbw in (_peak_snr_tx_power(512.0) + 1e-9, 3000.0):
+        with pytest.raises(ValueError) as info:
+            replace(cfg, link=replace(cfg.link, tx_power_dbw=tx_power_dbw))
+        assert re.fullmatch(_PEAK_SNR_MESSAGE, f"error: {info.value}\n")
+        data = preset_config("dense_urban")
+        data["link"]["tx_power_db"] = tx_power_dbw
+        with pytest.raises(ValueError) as info:
+            config_from_dict(data)
+        assert re.fullmatch(_PEAK_SNR_MESSAGE, f"error: {info.value}\n")
 
 
 def test_a_peak_snr_just_below_the_ceiling_sweeps_finite(tmp_path, capsys):

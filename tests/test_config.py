@@ -217,9 +217,8 @@ _LINK_FIELDS = ("the link fields (tx_power_dbw, noise_psd_dbm_hz, bandwidth_hz, 
 def test_finite_fields_whose_constants_leave_the_doubles_are_named(section, changes, derived):
     data = preset_config("dense_urban")
     data[section].update(changes)
-    cfg = config_from_dict(data)
     with pytest.raises(ValueError) as info:
-        derive_constants(cfg.scenario, cfg.link)
+        config_from_dict(data)
     message = str(info.value)
     assert message.startswith(_LINK_FIELDS) and derived in message
 
@@ -308,6 +307,21 @@ def test_overrides():
     assert bumped.seed == 77
     assert bumped.n_samples == 123
     assert bumped.scenario == cfg.scenario
+
+
+def test_consts_is_not_a_field():
+    # RunConfig.consts is derived from the scenario and link on each read, like FblConfig.q.
+    cfg, fresh = load_preset("dense_urban"), load_preset("dense_urban")
+    assert cfg.consts == derive_constants(cfg.scenario, cfg.link)
+    assert "consts" not in [field.name for field in dataclasses.fields(cfg)]
+    assert cfg == fresh and hash(cfg) == hash(fresh)
+    assert config_to_dict(cfg) == config_to_dict(fresh) == preset_config("dense_urban")
+    assert dataclasses.replace(cfg) == fresh
+    with pytest.raises(TypeError, match="consts"):
+        dataclasses.replace(cfg, consts=cfg.consts)
+    louder = dataclasses.replace(cfg, link=dataclasses.replace(cfg.link, tx_power_dbw=-10.0))
+    assert louder.consts.c_tilde == pytest.approx(10.0 * cfg.consts.c_tilde, rel=1e-14)
+    assert louder.consts.a_tilde == cfg.consts.a_tilde
 
 
 def _alternate_reading(name):

@@ -1,11 +1,13 @@
 """Every module-level private function, class and constant of src/uavlink is used,
-and so is every public name of uavlink.__all__ but the library-only ones named here.
+and so is every public name of uavlink.__all__ but the library-only ones named here,
+and every dataclass field but those of the result types named here.
 
 A helper that nothing in the package refers to is dead code that still has
 to be read and kept right. A use is a Name, an Attribute or an import of the
 helper's name anywhere in src/uavlink outside the statement that defines it;
 docstrings and comments are not parsed as code, so they do not count, and
-neither do the tests. A constant is an assignment target.
+neither do the tests. A constant is an assignment target. A dataclass field is
+read when an attribute of its name is loaded anywhere in src/uavlink.
 
 A name imported under `# noqa: F401` is used by nothing in its module; it
 is kept only because a benchmark probe in bench/tracer.py looks it up there,
@@ -160,3 +162,34 @@ def test_every_name_the_cli_serves_lazily_is_a_benchmark_probe_target(name):
 def test_the_cli_serves_no_other_name():
     with pytest.raises(AttributeError, match="'uavlink.cli' has no attribute 'no_such_name'"):
         uavlink.cli.no_such_name
+
+
+# Dataclasses whose fields are a returned result for library users, not read by the package.
+RESULT_TYPES = {"McEstimate": "the mean and standard error that estimate_aadr and "
+                              "estimate_shannon return"}
+
+
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def _fields_and_reads():
+    """('Class', 'field') per annotated field of a src dataclass, and every attribute name read."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _is_dataclass(node):
+                fields += [(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return fields, reads
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # A field that nothing reads is carried, documented and compared for nothing.
+    fields, reads = _fields_and_reads()
+    assert sorted(RESULT_TYPES.keys() - {cls for cls, _ in fields}) == []
+    assert [f"{cls}.{name}" for cls, name in fields
+            if cls not in RESULT_TYPES and name not in reads] == []

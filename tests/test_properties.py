@@ -104,8 +104,7 @@ def inverse_snr_scenarios(draw):
     1e-15 relative wide up to r_max**5's limit, and c_tilde down to its floor."""
     consts = DerivedConstants(
         a_env=draw(st.floats(0.3, 30.0)), b_env=10.0**draw(st.floats(-1.6, math.log10(5.0))),
-        a_db=0.0, c_db=0.0, a_tilde=draw(st.floats(0.02, 12.0)),
-        c_tilde=2.0**draw(st.floats(-560.0, 100.0)))
+        a_tilde=draw(st.floats(0.02, 12.0)), c_tilde=2.0**draw(st.floats(-560.0, 100.0)))
     theta_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True),
                                st.floats(-4.0, 1.9).map(lambda u: 90.0 - 10.0**u)))
     r_min = 10.0**draw(st.floats(-3.0, 61.6))
@@ -116,7 +115,7 @@ def inverse_snr_scenarios(draw):
 
 def _scenario(a, b, a_tilde, theta_min, r_min=10.0, r_max=500.0):
     return (Airspace(r_min, r_max, theta_min),
-            DerivedConstants(a_env=a, b_env=b, a_db=0.0, c_db=0.0, a_tilde=a_tilde, c_tilde=1e6))
+            DerivedConstants(a_env=a, b_env=b, a_tilde=a_tilde, c_tilde=1e6))
 
 
 @settings(_PROPERTY, max_examples=100)

@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _SUBMODULE = {
     **dict.fromkeys(("aadr_lower_bound", "d_max", "exp_integral_ei", "expected_inverse_snr",
-                     "g1_threshold", "g2_threshold", "g_bound", "g_inverse"), "bound"),
+                     "g_inverse"), "bound"),
     **dict.fromkeys(("DerivedConstants", "LinkBudget", "Scenario", "derive_constants", "snr"),
                     "channel"),
     **dict.fromkeys(("PRESET_NAMES", "RunConfig", "config_from_dict", "config_to_dict",

@@ -21,7 +21,6 @@ from .geometry import Airspace
 from .quadrature import integrate, legendre_rule
 
 _EULER_GAMMA = 0.5772156649015328606
-_INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 # expected_inverse_snr's elevation integral. Against mpmath over random scenarios,
 # a 16-point Gauss rule in theta is within 5e-16 relative once the Bernstein
@@ -31,8 +30,8 @@ _GAUSS_ORDER = 16
 _GAUSS_ELLIPSE = 6.0
 
 
-# Unchecked formulas, shared by the validating array functions below, the
-# Jensen bound, g_inverse's Newton iteration and the lemma suite. numpy's
+# Unchecked formulas, shared by the Jensen bound and its d_max rule below,
+# g_inverse's Newton iteration and the lemma suite's root check. numpy's
 # log1p gives a Python float and each element of an array the same bits.
 def _f(x, q):
     return np.log1p(1.0 / x) - q * np.sqrt(2.0 * x + 1.0) / (x + 1.0)
@@ -55,13 +54,8 @@ def _x_dg(x):
 _G_INVERSE_DOMAIN = (1e-31, 700.0)
 
 
-def g_bound(x):
-    """Largest penalty coefficient keeping f nonnegative at x; decreasing in x."""
-    return _scalar_or_array(_g(_checked_array(x, "g_bound needs x > 0", lambda v: v > 0.0)))
-
-
 def g_inverse(q: float) -> float:
-    """Solve g_bound(x) = q for x by Newton's method in u = ln x.
+    """Solve g(x) = q for x by Newton's method in u = ln x.
 
     phi(u) = g(e^u) - q is convex and decreasing, like -u as x -> 0 and like
     e^(-u/2)/sqrt(2) as x -> inf. Newton starts on those asymptotes and, phi
@@ -85,22 +79,6 @@ def g_inverse(q: float) -> float:
         step = (_g(x) - q) / _x_dg(x)
         u -= step
     return float(np.exp(u))
-
-
-def g1_threshold(x):
-    """Penalty threshold (1 + x) sqrt(2x + 1) / (2 x^2); dominates g_bound."""
-    x = _checked_array(x, "g1_threshold needs x > 0", lambda v: v > 0.0)
-    return _scalar_or_array((1.0 + x) * np.sqrt(2.0 * x + 1.0) / (2.0 * x * x))
-
-
-def g2_threshold(x):
-    """Penalty threshold (x + 1)(2x + 1)^(5/2) / (2 x^2 (3 x^2 - 1)).
-
-    Only defined right of the pole at 1/sqrt(3); dominates g_bound there.
-    """
-    x = _checked_array(x, "g2_threshold needs x > 1/sqrt(3)", lambda v: v > _INV_SQRT3)
-    return _scalar_or_array(
-        (x + 1.0) * (2.0 * x + 1.0) ** 2.5 / (2.0 * x * x * (3.0 * x * x - 1.0)))
 
 
 def _ei_series(x: float) -> float:

@@ -99,9 +99,11 @@ def write_csv(path: str, columns, rows) -> None:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else load_preset(args.preset)
-    # Each override flag stores under its RunConfig field's name.
-    return replace(cfg, **{field.name: getattr(args, field.name) for field in fields(RunConfig)
-                           if getattr(args, field.name, None) is not None})
+    # Each override flag stores under its RunConfig field's name. replace()
+    # builds, and so validates, the config again: only an override needs it.
+    overrides = {field.name: getattr(args, field.name) for field in fields(RunConfig)
+                 if getattr(args, field.name, None) is not None}
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _parse_values(text: str, kind, flag: str):
@@ -200,8 +202,10 @@ def _cmd_verify(args) -> int:
     else:
         print(text)
     for check in report["checks"]:
-        label = f"{check['name']}" + (f" q={check['q']:g}" if check["q"] is not None else "")
-        print(f"{'PASS' if check['passed'] else 'FAIL'} {label} worst={check['worst']:.3e}")
+        verdict = "PASS" if check["passed"] else "FAIL"
+        print(f"{verdict} {check['name']} q={check['q']:g} worst={check['worst']:.3e}")
+    for name in report["proved"]:
+        print(f"PROVED {name}")
     print("all passed" if report["all_passed"] else "FAILURES detected")
     return 0 if report["all_passed"] else 1
 

@@ -6,6 +6,7 @@ position densities are the paper's formulas, one quantile oracle is plain
 bisection on Q, one an mpmath root of ln Q and one mpmath's inverse error
 function, the penalty threshold g and its root are evaluated in mpmath, the
 root by bisection in ln x, the slope of g is mpmath's numerical derivative,
+the lemma's two thresholds g1 and g2 are their closed forms in plain numpy,
 E(1/SNR) is mpmath quadrature, the penalty-free GCQ is a plain nested
 Gauss-Legendre sum of the Shannon rate, the paper's GCQ is a nested
 Gauss-Chebyshev sum of the rate, and a mean under either elevation density
@@ -183,6 +184,21 @@ def x_dg_oracle(x, dps=50):
 
     with mp.workdps(dps):
         return mp.diff(g_of_u, mp.log(mp.mpf(x)))
+
+
+def g1_threshold(x):
+    """Penalty threshold (1 + x) sqrt(2x + 1) / (2 x^2), for x > 0; dominates g."""
+    x = np.asarray(x, dtype=float)
+    return (1.0 + x) * np.sqrt(2.0 * x + 1.0) / (2.0 * x * x)
+
+
+def g2_threshold(x):
+    """Penalty threshold (x + 1) (2x + 1)^(5/2) / (2 x^2 (3 x^2 - 1)).
+
+    Only meaningful right of the pole at 1/sqrt(3); dominates g there.
+    """
+    x = np.asarray(x, dtype=float)
+    return (x + 1.0) * (2.0 * x + 1.0) ** 2.5 / (2.0 * x * x * (3.0 * x * x - 1.0))
 
 
 def shannon_gcq_oracle(space, consts, order=30):

@@ -97,7 +97,8 @@ def test_criterion_05_closed_form_inverse_snr():
 
 def test_criterion_06_lemma_suite():
     report = run_lemma_suite(q_values=(0.05, 0.2, 0.6))
-    assert report["grid_points"] >= 200
+    # The q-free facts are proved for every x in tests/test_lemma_proofs.py.
+    assert report["proved"] == ["g_decreasing", "g1_dominates_g", "g2_dominates_g"]
     failures = [c["name"] for c in report["checks"] if not c["passed"]]
     assert report["all_passed"], failures
     print(f"PASS criterion 6: {len(report['checks'])} lemma checks, zero failures")

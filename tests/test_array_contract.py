@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavlink.bound import g1_threshold, g2_threshold, g_bound
 from uavlink.channel import derive_constants, snr
 from uavlink.config import load_preset
 from uavlink.fbl_rate import FblConfig, achievable_rate, shannon_rate
@@ -29,9 +28,6 @@ FUNCTIONS = {
     "snr": (lambda t, d: snr(CONSTS, t, d), (60.0, 300.0), (ELEVATION, DISTANCE)),
     "shannon_rate": (shannon_rate, (2.0,), ("SNR must be nonnegative",)),
     "achievable_rate": (lambda g: achievable_rate(g, FBL), (100.0,), ("SNR must be positive",)),
-    "g_bound": (g_bound, (0.1,), ("g_bound needs x > 0",)),
-    "g1_threshold": (g1_threshold, (0.1,), ("g1_threshold needs x > 0",)),
-    "g2_threshold": (g2_threshold, (1.0,), ("g2_threshold needs x > 1/sqrt(3)",)),
 }
 
 

@@ -12,7 +12,6 @@ import pytest
 
 import uavlink.bound
 import uavlink.cli
-import uavlink.lemmas
 from oracles import shannon_gcq_oracle
 from uavlink.bound import d_max
 from uavlink.channel import derive_constants, snr
@@ -25,7 +24,7 @@ from uavlink.cli import (
     sweep_epsilon,
     write_csv,
 )
-from uavlink.config import config_from_dict, load_preset, preset_config
+from uavlink.config import RunConfig, config_from_dict, load_preset, preset_config
 from uavlink.fbl_rate import FblConfig
 from uavlink.lemmas import run_lemma_suite
 from uavlink.quadrature import aadr_gcq
@@ -483,8 +482,8 @@ def test_lemma_suite_rejects_no_q_values():
 
 
 def test_cli_verify_passes_where_the_root_is_below_the_fixed_grid_start(tmp_path):
-    # For q above about 13.8, g_inverse(q) < 1e-6, below the start of the
-    # q-free grids; 38.5 is about the largest q a configuration reaches.
+    # For q above about 13.8, g_inverse(q) < 1e-6; 38.5 is about the largest
+    # q a configuration reaches.
     report_path = tmp_path / "report.json"
     assert main(["verify", "--q-values", "14,30,38.5", "--out", str(report_path)]) == 0
     assert json.loads(report_path.read_text())["all_passed"] is True
@@ -507,12 +506,11 @@ def test_cli_verify_passes(tmp_path):
     assert main(["verify", "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["all_passed"] is True
-    assert report["grid_points"] == 200
+    assert report["proved"] == ["g_decreasing", "g1_dominates_g", "g2_dominates_g"]
     names = [c["name"] for c in report["checks"]]
-    assert names == ["g_inverse_root"] * 3 + ["g_decreasing", "g1_dominates_g",
-                                              "g2_dominates_g"]
+    assert names == ["g_inverse_root"] * 3
     for check in report["checks"]:
-        assert check["points"] == (1 if check["q"] is not None else 200)
+        assert check["points"] == 1
         assert "tolerance" in check
         assert "grid" in check
 
@@ -521,21 +519,44 @@ def _off_root(q):
     return 1.001 * uavlink.bound.g_inverse(q)
 
 
-def _negated_x_dg(x):
-    return -uavlink.bound._x_dg(x)
+def _negated_x_dg(x, x_dg=uavlink.bound._x_dg):
+    # The original, bound at definition: looked up at call time it is this stub.
+    return -x_dg(x)
 
 
-@pytest.mark.parametrize("name, fault, failing", [
-    ("g_inverse", _off_root, {"g_inverse_root"}),
-    ("_x_dg", _negated_x_dg, {"g_decreasing"}),
+@pytest.mark.parametrize("target, fault, failing", [
+    ("uavlink.lemmas.g_inverse", _off_root, {"g_inverse_root"}),
+    ("uavlink.bound._x_dg", _negated_x_dg, {"g_inverse_root"}),
 ], ids=["root_off_by_0.1%", "x_dg_negated"])
-def test_lemma_suite_detects_an_injected_fault(monkeypatch, capsys, name, fault, failing):
-    monkeypatch.setattr(uavlink.lemmas, name, fault)
-    report = run_lemma_suite()
-    assert not report["all_passed"]
-    assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
-    assert main(["verify"]) == 1
+def test_lemma_suite_detects_an_injected_fault(monkeypatch, capsys, target, fault, failing):
+    monkeypatch.setattr(target, fault)
+    # A negated slope sends g_inverse's Newton steps off to 0 or infinity.
+    with np.errstate(all="ignore"):
+        report = run_lemma_suite()
+        assert not report["all_passed"]
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
+        assert main(["verify"]) == 1
     assert capsys.readouterr().out.endswith("FAILURES detected\n")
+
+
+@pytest.mark.parametrize("argv", [["sweep-m", "--m-values", "100"], ["dmax"],
+                                  ["packet-size", "--t-max", "2e-4"]],
+                         ids=["sweep-m", "dmax", "packet-size"])
+@pytest.mark.parametrize("override, builds", [([], 1), (["--seed", "3"], 2)],
+                         ids=["preset", "seed-override"])
+def test_a_command_builds_its_config_once_and_again_only_for_an_override(
+        tmp_path, monkeypatch, argv, override, builds):
+    # Each build validates the whole config and derives the SNR constants.
+    built = []
+    post_init = RunConfig.__post_init__
+
+    def counted(cfg):
+        built.append(cfg)
+        post_init(cfg)
+
+    monkeypatch.setattr(RunConfig, "__post_init__", counted)
+    assert main(_with_out([*argv, *override], tmp_path / "o.csv")) == 0
+    assert len(built) == builds
 
 
 @pytest.mark.parametrize("command", ["sweep-m", "dmax"])

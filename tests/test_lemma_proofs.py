@@ -35,6 +35,8 @@ from fractions import Fraction
 
 import pytest
 
+from uavlink.lemmas import run_lemma_suite
+
 
 class Dual:
     """a + b eps with eps^2 = 0: b is the exact derivative through + - * / and **."""
@@ -155,3 +157,19 @@ def test_g2_margin_polynomial_has_positive_coefficients():
     # A cubic that agrees with 2x^3 + 12x^2 + 8x + 1 at 4 points is that cubic.
     for x in POINTS[:4]:
         assert (2 * x + 1) ** 3 - 2 * x * (3 * x**2 - 1) == 2 * x**3 + 12 * x**2 + 8 * x + 1
+
+
+
+# Each q-free fact the lemma report names as proved: the identity that reduces
+# it to 0 < xL < 1 and, for g2, the check of the margin polynomial's sign.
+PROOFS = {
+    "g_decreasing": ("x g' s^3 = x^2 L - 2x - 1", None),
+    "g1_dominates_g": ("g1/g = ((2x + 1)/(2x)) / (xL)", None),
+    "g2_dominates_g": ("g2/g = ((2x + 1)^3/(2x (3x^2 - 1))) / (xL)",
+                       test_g2_margin_polynomial_has_positive_coefficients),
+}
+
+
+def test_the_report_names_exactly_the_proved_facts():
+    assert run_lemma_suite()["proved"] == list(PROOFS)
+    assert {identity for identity, _ in PROOFS.values()} <= IDENTITIES.keys()

@@ -198,6 +198,17 @@ def test_x_dg_matches_mpmath_on_the_lemma_grid():
         assert abs(x_dg / float(x_dg_oracle(x)) - 1.0) <= 1e-15, x
 
 
+@pytest.mark.parametrize("formula", [lambda x: _f(x, 0.2), _g, _x_dg], ids=["_f", "_g", "_x_dg"])
+def test_an_unchecked_formula_gives_a_float_and_an_array_element_the_same_bits(formula):
+    # As bound.py states: each element of an array gets a float's bits, so a
+    # value does not depend on the shape it is evaluated in. Over g_inverse's
+    # roots, 1e-304 to 5e61.
+    xs = np.geomspace(1e-304, 5e61, 1001)
+    values = formula(xs)
+    assert [float(formula(float(x))) for x in xs] == values.tolist()
+    assert np.array_equal(formula(xs[:1000].reshape(20, 50)).ravel(), values[:1000])
+
+
 def test_ei_reference_values():
     # frozen from the extended-precision series oracle
     assert exp_integral_ei(-1.0) == pytest.approx(-0.21938393439552027, rel=1e-13)

@@ -515,8 +515,22 @@ def test_cli_verify_passes(tmp_path):
         assert "grid" in check
 
 
+def test_cli_verify_prints_a_verdict_per_root_and_names_the_proved_facts(capsys):
+    assert main(["verify", "--q-values", "0.05,0.2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" q=")[0] for line in lines[-6:]] == [
+        "PASS g_inverse_root", "PASS g_inverse_root", "PROVED g_decreasing",
+        "PROVED g1_dominates_g", "PROVED g2_dominates_g", "all passed"]
+    assert lines[-6].startswith("PASS g_inverse_root q=0.05 worst=")
+    assert lines[-5].startswith("PASS g_inverse_root q=0.2 worst=")
+
+
 def _off_root(q):
     return 1.001 * uavlink.bound.g_inverse(q)
+
+
+def _g_off(x, g=uavlink.bound._g):
+    return 1.001 * g(x)
 
 
 def _negated_x_dg(x, x_dg=uavlink.bound._x_dg):
@@ -527,7 +541,8 @@ def _negated_x_dg(x, x_dg=uavlink.bound._x_dg):
 @pytest.mark.parametrize("target, fault, failing", [
     ("uavlink.lemmas.g_inverse", _off_root, {"g_inverse_root"}),
     ("uavlink.bound._x_dg", _negated_x_dg, {"g_inverse_root"}),
-], ids=["root_off_by_0.1%", "x_dg_negated"])
+    ("uavlink.lemmas._g", _g_off, {"g_inverse_root"}),
+], ids=["root_off_by_0.1%", "x_dg_negated", "checked_g_off_by_0.1%"])
 def test_lemma_suite_detects_an_injected_fault(monkeypatch, capsys, target, fault, failing):
     monkeypatch.setattr(target, fault)
     # A negated slope sends g_inverse's Newton steps off to 0 or infinity.

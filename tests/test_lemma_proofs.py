@@ -159,7 +159,6 @@ def test_g2_margin_polynomial_has_positive_coefficients():
         assert (2 * x + 1) ** 3 - 2 * x * (3 * x**2 - 1) == 2 * x**3 + 12 * x**2 + 8 * x + 1
 
 
-
 # Each q-free fact the lemma report names as proved: the identity that reduces
 # it to 0 < xL < 1 and, for g2, the check of the margin polynomial's sign.
 PROOFS = {
@@ -173,3 +172,11 @@ PROOFS = {
 def test_the_report_names_exactly_the_proved_facts():
     assert run_lemma_suite()["proved"] == list(PROOFS)
     assert {identity for identity, _ in PROOFS.values()} <= IDENTITIES.keys()
+
+
+@pytest.mark.parametrize("fact", PROOFS)
+def test_each_proved_fact_holds_by_its_proof(fact):
+    identity, margin_check = PROOFS[fact]
+    test_reduction_is_an_identity(identity)
+    if margin_check is not None:
+        margin_check()

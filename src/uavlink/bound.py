@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channel import DerivedConstants, _checked_array, _scalar_or_array, _sigmoid, snr
+from .channel import DerivedConstants, _scalar_or_array, _sigmoid, snr
 from .fbl_rate import _LN2, FblConfig
 from .geometry import Airspace
 from .quadrature import integrate, legendre_rule
@@ -141,8 +141,6 @@ def d_max(consts: DerivedConstants, cfg: FblConfig) -> float:
 
     Where 1/SNR at zero elevation, the worst case, reaches g_inverse(q).
     """
-    if cfg.epsilon >= 0.5:
-        raise ValueError("d_max needs epsilon < 0.5")
     return math.sqrt(snr(consts, 0.0, 1.0) * g_inverse(cfg.q))
 
 
@@ -201,7 +199,7 @@ class DistanceLimitError(ValueError):
 
 
 def _within_d_max(space: Airspace, consts: DerivedConstants, q):
-    """Whether r_max <= d_max at q >= 0, elementwise: the lower bound's rule.
+    """Whether r_max <= d_max at q, elementwise: the lower bound's rule.
 
     g is decreasing, so this is q <= g(1/SNR) at the airspace's weakest point,
     r_max at zero elevation.
@@ -210,16 +208,13 @@ def _within_d_max(space: Airspace, consts: DerivedConstants, q):
 
 
 def _lower_bound_rows(space: Airspace, consts: DerivedConstants, q):
-    """Jensen bound in bits/channel use at q >= 0, a float or an array.
+    """Jensen bound in bits/channel use at q, a float or an array.
 
-    The bound is nan where the airspace reaches beyond d_max. At q = 0
-    (epsilon = 0.5) the penalty vanishes and the bound is
-    log2(1 + 1/E(1/gamma)).
+    The bound is nan where the airspace reaches beyond d_max.
     """
     mean_inv = expected_inverse_snr(space, consts)
     if mean_inv <= 0.0:
         raise ValueError(f"aadr_lower_bound needs E(1/SNR) > 0, got {mean_inv}")
-    q = _checked_array(q, "aadr_lower_bound needs epsilon <= 0.5", lambda v: v >= 0.0)
     bound = np.where(_within_d_max(space, consts, q), _f(mean_inv, q) / _LN2, math.nan)
     return _scalar_or_array(bound)
 
@@ -228,8 +223,7 @@ def aadr_lower_bound(space: Airspace, consts: DerivedConstants, cfg: FblConfig) 
     """Jensen lower bound of the average achievable data rate, bits/channel use.
 
     Valid only while the airspace fits inside d_max; a larger airspace is a
-    hard error because the convexity argument breaks. At epsilon = 0.5 the
-    penalty vanishes and the bound reduces to log2(1 + 1/E(1/gamma)).
+    hard error because the convexity argument breaks.
     """
     bound = _lower_bound_rows(space, consts, cfg.q)
     if math.isnan(bound):  # the row's d_max verdict

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .bound import _G_INVERSE_DOMAIN, _lower_bound_rows, _within_d_max, d_max
-from .config import PRESET_NAMES, RunConfig, _check_epsilon, load_config, load_preset
+from .config import PRESET_NAMES, RunConfig, load_config, load_preset
 from .fbl_rate import FblConfig, _rate
 from .lemmas import run_lemma_suite
 from .quadrature import _node_terms, aadr_gcq
@@ -77,7 +77,7 @@ def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
 
 def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
     """One row per decoding error probability at the config's blocklength."""
-    eps_list = [_check_epsilon(float(e), "epsilon values") for e in eps_values]
+    eps_list = [float(e) for e in eps_values]
     if not eps_list:
         raise ValueError("eps_values must be nonempty")
     return _sweep(cfg, "epsilon", eps_list,

@@ -73,13 +73,6 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def _check_epsilon(eps: float, name: str) -> float:
-    """eps, if it lies in (0, 0.5): the bound, d_max and the sweeps all assume q > 0."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"{name} must lie in (0, 0.5), got {eps!r}")
-    return eps
-
-
 def load_preset(name: str) -> RunConfig:
     """The RunConfig of a bundled preset."""
     if name not in _PRESETS:
@@ -219,7 +212,6 @@ def config_from_dict(data: dict) -> RunConfig:
         link = replace(link, noise_psd_dbm_hz=link.noise_psd_dbm_hz
                        - 10.0 * math.log10(link.bandwidth_hz))
 
-    _check_epsilon(fb["epsilon"], "fbl.epsilon")
     return RunConfig(scenario=Scenario(**sc), link=link, airspace=Airspace(**ai),
                      fbl=FblConfig(**fb), output_dir=out_dir, **es)
 

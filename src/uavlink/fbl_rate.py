@@ -22,7 +22,13 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class FblConfig:
-    """Blocklength M (channel uses) and decoding error probability epsilon."""
+    """Blocklength M (channel uses) and decoding error probability epsilon.
+
+    M is a positive integer and epsilon lies in (0, 0.5), where q =
+    Qinv(epsilon) / sqrt(M) > 0: the lower bound, d_max and g_inverse need a
+    positive penalty. Every way in, the config loader, replace() and the
+    sweeps' rows, builds an FblConfig, so this is the one place that checks.
+    """
 
     blocklength: int
     epsilon: float
@@ -31,8 +37,8 @@ class FblConfig:
         m = self.blocklength
         if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
             raise ValueError(f"blocklength must be a positive integer, got {m!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not 0.0 < self.epsilon < 0.5:
+            raise ValueError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
 
     @property
     def q(self) -> float:

@@ -24,11 +24,11 @@ def run_lemma_suite(q_values=(0.05, 0.2, 0.6)) -> dict:
     """Run the lemma's root checks and return a machine-readable report.
 
     q_values must be nonempty and each q lie in g_inverse's domain. Each q
-    gets one g_inverse_root check at its root, whose worst is the relative
-    residual |g(x_q) - q| / q and whose grid is the root to 12 significant
-    digits. The report lists, per check, the grid, the tolerance and the
-    worst observed value, and names the proved q-free facts; all_passed
-    aggregates the verdicts.
+    gets one g_inverse_root check, whose root is x_q to 12 significant
+    digits and whose worst is the relative residual |g(x_q) - q| / q. The
+    report lists, per check, the root, the tolerance and the worst observed
+    value, and names the proved q-free facts; all_passed aggregates the
+    verdicts.
     """
     q_values = list(q_values)
     if not q_values:
@@ -42,7 +42,7 @@ def run_lemma_suite(q_values=(0.05, 0.2, 0.6)) -> dict:
         # g's rounding noise, which moves with numpy's SIMD level.
         shown = float(f"{x_q:.12g}")
         checks.append({
-            "name": "g_inverse_root", "q": q, "grid": [shown, shown], "points": 1,
+            "name": "g_inverse_root", "q": q, "root": shown,
             "tolerance": 1e-14, "worst": residual, "passed": residual <= 1e-14,
         })
 

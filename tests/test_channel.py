@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from oracles import mean_path_loss_db
-from uavlink.bound import aadr_lower_bound, expected_inverse_snr
+from uavlink.bound import _lower_bound_rows, expected_inverse_snr
 from uavlink.channel import LinkBudget, Scenario, _sigmoid, derive_constants, snr
 from uavlink.cli import sweep_epsilon
 from uavlink.config import load_preset
-from uavlink.fbl_rate import FblConfig
 from uavlink.geometry import Airspace
 
 DENSE = Scenario(name="dense_urban", a=12.08, b=0.11, eta_los_db=1.6, eta_nlos_db=23.0)
@@ -239,6 +238,6 @@ def test_a_sweep_at_the_c_tilde_floor_stays_finite(r_min, r_max, theta_min):
                               airspace=Airspace(r_min, r_max, theta_min), n_samples=2_000)
     consts = derive_constants(cfg.scenario, cfg.link)
     assert math.isfinite(expected_inverse_snr(cfg.airspace, consts))
-    assert math.isfinite(aadr_lower_bound(cfg.airspace, consts, FblConfig(200, 0.5)))
+    assert math.isfinite(_lower_bound_rows(cfg.airspace, consts, 0.0))
     for row in sweep_epsilon(cfg, [1e-9, 0.49]):
         assert all(math.isfinite(row[c]) for c in row if c != "aadr_lb")

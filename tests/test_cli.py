@@ -27,7 +27,7 @@ from uavlink.cli import (
 from uavlink.config import RunConfig, config_from_dict, load_preset, preset_config
 from uavlink.fbl_rate import FblConfig
 from uavlink.lemmas import run_lemma_suite
-from uavlink.quadrature import aadr_gcq
+from uavlink.quadrature import _node_terms, aadr_gcq
 
 
 def _small_cfg(name="dense_urban", **changes):
@@ -75,12 +75,11 @@ def test_sweep_blocklength_validates_input():
         sweep_blocklength(cfg, [100.5])
 
 
-def test_sweep_blocklength_penalty_free_matches_shannon_quadrature():
-    # The config loader rejects eps = 0.5, where q = 0; the library takes it.
-    cfg = replace(_small_cfg(), fbl=FblConfig(blocklength=200, epsilon=0.5))
-    rows = sweep_blocklength(cfg, [200])
-    reference = shannon_gcq_oracle(cfg.airspace, derive_constants(cfg.scenario, cfg.link))
-    assert rows[0]["aadr_gcq"] == pytest.approx(reference, rel=1e-12)
+def test_the_sweeps_penalty_free_gcq_term_matches_shannon_quadrature():
+    # A sweep's aadr_gcq column is S - (q / ln 2) W over these node sums.
+    cfg = _small_cfg()
+    s_term = _node_terms(cfg.airspace, cfg.consts, cfg.n_theta, cfg.n_dist)[0]
+    assert s_term == pytest.approx(shannon_gcq_oracle(cfg.airspace, cfg.consts), rel=1e-12)
 
 
 def test_sweep_epsilon_rows_monotone():
@@ -274,7 +273,7 @@ def test_cli_rejects_a_config_epsilon_outside_the_bound_domain(tmp_path, capsys,
     cfg_path.write_text(json.dumps(data))
     out = tmp_path / "o.csv"
     assert main(_with_out([command, "--config", str(cfg_path)], out)) == 2
-    assert f"error: fbl.epsilon must lie in (0, 0.5), got {epsilon}" in capsys.readouterr().err
+    assert f"error: epsilon must lie in (0, 0.5), got {epsilon}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -510,9 +509,8 @@ def test_cli_verify_passes(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert names == ["g_inverse_root"] * 3
     for check in report["checks"]:
-        assert check["points"] == 1
-        assert "tolerance" in check
-        assert "grid" in check
+        assert list(check) == ["name", "q", "root", "tolerance", "worst", "passed"]
+        assert check["root"] == pytest.approx(uavlink.bound.g_inverse(check["q"]), rel=1e-11)
 
 
 def test_cli_verify_prints_a_verdict_per_root_and_names_the_proved_facts(capsys):

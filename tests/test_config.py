@@ -16,6 +16,7 @@ from uavlink.config import (
     load_preset,
     preset_config,
 )
+from uavlink.fbl_rate import FblConfig
 from uavlink.montecarlo import _rate_terms
 from uavlink.quadrature import _node_terms
 
@@ -346,7 +347,7 @@ def test_distance_limit_under_alternate_unit_reading():
 def test_epsilon_outside_the_bound_domain_rejected(epsilon):
     data = preset_config("dense_urban")
     data["fbl"]["epsilon"] = epsilon
-    with pytest.raises(ValueError, match=r"fbl\.epsilon must lie in \(0, 0\.5\)"):
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 0\.5\), got "):
         config_from_dict(data)
 
 
@@ -428,5 +429,34 @@ def test_the_sweep_and_the_config_reject_an_epsilon_alike(dense_urban, epsilon):
     data["fbl"]["epsilon"] = epsilon
     with pytest.raises(ValueError) as config:
         config_from_dict(data)
-    assert str(sweep.value) == f"epsilon values must lie in (0, 0.5), got {epsilon}"
-    assert str(config.value) == f"fbl.epsilon{str(sweep.value).removeprefix('epsilon values')}"
+    assert str(sweep.value) == str(config.value) == f"epsilon must lie in (0, 0.5), got {epsilon}"
+
+
+@pytest.mark.parametrize("epsilon,inside", [
+    *((eps, False) for eps in (0.0, -1e-9, 0.5, math.nextafter(0.5, 1.0), 0.6, 1.0, math.nan,
+                               math.inf)),
+    (5e-324, True), (0.49999999999999994, True),
+])
+def test_fbl_config_alone_rules_on_epsilon_and_every_way_in_says_so(dense_urban, tmp_path, capsys,
+                                                                   epsilon, inside):
+    # The bound, d_max and g_inverse need q > 0: epsilon in (0, 0.5). The config
+    # loader, a sweep's rows and both CLI ways in hand epsilon to FblConfig.
+    data = preset_config("dense_urban")
+    data["fbl"]["epsilon"] = epsilon
+    if inside:
+        assert FblConfig(200, epsilon).q > 0.0
+        assert config_from_dict(data).fbl.epsilon == epsilon
+        return
+    message = f"epsilon must lie in (0, 0.5), got {epsilon}"
+    for build in (lambda: FblConfig(200, epsilon), lambda: config_from_dict(data),
+                  lambda: sweep_epsilon(dense_urban, [epsilon])):
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.csv"
+    for argv in (["sweep-m", "--config", str(path)], ["sweep-eps", f"--eps-values={epsilon!r}"]):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()

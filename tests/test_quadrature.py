@@ -120,9 +120,8 @@ def test_integrate_rejects_empty_interval():
 
 def test_gcq_penalty_free_reduces_to_shannon_quadrature(dense_urban, dense_consts):
     space = dense_urban.airspace
-    cfg = FblConfig(blocklength=200, epsilon=0.5)
     reference = shannon_gcq_oracle(space, dense_consts)
-    assert aadr_gcq(space, dense_consts, cfg, 30, 30) == pytest.approx(reference, rel=1e-12)
+    assert _node_terms(space, dense_consts, 30, 30)[0] == pytest.approx(reference, rel=1e-12)
 
 
 def test_gcq_agrees_with_monte_carlo(dense_urban, dense_consts):

@@ -288,16 +288,17 @@ def test_sweep_rows_equal_the_public_estimators_row_by_row(name, column, values)
     assert all(type(row[key]) is float for row in rows for key in row if key != "M")
 
 
-def test_a_sweep_keeps_the_per_row_input_errors_and_the_q_zero_row(dense_urban, dense_consts):
-    above_half = dataclasses.replace(dense_urban, fbl=FblConfig(blocklength=200, epsilon=0.6))
-    with pytest.raises(ValueError, match=r"aadr_lower_bound needs epsilon <= 0\.5"):
-        sweep_blocklength(above_half, [100, 200])
+def test_a_sweep_config_with_epsilon_above_one_half_is_not_built(dense_urban):
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 0\.5\), got 0\.6$"):
+        dataclasses.replace(dense_urban, fbl=FblConfig(blocklength=200, epsilon=0.6))
 
-    half = dataclasses.replace(dense_urban, fbl=FblConfig(blocklength=200, epsilon=0.5))
-    rows = sweep_blocklength(half, [1, 100])
-    mean_inv = uavlink.bound.expected_inverse_snr(half.airspace, dense_consts)
-    assert [row["aadr_lb"] for row in rows] == [math.log1p(1.0 / mean_inv) / math.log(2.0)] * 2
-    assert rows[0]["aadr_lb"] == aadr_lower_bound(half.airspace, dense_consts, half.fbl)
+
+def test_the_lower_bound_rows_at_q_zero_are_jensen_on_log(dense_urban, dense_consts):
+    space = dense_urban.airspace
+    rows = uavlink.bound._lower_bound_rows(space, dense_consts, np.zeros(2))
+    mean_inv = uavlink.bound.expected_inverse_snr(space, dense_consts)
+    assert rows.tolist() == [math.log1p(1.0 / mean_inv) / math.log(2.0)] * 2
+    assert rows[0] == uavlink.bound._lower_bound_rows(space, dense_consts, 0.0)
 
 
 def test_q_is_not_a_field():

@@ -13,10 +13,10 @@ Philox's output at any (key, counter) is ten rounds of integer arithmetic,
 so _ArrayPhilox computes numpy's doubles with uint64 array operations, bit
 for bit. A draw of at most _ARRAY_PHILOX_MAX samples reads them, so a
 process whose draws are all that small, as the default 10,000 are, never
-imports numpy.random (12 ms and 2.8 MB of peak RSS, with `secrets`, `hmac`
+imports numpy.random (7-12 ms and 2.8 MB of peak RSS, with `secrets`, `hmac`
 and `hashlib`). A larger draw uses np.random.Philox, whose C rounds take
-0.17 ms per 16,384 doubles where the array rounds take 1.2-1.5 ms. Both
-give the same bits, so the choice shows only in time and memory.
+0.08 ms per 16,384 doubles where the array rounds take 0.9 ms. Both give
+the same bits, so the choice shows only in time and memory.
 
 The rate is affine in q: R = S - (q/ln 2) W with the q-free terms
 S = log2(1 + SNR) and W = sqrt(V) (fbl_rate.q_free_terms). So one draw's
@@ -54,19 +54,25 @@ class McEstimate:
     std_error: float
 
 
-# Largest draw that reads _ArrayPhilox. Its rounds cost about 0.16 us more
-# per sample than numpy's: 10 ms at 2**16 samples, about what importing
-# numpy.random costs (11-15 ms on a 2-core Xeon).
+# Largest draw that reads _ArrayPhilox. Its rounds cost about 0.1 us more per
+# sample than numpy's: 6.5 ms at 2**16 samples, under the 7-12 ms of importing
+# numpy.random with `_hashlib` blocked, as the CLI does (2-core Xeon).
 _ARRAY_PHILOX_MAX = 2**16
 
-# Philox4x64-10's multipliers, each beside the counter word it multiplies
-# (words 0 and 2), and its Weyl key increments (Salmon et al., SC 2011).
-_MULTIPLIERS = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+# Philox4x64-10's multipliers of counter words 0 and 2, and its Weyl key
+# increments (Salmon et al., SC 2011).
+_M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
 _KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-_MULT_LO = _MULTIPLIERS & _LOW32
-_MULT_HI = _MULTIPLIERS >> _32
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a, m):
+    """The high and low words of the 128-bit product of uint64 a and m (Hacker's Delight, 8-2)."""
+    a_lo, a_hi = a & _LOW32, a >> _32
+    m_lo, m_hi = m & _LOW32, m >> _32
+    t = a_hi * m_lo + (a_lo * m_lo >> _32)
+    w = a_lo * m_hi + (t & _LOW32)
+    return a_hi * m_hi + (t >> _32) + (w >> _32), a * m
 
 
 class _ArrayPhilox:
@@ -76,18 +82,15 @@ class _ArrayPhilox:
     .jumped(jump)) from its double `start` on: the double of output word j is
     (u >> 11) * 2**-53, and words 4c .. 4c + 3 are the rounds' output at the
     256-bit counter jump * 2**128 + c + 1. Counter word 1 stays 0, as no draw
-    comes near 2**64 steps, and so does word 3, as jump < 2**64. The state of
-    a round is two 2-row arrays: `a` holds words 0 and 2, which are
-    multiplied, and `b` words 1 and 3.
+    comes near 2**64 steps, and so does word 3, as jump < 2**64.
     """
 
     def __init__(self, key: int, jump: int, start: int):
         key = _philox_key(key)
         mask = 2**64 - 1
         # The ten round keys, in Python ints: a uint64 scalar that overflows warns.
-        self._keys = [np.array([[(key + r * _KEY_STEPS[0]) & mask],
-                                [((key >> 64) + r * _KEY_STEPS[1]) & mask]], dtype=np.uint64)
-                      for r in range(10)]
+        self._keys = [(np.uint64((key + r * _KEY_STEPS[0]) & mask),
+                       np.uint64(((key >> 64) + r * _KEY_STEPS[1]) & mask)) for r in range(10)]
         self._jump = np.uint64(jump)
         self._next = start
 
@@ -96,39 +99,14 @@ class _ArrayPhilox:
         first, skip = divmod(self._next, 4)
         self._next += k
         count = (skip + k + 3) // 4
-        a = np.empty((2, count), dtype=np.uint64)
-        a[0] = np.arange(first + 1, first + 1 + count, dtype=np.uint64)
-        a[1] = self._jump
-        b = np.zeros_like(a)
-        for key in self._keys:
-            lo = a * _MULTIPLIERS
-            # The high words of a * multiplier from 32-bit halves (Hacker's
-            # Delight, 8-2), in place: a becomes its high half, then the result.
-            a_lo = a & _LOW32
-            a >>= _32
-            t = a_lo * _MULT_LO
-            t >>= _32
-            a_lo *= _MULT_HI
-            w = a * _MULT_LO
-            t += w
-            np.bitwise_and(t, _LOW32, out=w)
-            t >>= _32
-            w += a_lo
-            w >>= _32
-            a *= _MULT_HI
-            a += t
-            a += w
-            # With hi_i, lo_i the halves of word i times its multiplier, words
-            # (0, 1, 2, 3) become (hi_2 ^ word 1 ^ k0, lo_2, hi_0 ^ word 3 ^ k1, lo_0).
-            np.bitwise_xor(a[::-1], b, out=a_lo)
-            a_lo ^= key
-            a, b = a_lo, lo[::-1]
-        words = np.empty((count, 4), dtype=np.uint64)
-        words[:, 0::2] = a.T
-        words[:, 1::2] = b.T
-        u = words.reshape(-1)[skip:skip + k]
-        u >>= np.uint64(11)
-        return u * 2.0**-53
+        c0 = np.arange(first + 1, first + 1 + count, dtype=np.uint64)
+        c2 = np.full(count, self._jump)
+        c1 = c3 = np.zeros(count, dtype=np.uint64)
+        for k0, k1 in self._keys:
+            hi0, lo0 = _mulhilo(c0, _M0)
+            hi2, lo2 = _mulhilo(c2, _M1)
+            c0, c1, c2, c3 = hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0
+        return (np.stack((c0, c1, c2, c3), axis=1).reshape(-1)[skip:skip + k] >> 11) * 2.0**-53
 
 
 def _numpy_philox(key: int, jump: int, start: int):

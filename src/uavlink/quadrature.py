@@ -25,6 +25,25 @@ eps = 1e-9, dense_urban / suburban:
 
 So the rule here reaches rounding by 30x30 nodes, where the paper's is
 about 9e-4 off.
+
+Beyond the presets 30x30 nodes can fall short of rounding. Relative error
+of aadr_gcq at its default 30x30 orders against 1000x1000, at M = 200,
+eps = 1e-9, with the bound the tests hold it to:
+
+    Airspace (preset, changed bounds)          Error      Bound
+    dense_urban, suburban                      <= 3.5e-16 1e-15
+    dense_urban, theta_min = 0                 0          1e-15
+    suburban, theta_min = 0                    3.2e-8     4e-8
+    suburban, 1 m to 2 km, theta_min = 1       5.2e-8     6e-8
+    dense_urban, 1 m to 2 km, theta_min = 1    6.2e-10    1e-9
+    dense_urban, 1 m to 20 km, theta_min = 0   5.3e-8     6e-8
+
+A Gauss-Legendre axis loses accuracy where the integrand has a singularity
+near its interval: the theta axis near the sigmoid P_los's poles, at its
+transition a + ln(a)/b degrees +- i pi/b, when that falls inside
+[theta_min, 90], and the d axis near the branch point of
+d^2 ln(1 + K/d^2) at d = 0, only r_min from [r_min, r_max] when
+r_min << r_max.
 """
 
 import math

@@ -28,6 +28,7 @@ from uavlink.montecarlo import (
     _ARRAY_PHILOX_MAX,
     _BLOCK,
     _ArrayPhilox,
+    _mulhilo,
     _rate_terms,
     estimate_aadr,
     estimate_shannon,
@@ -258,6 +259,31 @@ def test_array_philox_gives_numpys_doubles_bit_for_bit(key, jump, start, lengths
         got = array.random(k)
         assert got.dtype == np.float64 and got.shape == (k,)
         assert np.array_equal(got.view(np.uint64), rng.random(k).view(np.uint64)), k
+
+
+def _assert_mulhilo_is_exact(a, m):
+    """_mulhilo on uint64 arrays a and m gives the words of the exact products, warning-free."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hi, lo = _mulhilo(np.array(a, dtype=np.uint64), m)
+    assert type(hi) is type(lo) is np.ndarray and hi.dtype == lo.dtype == np.uint64
+    products = [x * y for x, y in zip(a, np.broadcast_to(m, len(a)).tolist())]
+    assert hi.tolist() == [p >> 64 for p in products]
+    assert lo.tolist() == [p & (2**64 - 1) for p in products]
+
+
+@pytest.mark.parametrize("m", [montecarlo._M0, montecarlo._M1])
+def test_mulhilo_gives_the_exact_product_of_the_edge_words_and_a_multiplier(m):
+    _assert_mulhilo_is_exact([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                      min_size=1, max_size=8))
+@example(pairs=[(2**64 - 1, 2**64 - 1)])
+def test_mulhilo_gives_the_exact_product_of_any_uint64_pair(pairs):
+    a, m = zip(*pairs)
+    _assert_mulhilo_is_exact(list(a), np.array(m, dtype=np.uint64))
 
 
 def test_array_philox_takes_numpy_integer_keys_as_numpy_does():

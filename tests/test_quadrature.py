@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,24 @@ def test_the_papers_chebyshev_gcq_converges_as_n_to_the_minus_two(preset):
     assert 0.75 < at_1000 < 0.9
     for order in (30, 100, 300):
         assert at_1000 / 2 <= scaled_error(order) <= 2 * at_1000, order
+
+
+# quadrature's error table: the airspace's changes from the preset and the
+# stated bound on the 30x30 relative error.
+@pytest.mark.parametrize("preset, changes, bound", [
+    ("dense_urban", {}, 1e-15),
+    ("suburban", {}, 1e-15),
+    ("dense_urban", {"theta_min_deg": 0.0}, 1e-15),
+    ("suburban", {"theta_min_deg": 0.0}, 4e-8),
+    ("suburban", {"r_min_m": 1.0, "r_max_m": 2e3, "theta_min_deg": 1.0}, 6e-8),
+    ("dense_urban", {"r_min_m": 1.0, "r_max_m": 2e3, "theta_min_deg": 1.0}, 1e-9),
+    ("dense_urban", {"r_min_m": 1.0, "r_max_m": 2e4, "theta_min_deg": 0.0}, 6e-8),
+])
+def test_gcq_at_30x30_holds_the_stated_error_beyond_the_presets(preset, changes, bound):
+    cfg = load_preset(preset)
+    space, consts, fbl = replace(cfg.airspace, **changes), cfg.consts, FblConfig(200, 1e-9)
+    reference = aadr_gcq(space, consts, fbl, 1000, 1000)
+    assert abs(aadr_gcq(space, consts, fbl) - reference) <= bound * reference
 
 
 def test_gcq_monotone_in_blocklength_and_epsilon(dense_urban, dense_consts):

@@ -189,6 +189,7 @@ def _start_cli(entry, argv, workdir: Path, stdout_to: str, unbuffered):
     data = copy.deepcopy(preset_config("dense_urban"))
     data["airspace"]["r_max_m"] = 5000.0  # beyond dense_urban's d_max of about 1.8 km
     (workdir / "big.json").write_text(json.dumps(data), encoding="utf-8")
+    _write_sharded_configs(workdir)
     stdout = subprocess.PIPE if stdout_to == "pipe" else open(workdir / "stdout", "wb")
     try:
         return subprocess.Popen([sys.executable, *entry, *argv], cwd=workdir,
@@ -336,6 +337,27 @@ def test_in_process_callers_keep_openssl(tmp_path):
             f"assert ('_hashlib' in sys.modules) == {has_openssl}, 'sweep'\n"
             "assert sys.modules.get('_hashlib', 'absent') is not None, 'sweep'\n",
             cwd=tmp_path)
+
+
+# pytest turns a RuntimeWarning into an error in this process only. A CLI
+# process needs -W error for that, and -X dev to warn of unclosed files. The
+# default sweep-eps draws with the array Philox and LARGE with numpy.random.
+DEV_MODE_CASES = {
+    "dmax": CLI_CASES["dmax"][0],
+    "packet-size": ["packet-size", "--t-max", "2e-4"],
+    "verify-out": CLI_CASES["verify-out"][0],
+    "sweep-eps": ["sweep-eps", "--out", "result"],
+    "large-sweep": LARGE,
+}
+
+
+@pytest.mark.parametrize("case", DEV_MODE_CASES)
+def test_every_command_runs_clean_in_dev_mode_with_warnings_as_errors(tmp_path, case):
+    plain, dev = (_finish_cli(_start_cli([*flags, *FAST_EXIT], DEV_MODE_CASES[case],
+                                         tmp_path / label, "pipe", None), tmp_path / label)
+                  for label, flags in (("plain", []), ("dev", ["-X", "dev", "-W", "error"])))
+    assert (dev[0], dev[2]) == (0, b""), dev[2][-2000:]
+    assert dev == plain
 
 
 def _large_sweep(workdir: Path, entry) -> tuple:

@@ -67,8 +67,6 @@ def g_inverse(q: float) -> float:
     the relative residual |g(x) - q| / q below 1e-14.
     """
     q = float(q)
-    if not (math.isfinite(q) and q > 0.0):
-        raise ValueError(f"g_inverse needs a finite q > 0, got q={q}")
     lo, hi = _G_INVERSE_DOMAIN
     if not lo <= q <= hi:
         raise ValueError(f"g_inverse needs q in [{lo:g}, {hi:g}], got q={q}")

@@ -55,6 +55,8 @@ def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> 
     estimators. The Shannon column is E[S], the first Monte Carlo moment.
     aadr_lb is nan in a row whose d_max is below the airspace radius.
     """
+    if not values:
+        raise ValueError(f"{column} values must be nonempty")
     from .montecarlo import _aadr_rows, _rate_terms  # only a sweep draws
 
     space, consts, q = cfg.airspace, cfg.consts, np.array([row.q for row in rows])
@@ -69,8 +71,6 @@ def _sweep(cfg: RunConfig, column: str, values: list, rows: list[FblConfig]) -> 
 def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
     """One row per blocklength M at the config's epsilon."""
     m_list = list(m_values)
-    if not m_list:
-        raise ValueError("m_values must be nonempty")
     return _sweep(cfg, "M", m_list,
                   [FblConfig(blocklength=m, epsilon=cfg.fbl.epsilon) for m in m_list])
 
@@ -78,8 +78,6 @@ def sweep_blocklength(cfg: RunConfig, m_values) -> list[dict]:
 def sweep_epsilon(cfg: RunConfig, eps_values) -> list[dict]:
     """One row per decoding error probability at the config's blocklength."""
     eps_list = [float(e) for e in eps_values]
-    if not eps_list:
-        raise ValueError("eps_values must be nonempty")
     return _sweep(cfg, "epsilon", eps_list,
                   [FblConfig(blocklength=cfg.fbl.blocklength, epsilon=eps) for eps in eps_list])
 
@@ -98,7 +96,7 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else load_preset(args.preset)
+    cfg = load_config(args.config) if args.config is not None else load_preset(args.preset)
     # Each override flag stores under its RunConfig field's name. replace()
     # builds, and so validates, the config again: only an override needs it.
     overrides = {field.name: getattr(args, field.name) for field in fields(RunConfig)
@@ -122,7 +120,7 @@ def _cmd_sweep_m(args) -> int:
     m_values = (_parse_values(args.m_values, int, "--m-values") if args.m_values is not None
                 else list(range(100, 1001, 100)))
     rows = sweep_blocklength(cfg, m_values)
-    path = args.out or os.path.join(cfg.output_dir, "sweep_m.csv")
+    path = args.out if args.out is not None else os.path.join(cfg.output_dir, "sweep_m.csv")
     write_csv(path, SWEEP_M_COLUMNS, rows)
     print(f"scenario={cfg.scenario.name} eps={cfg.fbl.epsilon:g} rows={len(rows)}")
     print(f"wrote {path}")
@@ -134,7 +132,7 @@ def _cmd_sweep_eps(args) -> int:
     eps_values = (_parse_values(args.eps_values, float, "--eps-values")
                   if args.eps_values is not None else [10.0**k for k in range(-12, -2)])
     rows = sweep_epsilon(cfg, eps_values)
-    path = args.out or os.path.join(cfg.output_dir, "sweep_eps.csv")
+    path = args.out if args.out is not None else os.path.join(cfg.output_dir, "sweep_eps.csv")
     write_csv(path, SWEEP_EPS_COLUMNS, rows)
     print(f"scenario={cfg.scenario.name} M={cfg.fbl.blocklength} rows={len(rows)}")
     print(f"wrote {path}")
@@ -166,10 +164,8 @@ def _cmd_packet_size(args) -> int:
         raise ValueError(f"--aadr must be a finite nonnegative rate, got {args.aadr}")
     cfg = _resolve_config(args)
     budget = cfg.link.bandwidth_hz * args.t_max
-    if not math.isfinite(budget):
-        raise ValueError(f"latency budget too large: B*T_max = {budget:g}")
-    if budget < 1.0:
-        raise ValueError(f"latency budget too small: B*T_max = {budget:g} < 1")
+    if not 1.0 <= budget < math.inf:
+        raise ValueError(f"latency budget needs 1 <= B*T_max < inf, got B*T_max = {budget!r}")
     m = round(budget)
     if args.aadr is not None:
         rate = args.aadr + 0.0  # -0 becomes 0
@@ -195,7 +191,7 @@ def _cmd_verify(args) -> int:
     report = (run_lemma_suite() if args.q_values is None
               else run_lemma_suite(_parse_values(args.q_values, float, "--q-values")))
     text = json.dumps(report, indent=2)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
         print(f"wrote {args.out}")

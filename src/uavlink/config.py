@@ -3,8 +3,8 @@
 A config is a JSON object with sections scenario / link / airspace / fbl /
 estimators (and an optional output section). Two presets carry the default
 parameter sets for the bundled dense-urban and suburban environments.
-Loading is strict: unknown or missing keys, numeric fields that are not
-numbers and text fields that are not strings are rejected. Serialization is
+Loading is strict: unknown, missing or repeated keys, numeric fields that
+are not numbers and text fields that are not strings are rejected. Serialization is
 canonical (power in dBW, noise as a dBm/Hz density), so a load/dump cycle is
 idempotent.
 """
@@ -216,10 +216,24 @@ def config_from_dict(data: dict) -> RunConfig:
                      fbl=FblConfig(**fb), output_dir=out_dir, **es)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error, not the last one."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> RunConfig:
-    """Load and validate a JSON config file."""
+    """Load and validate a JSON config file; a JSON error names the file."""
     import json  # here, so that only a run from a file loads it
 
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as error:  # bad JSON or UTF-8, or a repeated key
+            raise ValueError(f"config file {path}: {error}") from None
+    return config_from_dict(data)
 

@@ -24,9 +24,9 @@ _LN2 = math.log(2.0)
 class FblConfig:
     """Blocklength M (channel uses) and decoding error probability epsilon.
 
-    M is a positive integer and epsilon lies in (0, 0.5), where q =
-    Qinv(epsilon) / sqrt(M) > 0: the lower bound, d_max and g_inverse need a
-    positive penalty. Every way in, the config loader, replace() and the
+    M is a positive integer that fits a double and epsilon lies in (0, 0.5),
+    where q = Qinv(epsilon) / sqrt(M) > 0: the lower bound, d_max and
+    g_inverse need a positive penalty. Every way in, the config loader, replace() and the
     sweeps' rows, builds an FblConfig, so this is the one place that checks.
     """
 
@@ -37,17 +37,17 @@ class FblConfig:
         m = self.blocklength
         if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
             raise ValueError(f"blocklength must be a positive integer, got {m!r}")
+        try:
+            math.sqrt(m)  # q's root
+        except OverflowError:  # an integer beyond the doubles
+            raise ValueError("blocklength is too large for a double") from None
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
 
     @property
     def q(self) -> float:
         """Penalty coefficient q = Qinv(epsilon) / sqrt(M) of the normal approximation."""
-        try:
-            root = math.sqrt(self.blocklength)
-        except OverflowError:  # an integer beyond the doubles
-            raise ValueError("blocklength is too large for a double") from None
-        return q_inverse(self.epsilon) / root
+        return q_inverse(self.epsilon) / math.sqrt(self.blocklength)
 
 
 def _rate(s_terms, w_terms, q):

@@ -88,8 +88,10 @@ def test_g_inverse_domain_error():
 
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
 def test_g_inverse_rejects_non_finite_q(q):
-    with pytest.raises(ValueError, match="q="):
+    # The domain rule alone rejects them: a comparison with nan is false.
+    with pytest.raises(ValueError) as error:
         g_inverse(q)
+    assert str(error.value) == f"g_inverse needs q in [1e-31, 700], got q={q}"
 
 
 def _dense_sweep_eps(seed):
@@ -140,7 +142,13 @@ def test_g_inverse_evaluates_g_at_most_eight_times(monkeypatch):
         assert len(calls) <= 8
 
 
-@pytest.mark.parametrize("q", [9.99e-32, 700.5, 1000.0, 1e-300, 1e300])
+@pytest.mark.parametrize("q", [1e-31, 700.0])
+def test_g_inverse_accepts_both_ends_of_its_domain(q):
+    assert 0.0 < g_inverse(q) < math.inf
+
+
+@pytest.mark.parametrize("q", [math.nextafter(1e-31, 0.0), math.nextafter(700.0, math.inf),
+                               9.99e-32, 700.5, 1000.0, 1e-300, 1e300, 0.0, -0.0, -1.0])
 def test_g_inverse_rejects_q_outside_its_domain(q):
     with pytest.raises(ValueError, match=re.escape(f"g_inverse needs q in [1e-31, 700], got q={q}")):
         g_inverse(q)

@@ -346,28 +346,35 @@ def test_cli_packet_size(capsys):
     assert "packet size L = 0 bits" in out
 
 
+_BUDGET_ERROR = "error: latency budget needs 1 <= B*T_max < inf, got B*T_max = {}\n"
+
+
 @pytest.mark.parametrize("t_max, aadr, channel_uses", [
     ("1e-9", None, "0.001"),
     ("1e-9", "5", "0.001"),
     ("6e-7", "5", "0.6"),
+    (repr(math.nextafter(1e-6, 0.0)), None, "0.9999999999999998"),
+    (repr(math.nextafter(1e-6, 0.0)), "5", "0.9999999999999998"),
 ])
 def test_cli_packet_size_rejects_tiny_budget(capsys, t_max, aadr, channel_uses):
     # With --aadr, a budget below one channel use once printed a packet of
-    # B*T_max * rate bits: 0.005 bits at 1e-9 s.
+    # B*T_max * rate bits: 0.005 bits at 1e-9 s. The float below 1e-6 s is
+    # just short of one channel use, which %g printed as 1.
     assert main(["packet-size", "--t-max", t_max,
                  *(["--aadr", aadr] if aadr is not None else [])]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: latency budget too small: B*T_max = {channel_uses} < 1\n"
+    assert captured.err == _BUDGET_ERROR.format(channel_uses)
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("t_max, channel_uses", [("6e-7", "0.6"), ("9.99e-7", "0.999")])
+@pytest.mark.parametrize("t_max, channel_uses", [("6e-7", "0.6"),
+                                                 ("9.99e-7", "0.9990000000000001")])
 def test_cli_packet_size_rejects_a_budget_that_rounds_up_to_one_channel_use(capsys, t_max,
                                                                             channel_uses):
     # B*T_max in [0.5, 1) once rounded to M = 1 and printed a rate.
     assert main(["packet-size", "--t-max", t_max]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: latency budget too small: B*T_max = {channel_uses} < 1\n"
+    assert captured.err == _BUDGET_ERROR.format(channel_uses)
     assert captured.out == ""
 
 
@@ -397,6 +404,7 @@ def test_cli_packet_size_rejects_a_negative_computed_rate(tmp_path, capsys):
     ("1e-4", "5", "100", "5", "500"),
     ("2e-4", "0", "200", "0", "0"),
     ("2.5e-6", "5", "2", "5", "10"),
+    ("1e-6", "5", "1", "5", "5"),  # B*T_max is exactly 1.0
 ])
 def test_cli_packet_size_of_a_given_rate(capsys, t_max, aadr, channel_uses, rate, bits):
     assert main(["packet-size", "--t-max", t_max, "--aadr", aadr]) == 0
@@ -443,13 +451,13 @@ def test_cli_packet_size_rejects_non_finite_flags(capsys, argv, flag):
 @pytest.mark.parametrize("extra", [[], ["--aadr", "3"]])
 def test_cli_packet_size_rejects_an_overflowing_budget(capsys, extra):
     assert main(["packet-size", "--t-max", "1e305", *extra]) == 2
-    assert "B*T_max = inf" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", _BUDGET_ERROR.format("inf"))
 
 
 @pytest.mark.parametrize("q", ["nan", "inf"])
 def test_cli_verify_rejects_non_finite_q(capsys, q):
     assert main(["verify", "--q-values", f"0.2,{q}"]) == 2
-    assert f"error: g_inverse needs a finite q > 0, got q={q}" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: g_inverse needs q in [1e-31, 700], got q={q}\n")
 
 
 def test_cli_verify_rejects_q_outside_the_domain_of_g_inverse(capsys):
@@ -463,8 +471,8 @@ def test_cli_verify_passes_at_both_ends_of_the_domain_of_g_inverse(capsys):
 
 
 @pytest.mark.parametrize("command, flag, message", [
-    ("sweep-m", "--m-values", "m_values must be nonempty"),
-    ("sweep-eps", "--eps-values", "eps_values must be nonempty"),
+    ("sweep-m", "--m-values", "M values must be nonempty"),
+    ("sweep-eps", "--eps-values", "epsilon values must be nonempty"),
     ("verify", "--q-values", "q_values must be nonempty"),
 ])
 @pytest.mark.parametrize("value", ["", ","])
@@ -473,6 +481,23 @@ def test_cli_rejects_an_empty_value_list(tmp_path, capsys, command, flag, messag
     assert main([command, f"{flag}={value}", "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dmax", "--config", ""],
+    ["sweep-m", "--m-values", "200", "--samples", "2000", "--out", ""],
+    ["sweep-eps", "--eps-values", "1e-9", "--samples", "2000", "--out", ""],
+    ["verify", "--out", ""],
+], ids=["dmax-config", "sweep-m-out", "sweep-eps-out", "verify-out"])
+def test_cli_rejects_an_empty_path(tmp_path, capsys, monkeypatch, argv):
+    # An empty path is a missing file. It once read as no flag: dmax ran the
+    # preset, a sweep wrote ./sweep_*.csv and verify printed its report.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lemma_suite_rejects_no_q_values():

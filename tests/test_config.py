@@ -294,6 +294,51 @@ def test_a_config_file_that_is_not_an_object_is_rejected(tmp_path, text):
         load_config(path)
 
 
+def _dense_urban_text(**replacements) -> str:
+    """The dense_urban preset as JSON text, each old substring replaced by its new one."""
+    text = json.dumps(preset_config("dense_urban"))
+    for old, new in replacements.values():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("text, key", [
+    (_dense_urban_text(eps=('"epsilon": 1e-09', '"epsilon": 0.001, "epsilon": 1e-09')), "epsilon"),
+    (_dense_urban_text(fbl=('"fbl": ', '"fbl": {"blocklength": 100, "epsilon": 0.001}, "fbl": ')),
+     "fbl"),
+], ids=["key", "section"])
+def test_a_repeated_key_is_rejected_and_named(tmp_path, capsys, text, key):
+    # json.load keeps the last of two equal keys: epsilon once loaded as 1e-9.
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    message = f"config file {path}: repeated key {key!r}"
+    with pytest.raises(ValueError) as error:
+        load_config(path)
+    assert str(error.value) == message
+    out = tmp_path / "out.csv"
+    for argv in (["dmax", "--config", str(path)],
+                 ["sweep-m", "--config", str(path), "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("text, where", [('{"fbl": }', "line 1 column 9 (char 8)"),
+                                         ("", "line 1 column 1 (char 0)")])
+def test_a_json_error_names_the_config_file(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    message = f"config file {path}: Expecting value: {where}"
+    with pytest.raises(ValueError) as error:
+        load_config(path)
+    assert str(error.value) == message
+    out = tmp_path / "out.csv"
+    assert main(["sweep-eps", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_load_config_file(tmp_path):
     data = preset_config("suburban")
     path = tmp_path / "cfg.json"

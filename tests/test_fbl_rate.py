@@ -176,6 +176,13 @@ def test_fbl_config_rejects_non_integer_blocklength(blocklength):
         FblConfig(blocklength=blocklength, epsilon=1e-9)
 
 
+def test_fbl_config_rejects_a_blocklength_beyond_the_doubles_when_built():
+    # q's root once raised the error on the first read of q, not on construction.
+    with pytest.raises(ValueError, match="^blocklength is too large for a double$"):
+        FblConfig(blocklength=10**400, epsilon=1e-9)
+    assert FblConfig(blocklength=10**308, epsilon=1e-9).q > 0.0
+
+
 def test_fbl_config_accepts_numpy_integer():
     assert FblConfig(blocklength=np.int64(200), epsilon=1e-9).q == \
         FblConfig(blocklength=200, epsilon=1e-9).q
